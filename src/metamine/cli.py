@@ -74,7 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", type=int, default=100, help="episode count (default 100)")
     p.add_argument("--seed", type=int, help="master seed (falls back to the world file's master_seed)")
     p.add_argument("--explore", type=float, default=0.0, help="exploration rate in [0,1] (default 0)")
-    p.add_argument("--threads", type=int, default=1, help="episode workers (default 1)")
     p.add_argument("--out", required=True, help="trace CSV to write")
 
     p = sub.add_parser("collect", help="turn a trace CSV into a labeled dataset CSV (+ sidecar)",
@@ -116,7 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", help="world definition JSON (overrides the config's world path)")
     p.add_argument("--seed", type=int, help="master seed (overrides the config's master_seed)")
     p.add_argument("--cycles", type=int, help="cycle count (overrides the config's cycles)")
-    p.add_argument("--threads", type=int, default=1, help="episode workers (default 1)")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("report", help="flatten an experiment JSON into a per-cycle CSV",
@@ -140,7 +138,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise UsageError("simulate needs --seed (or a master_seed in the world file)")
     if args.episodes < 1:
         raise UsageError("--episodes must be >= 1")
-    traces = run_episodes(world, policy, args.episodes, seed, explore=args.explore, threads=args.threads)
+    traces = run_episodes(world, policy, args.episodes, seed, explore=args.explore)
     save_traces(traces, schema, args.out)
     reached = sum(t.reached_goal for t in traces)
     _say(f"wrote {len(traces)} episodes ({reached}/{len(traces)} reached the goal) to {args.out}")
@@ -255,7 +253,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     def sink(cycle_index: int, traces) -> None:
         save_traces(traces, schema, traces_dir / f"cycle_{cycle_index:02d}.csv")
 
-    experiment = run_experiment(world, config, n_cycles, trace_sink=sink, threads=args.threads)
+    experiment = run_experiment(world, config, n_cycles, trace_sink=sink)
     exp_json = experiment_to_json(experiment)
     write_json(out_dir / "experiment.json", exp_json)
     (out_dir / "cycles.csv").write_text(cycles_csv_from_json(exp_json), encoding="utf-8")

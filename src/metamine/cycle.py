@@ -6,9 +6,9 @@ the traces two ways (outcome-labeled rows for performance monitoring,
 success-filtered strategy-labeled rows for decision mining), mines
 models, compiles the decision models into a candidate policy, and
 deploys it only if the performance classifier cross-validates well
-enough and the candidate does not lose to the incumbent on paired
-held-out episodes. Rejected cycles leave the incumbent untouched,
-byte for byte.
+enough and the candidate, merged into the incumbent the way it would be
+deployed, does not lose to the incumbent on paired held-out episodes.
+Rejected cycles leave the incumbent untouched, byte for byte.
 """
 
 from __future__ import annotations
@@ -20,15 +20,16 @@ from typing import Any, Callable
 from .errors import ConsistencyError, InputFormatError
 from .introspection import MetadataProvider, collect_report, featurise
 from .jsonio import expect_field, expect_object
+from .knowledge import is_number
 from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model, mining_config_from_json, mining_config_to_json
 from .policy import (
     Policy,
     RuleSet,
     compile_policy,
-    filter_association_rules,
     initial_policy,
     integrate_policies,
     policy_id,
+    rules_to_ruleset,
     tree_to_rules,
 )
 from .rover import EpisodeTrace, GridWorld, outcome_of, run_seeded, world_schema
@@ -51,9 +52,9 @@ class AcceptanceGates:
     min_heldout_delta: float
 
     def __post_init__(self):
-        if not 0.0 <= self.min_cv_accuracy <= 1.0:
+        if not is_number(self.min_cv_accuracy) or not 0.0 <= self.min_cv_accuracy <= 1.0:
             raise ConsistencyError("BadThreshold", f"min_cv_accuracy must be in [0, 1], got {self.min_cv_accuracy!r}")
-        if not -1.0 <= self.min_heldout_delta <= 1.0:
+        if not is_number(self.min_heldout_delta) or not -1.0 <= self.min_heldout_delta <= 1.0:
             raise ConsistencyError("BadThreshold", f"min_heldout_delta must be in [-1, 1], got {self.min_heldout_delta!r}")
 
 
@@ -80,7 +81,7 @@ class CycleConfig:
             raise ConsistencyError("BadConfig", f"integration_mode must be one of {INTEGRATION_MODES}, got {self.integration_mode!r}")
         if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
             raise ConsistencyError("BadConfig", f"master_seed must be an integer, got {self.master_seed!r}")
-        if not 0.0 <= self.exploration <= 1.0:
+        if not is_number(self.exploration) or not 0.0 <= self.exploration <= 1.0:
             raise ConsistencyError("BadConfig", f"exploration must be in [0, 1], got {self.exploration!r}")
         if not isinstance(self.bins, int) or self.bins < 1:
             raise ConsistencyError("BadConfig", f"bins must be >= 1, got {self.bins!r}")
@@ -161,15 +162,14 @@ class CycleReport:
             raise ConsistencyError("GateViolation", "non-deployed cycle must keep the incumbent policy")
 
 
-def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n: int, seed: int,
-                       threads: int = 1) -> EvalResult:
+def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n: int, seed: int) -> EvalResult:
     """Paired comparison: both policies run the same n episode seeds with
     no exploration; delta is candidate rate minus incumbent rate."""
     if not isinstance(n, int) or n < 1:
         raise ConsistencyError("BadCount", f"evaluation episode count must be >= 1, got {n!r}")
     seeds = [derive_seed(seed, i) for i in range(n)]
-    inc = [outcome_of(t) for t in run_seeded(world, incumbent, seeds, threads=threads)]
-    cand = [outcome_of(t) for t in run_seeded(world, candidate, seeds, threads=threads)]
+    inc = [outcome_of(t) for t in run_seeded(world, incumbent, seeds)]
+    cand = [outcome_of(t) for t in run_seeded(world, candidate, seeds)]
     inc_rate = sum(o.reached_goal for o in inc) / n
     cand_rate = sum(o.reached_goal for o in cand) / n
     return EvalResult(
@@ -195,7 +195,7 @@ def _model_summary(role: str, model: MetaModel) -> dict:
 
 
 def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_index: int,
-              trace_sink: TraceSink | None = None, threads: int = 1) -> tuple[Policy, CycleReport]:
+              trace_sink: TraceSink | None = None) -> tuple[Policy, CycleReport]:
     """One augmented cycle; returns the next policy and a full report.
 
     Unmineable training data (no rows, no successful rows, a single
@@ -208,7 +208,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     pre_id = policy_id(incumbent)
     phases: list[PhaseRecord] = []
 
-    def report(decision: str, reason: str, post: Policy, *, sizes: dict, models: tuple[dict, ...],
+    def report(decision: str, reason: str, post: Policy, post_id: str, *, sizes: dict, models: tuple[dict, ...],
                cv: float | None, heldout: EvalResult | None, candidate_id: str | None) -> tuple[Policy, CycleReport]:
         done = {p.phase for p in phases}
         for name in PHASES:
@@ -221,7 +221,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
             decision=decision,
             reason=reason,
             pre_policy_id=pre_id,
-            post_policy_id=policy_id(post),
+            post_policy_id=post_id,
             dataset_sizes=sizes,
             models=models,
             cv_accuracy=cv,
@@ -230,13 +230,13 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         )
 
     def insufficient(reason: str, sizes: dict) -> tuple[Policy, CycleReport]:
-        return report("insufficient-data", reason, incumbent, sizes=sizes, models=(),
+        return report("insufficient-data", reason, incumbent, pre_id, sizes=sizes, models=(),
                       cv=None, heldout=None, candidate_id=None)
 
     # data understanding: run the system and look at what came back
     train_seeds = [derive_seed(config.master_seed, "cycle", cycle_index, "train", i)
                    for i in range(config.training_episodes)]
-    traces = run_seeded(world, incumbent, train_seeds, explore=config.exploration, threads=threads)
+    traces = run_seeded(world, incumbent, train_seeds, explore=config.exploration)
     if trace_sink is not None:
         trace_sink(cycle_index, traces)
     total_rows = sum(len(t.records) for t in traces)
@@ -289,7 +289,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         if model.kind == "tree":
             mined.extend(tree_to_rules(model.tree, schema.class_attribute).rules)
         else:
-            mined.extend(filter_association_rules(model.rules, schema, config.mining.min_confidence).rules)
+            mined.extend(rules_to_ruleset(model.rules, schema.class_attribute, config.mining.min_confidence).rules)
     ruleset = RuleSet.canonical(mined, schema.class_attribute)
     candidate = compile_policy(ruleset, incumbent.default_action, schema=schema, provenance={
         "cycle": cycle_index,
@@ -310,10 +310,12 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
             "cv_gate": "fail",
             "heldout_skipped": reason,
         }))
-        return report("rejected-accuracy", reason, incumbent, sizes=sizes, models=models,
+        return report("rejected-accuracy", reason, incumbent, pre_id, sizes=sizes, models=models,
                       cv=cv_mean, heldout=None, candidate_id=candidate_id)
-    heldout = evaluate_candidate(world, incumbent, candidate, config.evaluation_episodes,
-                                 derive_seed(config.master_seed, "cycle", cycle_index, "eval"), threads=threads)
+    # the gate judges the policy that would ship, not the bare candidate
+    deployed = integrate_policies(incumbent, candidate, config.integration_mode)
+    heldout = evaluate_candidate(world, incumbent, deployed, config.evaluation_episodes,
+                                 derive_seed(config.master_seed, "cycle", cycle_index, "eval"))
     phases.append(PhaseRecord("evaluation", "completed", metrics={
         "cv_accuracy": cv_mean,
         "cv_gate": "pass",
@@ -324,16 +326,16 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     if heldout.delta < config.acceptance.min_heldout_delta:
         reason = (f"held-out delta {heldout.delta:+.4f} below threshold "
                   f"{config.acceptance.min_heldout_delta}")
-        return report("rejected-heldout", reason, incumbent, sizes=sizes, models=models,
+        return report("rejected-heldout", reason, incumbent, pre_id, sizes=sizes, models=models,
                       cv=cv_mean, heldout=heldout, candidate_id=candidate_id)
 
-    # deployment: integrate and hand the new policy to the next cycle
-    deployed = integrate_policies(incumbent, candidate, config.integration_mode)
+    # deployment: hand the integrated policy to the next cycle
+    deployed_id = policy_id(deployed)
     phases.append(PhaseRecord("deployment", "completed", metrics={
         "integration_mode": config.integration_mode,
-        "policy": policy_id(deployed),
+        "policy": deployed_id,
     }))
-    return report("deployed", "both gates passed", deployed, sizes=sizes, models=models,
+    return report("deployed", "both gates passed", deployed, deployed_id, sizes=sizes, models=models,
                   cv=cv_mean, heldout=heldout, candidate_id=candidate_id)
 
 
@@ -350,7 +352,7 @@ class ExperimentReport:
 
 
 def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
-                   trace_sink: TraceSink | None = None, threads: int = 1) -> ExperimentReport:
+                   trace_sink: TraceSink | None = None) -> ExperimentReport:
     """Chain n_cycles cycles from the default policy, recording a fixed
     baseline measurement and every cycle report along the way."""
     if not isinstance(n_cycles, int) or n_cycles < 0:
@@ -358,7 +360,7 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
     schema = world_schema(world)
     policy = initial_policy(schema)
     base_seeds = [derive_seed(config.master_seed, "baseline", i) for i in range(config.evaluation_episodes)]
-    base = [outcome_of(t) for t in run_seeded(world, policy, base_seeds, threads=threads)]
+    base = [outcome_of(t) for t in run_seeded(world, policy, base_seeds)]
     baseline = {
         "policy": policy_id(policy),
         "episodes": config.evaluation_episodes,
@@ -367,7 +369,7 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
     }
     reports = []
     for index in range(1, n_cycles + 1):
-        policy, report = run_cycle(world, policy, config, index, trace_sink=trace_sink, threads=threads)
+        policy, report = run_cycle(world, policy, config, index, trace_sink=trace_sink)
         reports.append(report)
     return ExperimentReport(config, baseline, tuple(reports), policy)
 

@@ -3,8 +3,8 @@
 A Schema is the flat vocabulary everything else is expressed in: each
 attribute has a kind (categorical, boolean, numeric), a scope saying
 whether it describes the external world or the agent itself, and a value
-domain. An InformationState is one snapshot of attribute values at an
-epoch. Traces, reports, datasets, mined rules, and policies all refer
+domain. An InformationState is one row of an introspective report: the
+attribute values held at one epoch. Traces, reports, datasets, mined rules, and policies all refer
 back to one schema, so validation lives here.
 """
 
@@ -19,6 +19,11 @@ from .jsonio import expect_field, expect_object, read_json, write_json
 
 KINDS = ("categorical", "boolean", "numeric")
 SCOPES = ("world", "self")
+
+
+def is_number(value: Any) -> bool:
+    """True for ints and floats; bools are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class AttributeDef:
             ok = (
                 isinstance(self.domain, tuple)
                 and len(self.domain) == 2
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in self.domain)
+                and all(is_number(v) for v in self.domain)
             )
             if not ok:
                 raise SchemaError("BadRange", f"numeric attribute {self.name!r} needs a (low, high) pair")
@@ -78,7 +83,7 @@ class AttributeDef:
             return isinstance(value, str) and value in self.domain
         if self.kind == "boolean":
             return isinstance(value, bool)
-        return isinstance(value, (int, float)) and not isinstance(value, bool) and self.domain[0] <= value <= self.domain[1]
+        return is_number(value) and self.domain[0] <= value <= self.domain[1]
 
 
 @dataclass(frozen=True)
@@ -145,46 +150,6 @@ class InformationState:
         return self.values.get(name, default)
 
 
-@dataclass(frozen=True)
-class ValidationIssue:
-    code: str
-    attribute: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationResult:
-    valid: bool
-    issues: tuple[ValidationIssue, ...]
-
-
-def validate_instance(schema: Schema, state: InformationState, require_complete: bool = False) -> ValidationResult:
-    """Check a state against a schema.
-
-    Flags unknown attributes and out-of-domain values. With
-    require_complete it also flags omitted attributes, except the class
-    attribute: unlabeled instances are legitimate, and whoever needs
-    labels (the miners) checks for them itself.
-    """
-    issues: list[ValidationIssue] = []
-    for name, value in state.values.items():
-        if name not in schema:
-            issues.append(ValidationIssue("UnknownAttribute", name, f"{name!r} is not in the schema"))
-            continue
-        if not schema.attribute(name).contains(value):
-            issues.append(ValidationIssue("OutOfDomainValue", name, f"{value!r} is outside the domain of {name!r}"))
-    if require_complete:
-        for attr in schema.attributes:
-            if attr.name not in state.values and attr.name != schema.class_attribute:
-                issues.append(ValidationIssue("MissingRequiredAttribute", attr.name, f"{attr.name!r} has no value"))
-    return ValidationResult(not issues, tuple(issues))
-
-
-def is_reflective(schema: Schema, state: InformationState) -> bool:
-    """True when the state carries any self-scoped attribute."""
-    return any(name in schema and schema.attribute(name).scope == "self" for name in state.values)
-
-
 def attribute_to_json(attr: AttributeDef) -> dict:
     if attr.kind == "categorical":
         domain: Any = list(attr.domain)
@@ -229,16 +194,6 @@ def schema_from_json(obj: Any) -> Schema:
         [attribute_from_json(a) for a in attrs],
         expect_field(obj, "class_attribute", "schema"),
     )
-
-
-def state_to_json(state: InformationState) -> dict:
-    return {"epoch": state.epoch, "values": dict(state.values)}
-
-
-def state_from_json(obj: Any) -> InformationState:
-    obj = expect_object(obj, "information state")
-    return InformationState(values=expect_object(expect_field(obj, "values", "information state"), "state values"),
-                            epoch=expect_field(obj, "epoch", "information state"))
 
 
 def save_schema(schema: Schema, path: str | Path) -> None:

@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping, Sequence, Union
 from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
 from .jsonio import expect_field, expect_object, read_json, write_json
-from .knowledge import AttributeDef, InformationState
+from .knowledge import AttributeDef, is_number
 
 
 @dataclass(frozen=True)
@@ -39,9 +39,9 @@ class MiningConfig:
             raise MiningError("BadConfig", f"max_depth must be >= 1, got {self.max_depth!r}")
         if not isinstance(self.min_leaf_instances, int) or self.min_leaf_instances < 1:
             raise MiningError("BadConfig", f"min_leaf_instances must be >= 1, got {self.min_leaf_instances!r}")
-        if not 0.0 < self.min_support <= 1.0:
+        if not is_number(self.min_support) or not 0.0 < self.min_support <= 1.0:
             raise MiningError("BadConfig", f"min_support must be in (0, 1], got {self.min_support!r}")
-        if not 0.0 < self.min_confidence <= 1.0:
+        if not is_number(self.min_confidence) or not 0.0 < self.min_confidence <= 1.0:
             raise MiningError("BadConfig", f"min_confidence must be in (0, 1], got {self.min_confidence!r}")
         if not isinstance(self.cv_folds, int) or self.cv_folds < 2:
             raise MiningError("BadConfig", f"cv_folds must be >= 2, got {self.cv_folds!r}")
@@ -184,6 +184,12 @@ def induce_tree(dataset: Dataset, config: MiningConfig) -> DecisionTree:
     """
     if not dataset.instances:
         raise MiningError("EmptyDataset", "cannot induce a tree from an empty dataset")
+    return _grow_tree(dataset, dataset.instances, config)
+
+
+def _grow_tree(dataset: Dataset, rows: Sequence[Mapping], config: MiningConfig) -> DecisionTree:
+    """induce_tree on a non-empty subset of the dataset's own rows, which
+    the dataset has already validated."""
     class_attr = dataset.class_attribute
     class_values = dataset.class_def.values()
 
@@ -209,17 +215,16 @@ def induce_tree(dataset: Dataset, config: MiningConfig) -> DecisionTree:
                 children.append((value, Leaf(label, 0, fraction)))
         return Split(best_attr.name, tuple(children), label)
 
-    return DecisionTree(class_attr, class_values, build(dataset.instances, dataset.feature_attributes, 0))
+    return DecisionTree(class_attr, class_values, build(rows, dataset.feature_attributes, 0))
 
 
-def classify(tree: DecisionTree, instance: InformationState | Mapping) -> Any:
+def classify(tree: DecisionTree, values: Mapping[str, Any]) -> Any:
     """Follow branches to a leaf.
 
     A value with no branch (possible when discretization drifted between
     training and use) falls back to the node's majority label. A missing
     tested attribute is an error.
     """
-    values = instance.values if isinstance(instance, InformationState) else instance
     node = tree.root
     while isinstance(node, Split):
         if node.attribute not in values:
@@ -383,9 +388,7 @@ def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
     per_fold = []
     for fold in folds:
         test = set(fold)
-        train_rows = tuple(inst for i, inst in enumerate(dataset.instances) if i not in test)
-        train = Dataset(dataset.attributes, dataset.class_attribute, train_rows, dataset.bin_edges)
-        tree = induce_tree(train, config)
+        tree = _grow_tree(dataset, [inst for i, inst in enumerate(dataset.instances) if i not in test], config)
         hits = sum(1 for i in fold if classify(tree, dataset.instances[i]) == dataset.instances[i][dataset.class_attribute])
         per_fold.append(hits / len(fold))
     return CvScores(tuple(per_fold))
@@ -500,8 +503,8 @@ def _node_from_json(obj: Any) -> Node:
     if kind != "split":
         raise InputFormatError("BadField", f"unknown tree node type {kind!r}")
     children = expect_field(obj, "children", "split")
-    if not isinstance(children, list):
-        raise InputFormatError("BadField", "split children must be a list")
+    if not isinstance(children, list) or not all(isinstance(c, list) and len(c) == 2 for c in children):
+        raise InputFormatError("BadField", "split children must be a list of [value, node] pairs")
     return Split(
         expect_field(obj, "attribute", "split"),
         tuple((pair[0], _node_from_json(pair[1])) for pair in children),

@@ -17,7 +17,7 @@ from typing import Any, Iterable, Mapping
 
 from .errors import ConsistencyError, InputFormatError, PolicyError
 from .jsonio import content_id, expect_field, expect_object, read_json, write_json
-from .knowledge import InformationState, Schema
+from .knowledge import Schema
 from .mining import AssociationRule, DecisionTree, Leaf, format_atom
 
 ORIGINS = ("tree", "association", "default", "manual")
@@ -117,8 +117,7 @@ class Policy:
     def control_attribute(self) -> str:
         return self.ruleset.control_attribute
 
-    def decide(self, state: InformationState | Mapping) -> Any:
-        values = state.values if isinstance(state, InformationState) else state
+    def decide(self, values: Mapping[str, Any]) -> Any:
         for rule in self.ruleset.rules:
             if rule.matches(values):
                 return rule.action
@@ -172,12 +171,6 @@ def rules_to_ruleset(rules: Iterable[AssociationRule], control_attribute: str, m
             continue
         kept.append(Rule(tuple(conditions), consequent[1], rule.confidence, "association"))
     return RuleSet.canonical(kept, control_attribute)
-
-
-def filter_association_rules(rules: Iterable[AssociationRule], schema: Schema, min_confidence: float) -> RuleSet:
-    """Decision-oriented filter: only rules whose consequent sets the
-    schema's class attribute survive, at or above min_confidence."""
-    return rules_to_ruleset(rules, schema.class_attribute, min_confidence)
 
 
 def compile_policy(ruleset: RuleSet, default_action: Any, schema: Schema | None = None,

@@ -15,15 +15,14 @@ produce byte-identical traces.
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
-from typing import Any, Iterable, Protocol, Sequence
+from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ConsistencyError, InputFormatError, SchemaError
 from .jsonio import expect_field, expect_object, read_json, write_json
-from .knowledge import AttributeDef, InformationState, Schema, define_schema
+from .knowledge import AttributeDef, Schema, define_schema, is_number
 from .seeds import derive_seed
 
 Coord = tuple[int, int]
@@ -37,17 +36,7 @@ OUTCOME_ATTR = "outcome"
 
 
 class DecisionMaker(Protocol):
-    def decide(self, state: InformationState) -> Any: ...
-
-
-@dataclass(frozen=True)
-class FixedStrategy:
-    """A policy stub that always answers the same strategy."""
-
-    strategy: str
-
-    def decide(self, state: InformationState) -> str:
-        return self.strategy
+    def decide(self, values: Mapping[str, Any]) -> Any: ...
 
 
 @dataclass(frozen=True)
@@ -59,7 +48,7 @@ class Rewards:
     def __post_init__(self):
         for name in ("step_cost", "failure_penalty", "goal_reward"):
             v = getattr(self, name)
-            if not isinstance(v, (int, float)) or isinstance(v, bool) or v < 0:
+            if not is_number(v) or v < 0:
                 raise SchemaError("BadReward", f"{name} must be a non-negative number, got {v!r}")
         if self.goal_reward <= 0:
             raise SchemaError("BadReward", "goal_reward must be positive")
@@ -86,8 +75,8 @@ class GridWorld:
     master_seed: int | None = None
 
     def __post_init__(self):
-        if self.width < 1 or self.height < 1:
-            raise SchemaError("BadGrid", f"grid must be at least 1x1, got {self.width}x{self.height}")
+        if not is_number(self.width) or not is_number(self.height) or self.width < 1 or self.height < 1:
+            raise SchemaError("BadGrid", f"grid width and height must be numbers >= 1, got {self.width!r}, {self.height!r}")
         for group, label in ((self.terrains, "terrains"), (self.strategies, "strategies")):
             if not group or len(set(group)) != len(group) or not all(isinstance(v, str) and v for v in group):
                 raise SchemaError("BadNameList", f"{label} must be distinct non-empty strings")
@@ -106,7 +95,7 @@ class GridWorld:
         if set(self.hazard) != expected:
             raise SchemaError("IncompleteHazard", "hazard table must cover every (terrain, strategy) pair exactly once")
         for pair, p in self.hazard.items():
-            if not isinstance(p, (int, float)) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+            if not is_number(p) or not 0.0 <= p <= 1.0:
                 raise SchemaError("BadHazard", f"hazard{pair} must be a probability, got {p!r}")
         if not isinstance(self.max_steps, int) or self.max_steps < 1:
             raise SchemaError("BadMaxSteps", f"max_steps must be a positive integer, got {self.max_steps!r}")
@@ -220,7 +209,7 @@ def run_episode(world: GridWorld, policy: DecisionMaker, seed: int, explore: flo
         if explore > 0.0 and rng.random() < explore:
             strategy = rng.choice(world.strategies)
         else:
-            strategy = policy.decide(InformationState(values=observed, epoch=epoch))
+            strategy = policy.decide(observed)
         if strategy not in world.strategies:
             raise ConsistencyError("UnknownStrategy", f"policy chose {strategy!r}, not a world strategy")
         here = position
@@ -229,23 +218,15 @@ def run_episode(world: GridWorld, policy: DecisionMaker, seed: int, explore: flo
     return EpisodeTrace(tuple(records), position == world.goal, len(records))
 
 
-def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0,
-               threads: int = 1) -> list[EpisodeTrace]:
-    """One episode per seed, in seed order.
-
-    Episodes are pure functions of (world, policy, seed), so the threaded
-    path returns exactly what the sequential path does.
-    """
-    if threads <= 1:
-        return [run_episode(world, policy, s, explore) for s in seeds]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda s: run_episode(world, policy, s, explore), seeds))
+def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0) -> list[EpisodeTrace]:
+    """One episode per seed, in seed order."""
+    return [run_episode(world, policy, s, explore) for s in seeds]
 
 
-def run_episodes(world: GridWorld, policy: DecisionMaker, count: int, master_seed: int, explore: float = 0.0,
-                 threads: int = 1) -> list[EpisodeTrace]:
+def run_episodes(world: GridWorld, policy: DecisionMaker, count: int, master_seed: int,
+                 explore: float = 0.0) -> list[EpisodeTrace]:
     """count episodes with per-episode seeds derived from master_seed."""
-    return run_seeded(world, policy, [derive_seed(master_seed, i) for i in range(count)], explore, threads)
+    return run_seeded(world, policy, [derive_seed(master_seed, i) for i in range(count)], explore)
 
 
 def world_schema(world: GridWorld) -> Schema:

@@ -8,7 +8,6 @@ yield the same 64-bit seed on every platform and run.
 from __future__ import annotations
 
 import hashlib
-import random
 
 
 def derive_seed(*parts: object) -> int:
@@ -17,7 +16,3 @@ def derive_seed(*parts: object) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
-
-def rng_for(*parts: object) -> random.Random:
-    """A fresh generator seeded from the given label path."""
-    return random.Random(derive_seed(*parts))

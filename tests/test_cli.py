@@ -185,6 +185,17 @@ class TestPipeline:
         assert code == EXIT_SCHEMA
         capsys.readouterr()
 
+    @pytest.mark.parametrize("child", [5, "x"])
+    def test_tree_children_that_are_not_pairs_are_an_input_error(self, workdir, capsys, child):
+        root = {"type": "split", "attribute": "terrain", "majority_label": "FAST", "children": [child]}
+        model = workdir / "bad.model.json"
+        write_json(model, {"kind": "tree", "label_attribute": "strategy", "scope": "world", "evaluation": {},
+                           "tree": {"class_attribute": "strategy", "class_values": ["FAST", "CAREFUL"],
+                                    "root": root}})
+        code = main(["compile", "--model", str(model), "--default", "FAST", "--out", str(workdir / "p.json")])
+        assert code == EXIT_INPUT
+        assert "[value, node] pairs" in capsys.readouterr().err
+
 
 class TestCycleCommand:
     def test_writes_the_full_output_bundle(self, workdir, capsys):
@@ -216,6 +227,24 @@ class TestCycleCommand:
         write_json(config, payload)
         assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_USAGE
         capsys.readouterr()
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("mining", "min_support", "0.1"),
+        ("mining", "min_confidence", "0.5"),
+        (None, "exploration", "0.8"),
+        ("acceptance", "min_cv_accuracy", "0.6"),
+        ("acceptance", "min_heldout_delta", "0"),
+        ("world", "width", "8"),
+    ])
+    def test_string_typed_numbers_are_schema_errors(self, workdir, capsys, section, name, value):
+        config = cycle_config(workdir)
+        path = workdir / "world.json" if section == "world" else config
+        payload = json.loads(path.read_text())
+        target = payload[section] if section in ("mining", "acceptance") else payload
+        target[name] = value
+        write_json(path, payload)
+        assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_SCHEMA
+        assert name in capsys.readouterr().err
 
     def test_unknown_config_fields_are_an_input_error(self, workdir, capsys):
         config = cycle_config(workdir, pruning=True)

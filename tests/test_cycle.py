@@ -24,6 +24,7 @@ from metamine.jsonio import canonical_dumps
 from metamine.mining import MiningConfig
 from metamine.policy import initial_policy, policy_id, policy_to_json
 from metamine.rover import GridWorld, Rewards, world_schema
+from metamine.seeds import derive_seed
 
 
 def start_policy(world):
@@ -156,6 +157,17 @@ class TestRunCycleDeployed:
         assert next_policy.decide({"terrain": "sand"}) == "CAREFUL"
         assert next_policy.decide({"terrain": "ice"}) == "CAREFUL"
 
+    @pytest.mark.parametrize("mode", ["override", "append", "replace"])
+    def test_reported_candidate_rate_is_the_deployed_policys_rate(self, mode):
+        world = striped_world()
+        incumbent = start_policy(world)
+        config = loop_config(4, integration_mode=mode)
+        deployed, report = run_cycle(world, incumbent, config, 1)
+        assert report.decision == "deployed"
+        replay = evaluate_candidate(world, incumbent, deployed, config.evaluation_episodes,
+                                    derive_seed(4, "cycle", 1, "eval"))
+        assert replay == report.heldout
+
     def test_cycle_index_must_be_positive(self):
         world = striped_world()
         with pytest.raises(ConsistencyError):
@@ -281,13 +293,6 @@ class TestRunExperiment:
                        trace_sink=sink_for("b"))
         assert collected["a"][1] != collected["b"][1]
         assert len(collected["a"][1]) == 40
-
-    def test_threads_do_not_change_results(self):
-        world = striped_world()
-        config = loop_config(11, training_episodes=60, evaluation_episodes=30)
-        a = experiment_to_json(run_experiment(world, config, 1))
-        b = experiment_to_json(run_experiment(world, config, 1, threads=4))
-        assert canonical_dumps(a) == canonical_dumps(b)
 
 
 class TestCyclesCsv:

@@ -1,8 +1,6 @@
-"""Attribute, schema, and instance-validation behavior."""
+"""Attribute, schema, and information-state behavior."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from helpers import cat
 from metamine.errors import SchemaError
@@ -11,12 +9,8 @@ from metamine.knowledge import (
     AttributeDef,
     InformationState,
     define_schema,
-    is_reflective,
     schema_from_json,
     schema_to_json,
-    state_from_json,
-    state_to_json,
-    validate_instance,
 )
 
 
@@ -121,53 +115,6 @@ class TestInformationState:
             InformationState(values={}, epoch=epoch)
 
 
-class TestValidateInstance:
-    def test_conforming_state_is_valid(self):
-        schema = full_schema()
-        state = InformationState({"terrain": "sand", "wet": False, "charge": 40.0, "strategy": "FAST"})
-        result = validate_instance(schema, state, require_complete=True)
-        assert result.valid and result.issues == ()
-
-    def test_unknown_attribute_flagged(self):
-        result = validate_instance(full_schema(), InformationState({"speed": 3}))
-        assert not result.valid
-        assert [i.code for i in result.issues] == ["UnknownAttribute"]
-
-    def test_out_of_domain_value_flagged(self):
-        result = validate_instance(full_schema(), InformationState({"terrain": "mud", "charge": 400.0}))
-        codes = {(i.code, i.attribute) for i in result.issues}
-        assert codes == {("OutOfDomainValue", "terrain"), ("OutOfDomainValue", "charge")}
-
-    def test_partial_state_valid_unless_completeness_required(self):
-        schema = full_schema()
-        state = InformationState({"terrain": "sand"})
-        assert validate_instance(schema, state).valid
-        result = validate_instance(schema, state, require_complete=True)
-        assert {i.attribute for i in result.issues} == {"wet", "charge"}
-        assert all(i.code == "MissingRequiredAttribute" for i in result.issues)
-
-    def test_unlabeled_instance_counts_as_complete(self):
-        schema = full_schema()
-        state = InformationState({"terrain": "sand", "wet": True, "charge": 1.0})
-        assert validate_instance(schema, state, require_complete=True).valid
-
-    @given(st.permutations(["terrain", "wet", "charge", "strategy"]), st.booleans())
-    def test_validation_ignores_value_order(self, order, complete):
-        schema = full_schema()
-        values = {"terrain": "sand", "wet": True, "charge": 5.0, "strategy": "FAST"}
-        state = InformationState({k: values[k] for k in order})
-        result = validate_instance(schema, state, require_complete=complete)
-        assert result.valid and result.issues == ()
-
-
-def test_is_reflective_tracks_self_scope():
-    schema = full_schema()
-    assert is_reflective(schema, InformationState({"strategy": "FAST"}))
-    assert is_reflective(schema, InformationState({"terrain": "sand", "charge": 2.0}))
-    assert not is_reflective(schema, InformationState({"terrain": "sand", "wet": True}))
-    assert not is_reflective(schema, InformationState({"unknown": 1}))
-
-
 class TestSerialization:
     def test_schema_round_trip_is_byte_identical(self):
         schema = full_schema()
@@ -175,9 +122,3 @@ class TestSerialization:
         again = schema_from_json(schema_to_json(schema))
         assert again == schema
         assert canonical_dumps(schema_to_json(again)) == blob
-
-    def test_state_round_trip(self):
-        state = InformationState({"terrain": "sand", "wet": True, "charge": 5.5}, epoch=9)
-        again = state_from_json(state_to_json(state))
-        assert again == state
-        assert again.epoch == 9

@@ -226,7 +226,7 @@ class TestClassify:
     def test_accepts_information_states(self):
         tree = induce_tree(xor_dataset(), MiningConfig())
         state = InformationState({"a": True, "b": False})
-        assert classify(tree, state) == "+"
+        assert classify(tree, state.values) == "+"
 
     def test_missing_tested_attribute_is_an_error(self):
         tree = induce_tree(xor_dataset(), MiningConfig())

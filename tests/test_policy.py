@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 from helpers import cat, make_dataset
 from metamine.errors import ConsistencyError, PolicyError
 from metamine.jsonio import canonical_dumps
-from metamine.knowledge import AttributeDef, InformationState, define_schema
+from metamine.knowledge import AttributeDef, define_schema
 from metamine.mining import AssociationRule, MiningConfig, apriori, classify, derive_rules, induce_tree
 from metamine.policy import (
     Policy,
     Rule,
     RuleSet,
     compile_policy,
-    filter_association_rules,
     initial_policy,
     integrate_policies,
     load_policy,
@@ -193,10 +192,6 @@ class TestAssociationFilter:
         assert len(tight.rules) < len(loose.rules)
         assert all(r.confidence >= 0.95 for r in tight.rules)
 
-    def test_filter_uses_the_schema_class_attribute(self):
-        rs = filter_association_rules(self.make_rules(), control_schema(), 0.5)
-        assert rs.control_attribute == "strategy"
-
     def test_empty_antecedent_rules_are_dropped(self):
         fake = AssociationRule(frozenset(), ("strategy", "FAST"), 0.5, 0.9)
         assert rules_to_ruleset([fake], "strategy", 0.0).rules == ()
@@ -221,7 +216,6 @@ class TestCompilePolicy:
         policy = compile_policy(rs, "FAST", schema=control_schema())
         assert policy.decide({"terrain": "sand"}) == "CAREFUL"
         assert policy.decide({"terrain": "rock"}) == "FAST"
-        assert policy.decide(InformationState({"terrain": "sand"})) == "CAREFUL"
 
     def test_non_canonical_order_is_rejected(self):
         rs = RuleSet((
