@@ -24,9 +24,9 @@ from .cycle import (
 )
 from .errors import ConsistencyError, InputFormatError, MetamineError, MiningError, PolicyError, SchemaError
 from .introspection import MetadataProvider, collect_report, featurise, load_dataset, save_dataset
-from .jsonio import read_json, write_json
+from .jsonio import decode, expect_object, read_json, write_json
 from .knowledge import load_schema, save_schema
-from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, mining_config_from_json, save_model
+from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
 from .policy import (
     compile_policy,
     initial_policy,
@@ -171,7 +171,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    config = mining_config_from_json(read_json(args.config)) if args.config else MiningConfig()
+    raw = read_json(args.config) if args.config else {}
+    config = decode(MiningConfig, raw, "mining config")
     overrides: dict[str, Any] = {}
     for flag, field_name in (("max_depth", "max_depth"), ("min_leaf", "min_leaf_instances"),
                              ("min_support", "min_support"), ("min_confidence", "min_confidence"),
@@ -181,11 +182,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
             overrides[field_name] = value
     if overrides:
         config = dataclasses.replace(config, **overrides)
-    if args.algo == "tree":
-        seed_given = args.seed is not None or (args.config and "seed" in read_json(args.config))
-        if not seed_given:
-            raise UsageError("mine --algo tree shuffles cross-validation folds; give --seed "
-                             "(or a seed in the config file)")
+    if args.algo == "tree" and args.seed is None and "seed" not in raw:
+        raise UsageError("mine --algo tree shuffles cross-validation folds; give --seed "
+                         "(or a seed in the config file)")
     dataset = load_dataset(args.data)
     model = fit_tree_model(dataset, config) if args.algo == "tree" else fit_rules_model(dataset, config)
     save_model(model, args.out)
@@ -225,17 +224,18 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 
 def cmd_cycle(args: argparse.Namespace) -> int:
-    raw = read_json(args.config)
-    if not isinstance(raw, dict):
-        raise InputFormatError("NotAnObject", "cycle config must be a JSON object")
-    raw = dict(raw)
-    world_path = args.world or raw.pop("world", None)
-    if world_path is None:
+    raw = dict(expect_object(read_json(args.config), "cycle config"))
+    world_path, n_cycles = raw.pop("world", None), raw.pop("cycles", None)
+    if args.world:
+        world_path = args.world
+    elif world_path is None:
         raise UsageError("cycle needs a world: --world or a \"world\" path in the config file")
-    if not Path(world_path).is_absolute() and not args.world:
+    elif not isinstance(world_path, str):
+        raise InputFormatError("BadField", "cycle config field 'world' must be a string path")
+    else:
         world_path = Path(args.config).parent / world_path
-    n_cycles = args.cycles if args.cycles is not None else raw.pop("cycles", None)
-    raw.pop("cycles", None)
+    if args.cycles is not None:
+        n_cycles = args.cycles
     if n_cycles is None:
         raise UsageError("cycle needs a cycle count: --cycles or \"cycles\" in the config file")
     if args.seed is not None:
@@ -266,10 +266,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    exp_json = read_json(args.experiment)
-    if not isinstance(exp_json, dict):
-        raise InputFormatError("NotAnObject", "experiment file must be a JSON object")
-    csv_text = cycles_csv_from_json(exp_json)
+    csv_text = cycles_csv_from_json(read_json(args.experiment))
     Path(args.out).write_text(csv_text, encoding="utf-8")
     _say(f"wrote {len(csv_text.splitlines()) - 1} cycle rows to {args.out}")
     return EXIT_OK
@@ -310,9 +307,6 @@ def main(argv: list[str] | None = None) -> int:
     except MetamineError as exc:
         print(f"metamine: error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except KeyError as exc:
-        print(f"metamine: error: missing field {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except Exception as exc:  # anything else is a bug, not user error
         print(f"metamine: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -14,14 +14,14 @@ Rejected cycles leave the incumbent untouched, byte for byte.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from .errors import ConsistencyError, InputFormatError
 from .introspection import MetadataProvider, collect_report, featurise
-from .jsonio import expect_field, expect_object
+from .jsonio import decode, expect_field, expect_object
 from .knowledge import is_number
-from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model, mining_config_from_json, mining_config_to_json
+from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
 from .policy import (
     Policy,
     RuleSet,
@@ -87,39 +87,8 @@ class CycleConfig:
             raise ConsistencyError("BadConfig", f"bins must be >= 1, got {self.bins!r}")
 
 
-def cycle_config_to_json(config: CycleConfig) -> dict:
-    return {
-        "training_episodes": config.training_episodes,
-        "evaluation_episodes": config.evaluation_episodes,
-        "mining": mining_config_to_json(config.mining),
-        "acceptance": {
-            "min_cv_accuracy": config.acceptance.min_cv_accuracy,
-            "min_heldout_delta": config.acceptance.min_heldout_delta,
-        },
-        "master_seed": config.master_seed,
-        "model_kind": config.model_kind,
-        "integration_mode": config.integration_mode,
-        "exploration": config.exploration,
-        "bins": config.bins,
-    }
-
-
 def cycle_config_from_json(obj: Any) -> CycleConfig:
-    obj = expect_object(obj, "cycle config")
-    known = set(cycle_config_to_json(CycleConfig(1, 1, MiningConfig(), AcceptanceGates(0.0, 0.0), 0)))
-    unknown = set(obj) - known
-    if unknown:
-        raise InputFormatError("UnknownField", f"cycle config has unknown fields {sorted(unknown)}")
-    acceptance = expect_object(expect_field(obj, "acceptance", "cycle config"), "acceptance gates")
-    kwargs = {k: v for k, v in obj.items() if k not in ("mining", "acceptance")}
-    return CycleConfig(
-        mining=mining_config_from_json(expect_field(obj, "mining", "cycle config")),
-        acceptance=AcceptanceGates(
-            expect_field(acceptance, "min_cv_accuracy", "acceptance gates"),
-            expect_field(acceptance, "min_heldout_delta", "acceptance gates"),
-        ),
-        **kwargs,
-    )
+    return decode(CycleConfig, obj, "cycle config", mining=MiningConfig, acceptance=AcceptanceGates)
 
 
 @dataclass(frozen=True)
@@ -374,45 +343,13 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
     return ExperimentReport(config, baseline, tuple(reports), policy)
 
 
-def _phase_to_json(phase: PhaseRecord) -> dict:
-    return {"phase": phase.phase, "status": phase.status, "reason": phase.reason, "metrics": phase.metrics}
-
-
-def _eval_to_json(result: EvalResult | None) -> dict | None:
-    if result is None:
-        return None
-    return {
-        "incumbent_rate": result.incumbent_rate,
-        "candidate_rate": result.candidate_rate,
-        "delta": result.delta,
-        "incumbent_mean_reward": result.incumbent_mean_reward,
-        "candidate_mean_reward": result.candidate_mean_reward,
-    }
-
-
-def cycle_report_to_json(report: CycleReport) -> dict:
-    return {
-        "index": report.index,
-        "phases": [_phase_to_json(p) for p in report.phases],
-        "decision": report.decision,
-        "reason": report.reason,
-        "pre_policy_id": report.pre_policy_id,
-        "post_policy_id": report.post_policy_id,
-        "dataset_sizes": report.dataset_sizes,
-        "models": list(report.models),
-        "cv_accuracy": report.cv_accuracy,
-        "heldout": _eval_to_json(report.heldout),
-        "candidate_policy_id": report.candidate_policy_id,
-    }
-
-
 def experiment_to_json(experiment: ExperimentReport) -> dict:
     from .policy import policy_to_json
 
     return {
-        "config": cycle_config_to_json(experiment.config),
+        "config": asdict(experiment.config),
         "baseline": experiment.baseline,
-        "cycles": [cycle_report_to_json(c) for c in experiment.cycles],
+        "cycles": [asdict(c) for c in experiment.cycles],
         "final_policy": policy_to_json(experiment.final_policy),
         "final_policy_id": policy_id(experiment.final_policy),
     }
@@ -421,28 +358,33 @@ def experiment_to_json(experiment: ExperimentReport) -> dict:
 CSV_COLUMNS = ("index", "dataset_size", "cv_accuracy", "incumbent_rate", "candidate_rate", "delta", "decision")
 
 
-def cycles_csv_from_json(experiment_json: dict) -> str:
+def cycles_csv_from_json(experiment_json: Any) -> str:
     """Flat per-cycle summary (one row per cycle) from a serialized
     experiment; empty cells where a phase never ran."""
     out = io.StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")
-    for cycle in expect_field(experiment_json, "cycles", "experiment"):
-        heldout = cycle.get("heldout") or {}
+    for cycle in expect_field(expect_object(experiment_json, "experiment"), "cycles", "experiment", list):
+        cycle = expect_object(cycle, "experiment cycle")
+        heldout = expect_object(cycle.get("heldout") or {}, "cycle heldout")
         cells = [
-            str(cycle["index"]),
-            str(cycle["dataset_sizes"].get("performance", "")),
+            str(expect_field(cycle, "index", "cycle", int)),
+            str(expect_field(expect_field(cycle, "dataset_sizes", "cycle", dict), "performance", "dataset sizes", int)),
             _csv_number(cycle.get("cv_accuracy")),
             _csv_number(heldout.get("incumbent_rate")),
             _csv_number(heldout.get("candidate_rate")),
             _csv_number(heldout.get("delta")),
-            cycle["decision"],
+            expect_field(cycle, "decision", "cycle", str),
         ]
         out.write(",".join(cells) + "\n")
     return out.getvalue()
 
 
 def _csv_number(value: Any) -> str:
-    return "" if value is None else repr(float(value))
+    if value is None:
+        return ""
+    if not is_number(value):
+        raise InputFormatError("BadField", f"experiment rates and accuracies must be numbers or null, got {value!r}")
+    return repr(float(value))
 
 
 def cycles_csv(experiment: ExperimentReport) -> str:

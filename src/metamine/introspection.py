@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from .errors import ConsistencyError, InputFormatError, MiningError, SchemaError
-from .jsonio import expect_field, expect_object, read_json, write_json
+from .jsonio import ATOM, expect_field, expect_object, read_json, write_json
 from .knowledge import (
     AttributeDef,
     InformationState,
@@ -245,18 +245,15 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
 
 def load_dataset(csv_path: str | Path) -> Dataset:
     meta = expect_object(read_json(dataset_meta_path(csv_path)), "dataset metadata")
-    attr_list = expect_field(meta, "attributes", "dataset metadata")
-    if not isinstance(attr_list, list):
-        raise InputFormatError("BadField", "dataset metadata attributes must be a list")
-    defs = tuple(attribute_from_json(a) for a in attr_list)
+    defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
     by_name = {a.name: a for a in defs}
-    edges_json = meta.get("bin_edges", {})
-    edges = {name: tuple(vals) for name, vals in expect_object(edges_json, "bin_edges").items()}
+    edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
+    edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
     names = [a.name for a in defs]
     try:
         with open(csv_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError("UnreadableFile", f"cannot read {csv_path}: {exc}") from exc
     if not rows or rows[0] != names:
         raise InputFormatError("BadHeader", f"{csv_path}: header does not match the sidecar attribute list")
@@ -268,4 +265,4 @@ def load_dataset(csv_path: str | Path) -> Dataset:
             name: parse_cell(by_name[name], cell, f"{csv_path} line {line_no}")
             for name, cell in zip(names, row)
         })
-    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata"), tuple(instances), edges)
+    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(instances), edges)

@@ -1,18 +1,31 @@
-"""Canonical JSON reading and writing.
+"""Canonical JSON reading and writing, and the shape rules for reading it back.
 
 All JSON the package emits goes through canonical_dumps so that equal
 objects serialize to identical bytes: sorted keys, two-space indent,
 UTF-8 text, no NaN/Infinity, one trailing newline.
+
+Every reader checks shape here: objects are objects, lists are lists and
+names, values and labels are JSON atoms. Types and ranges of the values
+themselves are checked by the frozen dataclasses the readers build, whose
+fields double as the table of keys a record may carry (see decode).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import math
 from pathlib import Path
 from typing import Any
 
 from .errors import InputFormatError
+
+# The JSON scalars: what names, attribute values, labels and actions may be.
+ATOM = (str, int, float, bool, type(None))
+
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+               ATOM: "a string, number, boolean or null"}
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -23,15 +36,23 @@ def write_json(path: str | Path, obj: Any) -> None:
     Path(path).write_text(canonical_dumps(obj), encoding="utf-8")
 
 
+def _finite_float(text: str) -> float:
+    """JSON number parsing that refuses NaN, Infinity and overflow such as 1e400."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def read_json(path: str | Path) -> Any:
     p = Path(path)
     try:
         text = p.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError("UnreadableFile", f"cannot read {p}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
+    except ValueError as exc:
         raise InputFormatError("MalformedJson", f"{p} is not valid JSON: {exc}") from exc
 
 
@@ -46,7 +67,44 @@ def expect_object(value: Any, what: str) -> dict:
     return value
 
 
-def expect_field(obj: dict, key: str, what: str) -> Any:
+def expect_field(obj: dict, key: str, what: str, kind: type | tuple = object) -> Any:
+    """obj[key], which must be present and an instance of kind: dict, list,
+    str, int, ATOM, or object for any JSON value."""
     if key not in obj:
         raise InputFormatError("MissingField", f"{what} is missing required field {key!r}")
-    return obj[key]
+    value = obj[key]
+    if not isinstance(value, kind):
+        raise InputFormatError("BadField", f"{what} field {key!r} must be {_KIND_NAMES[kind]}, "
+                                           f"got {type(value).__name__}")
+    return value
+
+
+def expect_pairs(value: Any, what: str, shape: str = "[attribute, value]",
+                 second: type | tuple = ATOM) -> list[tuple]:
+    """A list of two-element lists, first an atom and second of kind second,
+    as tuples."""
+    ok = isinstance(value, list) and all(
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], ATOM) and isinstance(p[1], second)
+        for p in value
+    )
+    if not ok:
+        raise InputFormatError("BadField", f"{what} must be {shape} pairs")
+    return [(a, b) for a, b in value]
+
+
+def decode(cls: type, obj: Any, what: str, **nested: type) -> Any:
+    """Build dataclass cls from a JSON object whose keys are its field names.
+
+    Unknown keys are rejected and every field without a default is
+    required; nested names the fields that hold a record of their own,
+    decoded the same way. cls itself checks the values.
+    """
+    obj = expect_object(obj, what)
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise InputFormatError("UnknownField", f"{what} has unknown fields {sorted(unknown)}")
+    for name, f in fields.items():
+        if name not in obj and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            raise InputFormatError("MissingField", f"{what} is missing required field {name!r}")
+    return cls(**{k: decode(nested[k], v, f"{what} {k}") if k in nested else v for k, v in obj.items()})

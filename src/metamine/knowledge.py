@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import InputFormatError, SchemaError
-from .jsonio import expect_field, expect_object, read_json, write_json
+from .errors import SchemaError
+from .jsonio import ATOM, expect_field, expect_object, read_json, write_json
 
 KINDS = ("categorical", "boolean", "numeric")
 SCOPES = ("world", "self")
@@ -162,16 +162,13 @@ def attribute_to_json(attr: AttributeDef) -> dict:
 
 def attribute_from_json(obj: Any) -> AttributeDef:
     obj = expect_object(obj, "attribute")
-    name = expect_field(obj, "name", "attribute")
-    kind = expect_field(obj, "kind", "attribute")
-    scope = expect_field(obj, "scope", "attribute")
-    raw = obj.get("domain")
+    name = expect_field(obj, "name", "attribute", ATOM)
+    kind = expect_field(obj, "kind", "attribute", ATOM)
+    scope = expect_field(obj, "scope", "attribute", ATOM)
     if kind == "categorical":
-        if not isinstance(raw, list):
-            raise InputFormatError("BadDomain", f"attribute {name!r}: categorical domain must be a list")
-        domain: tuple | None = tuple(raw)
+        domain: tuple | None = tuple(expect_field(obj, "domain", f"attribute {name!r}", list))
     elif kind == "numeric":
-        raw = expect_object(raw, f"numeric domain of {name!r}")
+        raw = expect_field(obj, "domain", f"attribute {name!r}", dict)
         domain = (expect_field(raw, "low", "numeric domain"), expect_field(raw, "high", "numeric domain"))
     else:
         domain = None
@@ -187,12 +184,9 @@ def schema_to_json(schema: Schema) -> dict:
 
 def schema_from_json(obj: Any) -> Schema:
     obj = expect_object(obj, "schema")
-    attrs = expect_field(obj, "attributes", "schema")
-    if not isinstance(attrs, list):
-        raise InputFormatError("BadField", "schema attributes must be a list")
     return define_schema(
-        [attribute_from_json(a) for a in attrs],
-        expect_field(obj, "class_attribute", "schema"),
+        [attribute_from_json(a) for a in expect_field(obj, "attributes", "schema", list)],
+        expect_field(obj, "class_attribute", "schema", ATOM),
     )
 
 

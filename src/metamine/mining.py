@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -21,7 +21,7 @@ from typing import Any, Iterable, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
-from .jsonio import expect_field, expect_object, read_json, write_json
+from .jsonio import ATOM, expect_field, expect_object, expect_pairs, read_json, write_json
 from .knowledge import AttributeDef, is_number
 
 
@@ -47,26 +47,6 @@ class MiningConfig:
             raise MiningError("BadConfig", f"cv_folds must be >= 2, got {self.cv_folds!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise MiningError("BadConfig", f"seed must be an integer, got {self.seed!r}")
-
-
-def mining_config_to_json(config: MiningConfig) -> dict:
-    return {
-        "max_depth": config.max_depth,
-        "min_leaf_instances": config.min_leaf_instances,
-        "min_support": config.min_support,
-        "min_confidence": config.min_confidence,
-        "cv_folds": config.cv_folds,
-        "seed": config.seed,
-    }
-
-
-def mining_config_from_json(obj: Any) -> MiningConfig:
-    obj = expect_object(obj, "mining config")
-    known = set(mining_config_to_json(MiningConfig()))
-    unknown = set(obj) - known
-    if unknown:
-        raise InputFormatError("UnknownField", f"mining config has unknown fields {sorted(unknown)}")
-    return MiningConfig(**obj)
 
 
 def entropy(labels: Iterable[Any]) -> float:
@@ -299,6 +279,12 @@ class AssociationRule:
     support: float
     confidence: float
 
+    def __post_init__(self):
+        for name in ("support", "confidence"):
+            value = getattr(self, name)
+            if not is_number(value) or not 0.0 <= value <= 1.0:
+                raise MiningError("BadRule", f"rule {name} must be in [0, 1], got {value!r}")
+
     @property
     def text(self) -> str:
         left = " AND ".join(sorted(_item_text(i) for i in self.antecedent)) or "TRUE"
@@ -431,7 +417,7 @@ def dataset_transactions(dataset: Dataset) -> list[frozenset]:
 def _base_evaluation(dataset: Dataset, config: MiningConfig) -> dict:
     return {
         "training_size": len(dataset.instances),
-        "config": mining_config_to_json(config),
+        "config": asdict(config),
         "cv_mean": None,
         "cv_per_fold": None,
     }
@@ -498,17 +484,15 @@ def _node_from_json(obj: Any) -> Node:
     obj = expect_object(obj, "tree node")
     kind = expect_field(obj, "type", "tree node")
     if kind == "leaf":
-        return Leaf(expect_field(obj, "label", "leaf"), expect_field(obj, "support", "leaf"),
+        return Leaf(expect_field(obj, "label", "leaf", ATOM), expect_field(obj, "support", "leaf"),
                     expect_field(obj, "confidence", "leaf"))
     if kind != "split":
         raise InputFormatError("BadField", f"unknown tree node type {kind!r}")
-    children = expect_field(obj, "children", "split")
-    if not isinstance(children, list) or not all(isinstance(c, list) and len(c) == 2 for c in children):
-        raise InputFormatError("BadField", "split children must be a list of [value, node] pairs")
+    children = expect_pairs(expect_field(obj, "children", "split"), "split children", "[value, node]", dict)
     return Split(
-        expect_field(obj, "attribute", "split"),
-        tuple((pair[0], _node_from_json(pair[1])) for pair in children),
-        expect_field(obj, "majority_label", "split"),
+        expect_field(obj, "attribute", "split", ATOM),
+        tuple((value, _node_from_json(child)) for value, child in children),
+        expect_field(obj, "majority_label", "split", ATOM),
     )
 
 
@@ -516,12 +500,6 @@ def _item_to_json(item: Any) -> list:
     if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)):
         raise ConsistencyError("BadItem", f"serializable items must be (attribute, value) pairs, got {item!r}")
     return [item[0], item[1]]
-
-
-def _item_from_json(obj: Any) -> tuple:
-    if not isinstance(obj, list) or len(obj) != 2:
-        raise InputFormatError("BadField", f"item must be an [attribute, value] pair, got {obj!r}")
-    return (obj[0], obj[1])
 
 
 def _itemset_to_json(itemset: frozenset) -> list:
@@ -565,35 +543,35 @@ def model_from_json(obj: Any) -> MetaModel:
     kind = expect_field(obj, "kind", "model")
     common = {
         "kind": kind,
-        "label_attribute": expect_field(obj, "label_attribute", "model"),
-        "scope": expect_field(obj, "scope", "model"),
-        "evaluation": expect_object(expect_field(obj, "evaluation", "model"), "model evaluation"),
+        "label_attribute": expect_field(obj, "label_attribute", "model", ATOM),
+        "scope": expect_field(obj, "scope", "model", ATOM),
+        "evaluation": expect_field(obj, "evaluation", "model", dict),
     }
     if kind == "tree":
-        tree_json = expect_object(expect_field(obj, "tree", "model"), "tree")
+        tree_json = expect_field(obj, "tree", "model", dict)
         tree = DecisionTree(
-            expect_field(tree_json, "class_attribute", "tree"),
-            tuple(expect_field(tree_json, "class_values", "tree")),
+            expect_field(tree_json, "class_attribute", "tree", ATOM),
+            tuple(expect_field(tree_json, "class_values", "tree", list)),
             _node_from_json(expect_field(tree_json, "root", "tree")),
         )
         return MetaModel(tree=tree, **common)
     if kind != "rules":
         raise InputFormatError("BadField", f"unknown model kind {kind!r}")
-    frequent = tuple(
-        (frozenset(_item_from_json(i) for i in expect_field(entry, "items", "frequent set")),
-         expect_field(entry, "count", "frequent set"))
-        for entry in expect_field(obj, "frequent", "model")
-    )
-    rules = tuple(
-        AssociationRule(
-            frozenset(_item_from_json(i) for i in expect_field(r, "antecedent", "rule")),
-            _item_from_json(expect_field(r, "consequent", "rule")),
+    frequent = []
+    for entry in expect_field(obj, "frequent", "model", list):
+        entry = expect_object(entry, "frequent set")
+        frequent.append((frozenset(expect_pairs(expect_field(entry, "items", "frequent set"), "frequent set items")),
+                         expect_field(entry, "count", "frequent set")))
+    rules = []
+    for r in expect_field(obj, "rules", "model", list):
+        r = expect_object(r, "rule")
+        rules.append(AssociationRule(
+            frozenset(expect_pairs(expect_field(r, "antecedent", "rule"), "rule antecedent")),
+            expect_pairs([expect_field(r, "consequent", "rule")], "rule consequent")[0],
             expect_field(r, "support", "rule"),
             expect_field(r, "confidence", "rule"),
-        )
-        for r in expect_field(obj, "rules", "model")
-    )
-    return MetaModel(rules=rules, frequent=frequent,
+        ))
+    return MetaModel(rules=tuple(rules), frequent=tuple(frequent),
                      n_transactions=expect_field(obj, "n_transactions", "model"), **common)
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from .errors import ConsistencyError, InputFormatError, PolicyError
-from .jsonio import content_id, expect_field, expect_object, read_json, write_json
-from .knowledge import Schema
+from .errors import ConsistencyError, PolicyError
+from .jsonio import ATOM, content_id, expect_field, expect_object, expect_pairs, read_json, write_json
+from .knowledge import Schema, is_number
 from .mining import AssociationRule, DecisionTree, Leaf, format_atom
 
 ORIGINS = ("tree", "association", "default", "manual")
@@ -33,12 +33,14 @@ class Rule:
     origin: str
 
     def __post_init__(self):
+        if not all(isinstance(a, str) for a, _ in self.conditions):
+            raise PolicyError("BadCondition", "rule conditions must test attributes named by strings")
         conditions = tuple(sorted(self.conditions, key=lambda c: c[0]))
         object.__setattr__(self, "conditions", conditions)
         attrs = [a for a, _ in conditions]
         if len(set(attrs)) != len(attrs):
             raise PolicyError("DuplicateCondition", "a rule may test each attribute at most once")
-        if not isinstance(self.confidence, (int, float)) or not 0.0 < self.confidence <= 1.0:
+        if not is_number(self.confidence) or not 0.0 < self.confidence <= 1.0:
             raise PolicyError("BadConfidence", f"confidence must be in (0, 1], got {self.confidence!r}")
         if self.origin not in ORIGINS:
             raise PolicyError("BadOrigin", f"origin must be one of {ORIGINS}, got {self.origin!r}")
@@ -246,12 +248,9 @@ def rule_to_json(rule: Rule) -> dict:
 
 def rule_from_json(obj: Any) -> Rule:
     obj = expect_object(obj, "rule")
-    conditions = expect_field(obj, "conditions", "rule")
-    if not isinstance(conditions, list) or not all(isinstance(c, list) and len(c) == 2 for c in conditions):
-        raise InputFormatError("BadField", "rule conditions must be [attribute, value] pairs")
     return Rule(
-        tuple((c[0], c[1]) for c in conditions),
-        expect_field(obj, "action", "rule"),
+        tuple(expect_pairs(expect_field(obj, "conditions", "rule"), "rule conditions")),
+        expect_field(obj, "action", "rule", ATOM),
         expect_field(obj, "confidence", "rule"),
         expect_field(obj, "origin", "rule"),
     )
@@ -268,11 +267,9 @@ def policy_to_json(policy: Policy) -> dict:
 
 def policy_from_json(obj: Any) -> Policy:
     obj = expect_object(obj, "policy")
-    rules_json = expect_field(obj, "rules", "policy")
-    if not isinstance(rules_json, list):
-        raise InputFormatError("BadField", "policy rules must be a list")
-    ruleset = RuleSet(tuple(rule_from_json(r) for r in rules_json), expect_field(obj, "control_attribute", "policy"))
-    return Policy(ruleset, expect_field(obj, "default_action", "policy"),
+    rules = tuple(rule_from_json(r) for r in expect_field(obj, "rules", "policy", list))
+    ruleset = RuleSet(rules, expect_field(obj, "control_attribute", "policy", ATOM))
+    return Policy(ruleset, expect_field(obj, "default_action", "policy", ATOM),
                   dict(expect_object(obj.get("provenance", {}), "policy provenance")))
 
 

@@ -15,13 +15,13 @@ produce byte-identical traces.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ConsistencyError, InputFormatError, SchemaError
-from .jsonio import expect_field, expect_object, read_json, write_json
+from .jsonio import expect_field, expect_object, expect_pairs, read_json, write_json
 from .knowledge import AttributeDef, Schema, define_schema, is_number
 from .seeds import derive_seed
 
@@ -29,6 +29,7 @@ Coord = tuple[int, int]
 
 OUTCOME_SUCCESS = "success"
 OUTCOME_FAILURE = "failure"
+OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_FAILURE)
 
 TERRAIN_ATTR = "terrain"
 STRATEGY_ATTR = "strategy"
@@ -78,7 +79,7 @@ class GridWorld:
         if not is_number(self.width) or not is_number(self.height) or self.width < 1 or self.height < 1:
             raise SchemaError("BadGrid", f"grid width and height must be numbers >= 1, got {self.width!r}, {self.height!r}")
         for group, label in ((self.terrains, "terrains"), (self.strategies, "strategies")):
-            if not group or len(set(group)) != len(group) or not all(isinstance(v, str) and v for v in group):
+            if not group or not all(isinstance(v, str) and v for v in group) or len(set(group)) != len(group):
                 raise SchemaError("BadNameList", f"{label} must be distinct non-empty strings")
         if len(self.cells) != self.height or any(len(row) != self.width for row in self.cells):
             raise SchemaError("BadGrid", "cells must be height rows of width terrain labels")
@@ -87,8 +88,8 @@ class GridWorld:
                 if t not in self.terrains:
                     raise SchemaError("UnknownTerrain", f"cell terrain {t!r} is not a declared terrain")
         for label, pos in (("start", self.start), ("goal", self.goal)):
-            if not self.in_bounds(*pos):
-                raise SchemaError("OutOfGrid", f"{label} {pos} is outside the grid")
+            if not all(isinstance(c, int) and not isinstance(c, bool) for c in pos) or not self.in_bounds(*pos):
+                raise SchemaError("OutOfGrid", f"{label} {pos} must be integer coordinates inside the grid")
         if self.start == self.goal:
             raise SchemaError("DegenerateWorld", "start and goal must differ")
         expected = {(t, s) for t in self.terrains for s in self.strategies}
@@ -235,7 +236,7 @@ def world_schema(world: GridWorld) -> Schema:
         [
             AttributeDef(TERRAIN_ATTR, "categorical", "world", world.terrains),
             AttributeDef(STRATEGY_ATTR, "categorical", "self", world.strategies),
-            AttributeDef(OUTCOME_ATTR, "categorical", "self", (OUTCOME_SUCCESS, OUTCOME_FAILURE)),
+            AttributeDef(OUTCOME_ATTR, "categorical", "self", OUTCOMES),
         ],
         class_attribute=STRATEGY_ATTR,
     )
@@ -251,11 +252,7 @@ def world_to_json(world: GridWorld) -> dict:
         "goal": list(world.goal),
         "strategies": list(world.strategies),
         "hazard": {t: {s: world.hazard[(t, s)] for s in world.strategies} for t in world.terrains},
-        "rewards": {
-            "step_cost": world.rewards.step_cost,
-            "failure_penalty": world.rewards.failure_penalty,
-            "goal_reward": world.rewards.goal_reward,
-        },
+        "rewards": asdict(world.rewards),
         "max_steps": world.max_steps,
         "master_seed": world.master_seed,
     }
@@ -263,32 +260,24 @@ def world_to_json(world: GridWorld) -> dict:
 
 def world_from_json(obj: Any) -> GridWorld:
     obj = expect_object(obj, "world")
-    terrains = expect_field(obj, "terrains", "world")
-    strategies = expect_field(obj, "strategies", "world")
-    if not isinstance(terrains, list) or not isinstance(strategies, list):
-        raise InputFormatError("BadField", "world terrains and strategies must be lists")
-    cells = expect_field(obj, "cells", "world")
-    if not isinstance(cells, list) or not all(isinstance(row, list) for row in cells):
+    cells = expect_field(obj, "cells", "world", list)
+    if not all(isinstance(row, list) for row in cells):
         raise InputFormatError("BadField", "world cells must be a list of rows")
-    hazard_json = expect_object(expect_field(obj, "hazard", "world"), "hazard table")
     hazard: dict[tuple[str, str], float] = {}
-    for t, by_strategy in hazard_json.items():
+    for t, by_strategy in expect_field(obj, "hazard", "world", dict).items():
         for s, p in expect_object(by_strategy, f"hazard row {t!r}").items():
             hazard[(t, s)] = p
-    rewards_json = expect_object(expect_field(obj, "rewards", "world"), "rewards")
-    start = expect_field(obj, "start", "world")
-    goal = expect_field(obj, "goal", "world")
-    for label, pos in (("start", start), ("goal", goal)):
-        if not isinstance(pos, list) or len(pos) != 2:
-            raise InputFormatError("BadField", f"world {label} must be an [x, y] pair")
+    rewards_json = expect_field(obj, "rewards", "world", dict)
+    start, goal = expect_pairs([expect_field(obj, "start", "world"), expect_field(obj, "goal", "world")],
+                               "world start and goal", "[x, y]")
     return GridWorld(
         width=expect_field(obj, "width", "world"),
         height=expect_field(obj, "height", "world"),
-        terrains=tuple(terrains),
+        terrains=tuple(expect_field(obj, "terrains", "world", list)),
         cells=tuple(tuple(row) for row in cells),
-        start=(start[0], start[1]),
-        goal=(goal[0], goal[1]),
-        strategies=tuple(strategies),
+        start=start,
+        goal=goal,
+        strategies=tuple(expect_field(obj, "strategies", "world", list)),
         hazard=hazard,
         rewards=Rewards(
             step_cost=expect_field(rewards_json, "step_cost", "rewards"),
@@ -331,27 +320,33 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
 
 
 def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
+    """Read a trace CSV back into episodes, checking each row: strategy and
+    outcome lie in their schema domains, reached_goal is true/false and the
+    same on every row of an episode, and each episode's epochs run 0..n-1."""
     world_attrs = [a.name for a in schema.scoped("world")]
     expected = list(TRACE_FIXED_COLUMNS[:4]) + world_attrs + list(TRACE_FIXED_COLUMNS[4:])
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError("UnreadableFile", f"cannot read {path}: {exc}") from exc
     if not rows or rows[0] != expected:
         raise InputFormatError("BadHeader", f"{path}: expected columns {expected}, got {rows[0] if rows else 'nothing'}")
+    strategies = set(schema.class_def.values())
+    outcomes = set(schema.attribute(OUTCOME_ATTR).values() if OUTCOME_ATTR in schema else OUTCOMES)
+    base = 4 + len(world_attrs)
     grouped: dict[int, list[DecisionRecord]] = {}
-    goal_flags: dict[int, bool] = {}
+    goal_flags: dict[int, str] = {}
     for line_no, row in enumerate(rows[1:], start=2):
+        where = f"{path} line {line_no}"
         if len(row) != len(expected):
-            raise InputFormatError("BadRow", f"{path} line {line_no}: expected {len(expected)} cells, got {len(row)}")
+            raise InputFormatError("BadRow", f"{where}: expected {len(expected)} cells, got {len(row)}")
         try:
             episode = int(row[0])
             observed = {
-                name: parse_cell(schema.attribute(name), row[4 + k], f"{path} line {line_no}")
+                name: parse_cell(schema.attribute(name), row[4 + k], where)
                 for k, name in enumerate(world_attrs)
             }
-            base = 4 + len(world_attrs)
             rec = DecisionRecord(
                 epoch=int(row[1]),
                 cell=(int(row[2]), int(row[3])),
@@ -360,12 +355,24 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
                 outcome=row[base + 1],
                 reward=float(row[base + 2]),
             )
-            goal_flags[episode] = row[base + 3] == "true"
         except ValueError as exc:
-            raise InputFormatError("BadRow", f"{path} line {line_no}: {exc}") from exc
-        grouped.setdefault(episode, []).append(rec)
+            raise InputFormatError("BadRow", f"{where}: {exc}") from exc
+        if rec.strategy not in strategies:
+            raise SchemaError("OutOfDomainValue", f"{where}: strategy {rec.strategy!r} is not in the schema domain")
+        if rec.outcome not in outcomes:
+            raise SchemaError("OutOfDomainValue", f"{where}: outcome {rec.outcome!r} is not in the schema domain")
+        reached = row[base + 3]
+        if reached not in ("true", "false"):
+            raise InputFormatError("BadRow", f"{where}: reached_goal must be true/false, got {reached!r}")
+        if goal_flags.setdefault(episode, reached) != reached:
+            raise InputFormatError("BadTrace", f"{where}: reached_goal changes within episode {episode}")
+        records = grouped.setdefault(episode, [])
+        if rec.epoch != len(records):
+            raise InputFormatError("BadTrace", f"{where}: episode {episode} has epoch {rec.epoch} where "
+                                               f"{len(records)} comes next")
+        records.append(rec)
     return [
-        EpisodeTrace(tuple(grouped[e]), goal_flags[e], len(grouped[e]))
+        EpisodeTrace(tuple(grouped[e]), goal_flags[e] == "true", len(grouped[e]))
         for e in sorted(grouped)
     ]
 

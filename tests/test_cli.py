@@ -107,6 +107,16 @@ class TestSimulate:
         assert code == EXIT_INPUT
         capsys.readouterr()
 
+    @pytest.mark.parametrize("number", ["NaN", "1e400"])
+    def test_non_finite_numbers_are_input_errors(self, workdir, capsys, number):
+        text = (workdir / "world.json").read_text().replace('"step_cost": 1.0', f'"step_cost": {number}')
+        assert number in text
+        bad = workdir / "bad.json"
+        bad.write_text(text)
+        code = main(["simulate", "--world", str(bad), "--seed", "1", "--out", str(workdir / "t.csv")])
+        assert code == EXIT_INPUT
+        capsys.readouterr()
+
     def test_same_seed_gives_identical_bytes(self, workdir, capsys):
         args = ["simulate", "--world", str(workdir / "world.json"), "--episodes", "15", "--seed", "9"]
         a, b = workdir / "a.csv", workdir / "b.csv"
@@ -246,6 +256,13 @@ class TestCycleCommand:
         assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_SCHEMA
         assert name in capsys.readouterr().err
 
+    def test_world_flag_overrides_the_config_world(self, workdir, capsys):
+        config = cycle_config(workdir, world="absent.json")
+        code = main(["cycle", "--config", str(config), "--world", str(workdir / "world.json"),
+                     "--cycles", "1", "--out", str(workdir / "x")])
+        assert code == EXIT_OK
+        capsys.readouterr()
+
     def test_unknown_config_fields_are_an_input_error(self, workdir, capsys):
         config = cycle_config(workdir, pruning=True)
         assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_INPUT
@@ -283,6 +300,17 @@ class TestReportCommand:
     def test_non_object_experiment_is_an_input_error(self, workdir, capsys):
         bad = workdir / "exp.json"
         bad.write_text("[1, 2]")
+        assert main(["report", "--experiment", str(bad), "--out", str(workdir / "r.csv")]) == EXIT_INPUT
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("cycles", [
+        5,
+        [5],
+        [{"index": 1, "dataset_sizes": {"performance": 9}, "cv_accuracy": "high", "decision": "deployed"}],
+    ], ids=["not-a-list", "not-an-object", "text-accuracy"])
+    def test_malformed_cycles_are_input_errors(self, workdir, capsys, cycles):
+        bad = workdir / "exp.json"
+        write_json(bad, {"cycles": cycles})
         assert main(["report", "--experiment", str(bad), "--out", str(workdir / "r.csv")]) == EXIT_INPUT
         capsys.readouterr()
 

@@ -1,5 +1,7 @@
 """Gated adaptation cycles: phases, gate decisions, and experiment reports."""
 
+from dataclasses import asdict
+
 import pytest
 
 from helpers import fixed_policy, loop_config, striped_world, terrain_policy, tiny_world, uniform_hazard_world
@@ -11,7 +13,6 @@ from metamine.cycle import (
     ExperimentReport,
     PhaseRecord,
     cycle_config_from_json,
-    cycle_config_to_json,
     cycles_csv,
     cycles_csv_from_json,
     evaluate_candidate,
@@ -52,20 +53,20 @@ class TestConfigValidation:
 
     def test_json_round_trip_is_byte_identical(self):
         config = loop_config(17)
-        blob = canonical_dumps(cycle_config_to_json(config))
-        again = cycle_config_from_json(cycle_config_to_json(config))
+        blob = canonical_dumps(asdict(config))
+        again = cycle_config_from_json(asdict(config))
         assert again == config
-        assert canonical_dumps(cycle_config_to_json(again)) == blob
+        assert canonical_dumps(asdict(again)) == blob
 
     def test_unknown_fields_rejected(self):
-        payload = cycle_config_to_json(loop_config(1))
+        payload = asdict(loop_config(1))
         payload["episodes"] = 5
         with pytest.raises(InputFormatError) as err:
             cycle_config_from_json(payload)
         assert err.value.code == "UnknownField"
 
     def test_missing_gate_field_rejected(self):
-        payload = cycle_config_to_json(loop_config(1))
+        payload = asdict(loop_config(1))
         del payload["acceptance"]["min_cv_accuracy"]
         with pytest.raises(InputFormatError):
             cycle_config_from_json(payload)

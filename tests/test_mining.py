@@ -1,6 +1,7 @@
 """Tree induction, frequent itemsets, rule derivation, and cross-validation."""
 
 import math
+from dataclasses import asdict
 from itertools import combinations, product
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import cat, make_dataset
 from metamine.errors import ConsistencyError, InputFormatError, MiningError
 from metamine.introspection import Dataset
-from metamine.jsonio import canonical_dumps
+from metamine.jsonio import canonical_dumps, decode
 from metamine.knowledge import AttributeDef, InformationState
 from metamine.mining import (
     Leaf,
@@ -26,8 +27,6 @@ from metamine.mining import (
     info_gain,
     induce_tree,
     load_model,
-    mining_config_from_json,
-    mining_config_to_json,
     model_from_json,
     model_to_json,
     save_model,
@@ -75,11 +74,11 @@ class TestMiningConfig:
     def test_json_round_trip(self):
         config = MiningConfig(max_depth=3, min_leaf_instances=2, min_support=0.2,
                               min_confidence=0.7, cv_folds=4, seed=9)
-        assert mining_config_from_json(mining_config_to_json(config)) == config
+        assert decode(MiningConfig, asdict(config), "mining config") == config
 
     def test_unknown_field_rejected(self):
         with pytest.raises(InputFormatError) as err:
-            mining_config_from_json({"max_depth": 2, "pruning": True})
+            decode(MiningConfig, {"max_depth": 2, "pruning": True}, "mining config")
         assert err.value.code == "UnknownField"
 
 

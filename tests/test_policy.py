@@ -55,7 +55,12 @@ class TestRule:
             rule([("a", "1"), ("a", "2")])
         assert err.value.code == "DuplicateCondition"
 
-    @pytest.mark.parametrize("confidence", [0.0, -0.5, 1.0001, "high"])
+    def test_condition_attributes_must_be_strings(self):
+        with pytest.raises(PolicyError) as err:
+            rule([("a", "1"), (5, "2")])
+        assert err.value.code == "BadCondition"
+
+    @pytest.mark.parametrize("confidence", [0.0, -0.5, 1.0001, "high", True])
     def test_confidence_must_be_in_half_open_unit_interval(self, confidence):
         with pytest.raises(PolicyError):
             rule([], confidence=confidence)

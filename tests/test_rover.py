@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import fixed_policy, striped_world, terrain_policy, tiny_world, uniform_hazard_world
-from metamine.errors import ConsistencyError, SchemaError
+from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
 from metamine.rover import (
     OUTCOME_FAILURE,
@@ -314,3 +314,24 @@ class TestTraceFiles:
         save_traces(run_episodes(world, fixed_policy("FAST"), 1, 0), schema, path)
         header = path.read_text().splitlines()[0]
         assert header == "episode,epoch,x,y,terrain,strategy,outcome,reward,reached_goal"
+
+    @pytest.mark.parametrize("column, text, error", [
+        ("strategy", "WALK", SchemaError),
+        ("outcome", "crashed", SchemaError),
+        ("reached_goal", "yes", InputFormatError),
+        ("reached_goal", "flipped", InputFormatError),
+        ("epoch", "5", InputFormatError),
+    ])
+    def test_malformed_rows_are_rejected(self, tmp_path, column, text, error):
+        world = striped_world()
+        schema = world_schema(world)
+        path = tmp_path / "t.csv"
+        save_traces(run_episodes(world, fixed_policy("FAST"), 2, 0), schema, path)
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")  # the second row of episode 0
+        i = lines[0].split(",").index(column)
+        cells[i] = {"true": "false", "false": "true"}[cells[i]] if text == "flipped" else text
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error):
+            load_traces(path, schema)
