@@ -8,7 +8,7 @@ compiled back into the agent's control policy.
 
 Modules
 -------
-knowledge      attribute schemas and information states
+knowledge      attribute schemas and the attribute value codec
 rover          gridworld, strategies, episode simulation, trace files
 introspection  trace -> report -> dataset featurisation
 mining         entropy/gain trees, apriori, rule derivation, cross-validation

@@ -22,7 +22,7 @@ from .cycle import (
     experiment_to_json,
     run_experiment,
 )
-from .errors import ConsistencyError, InputFormatError, MetamineError, MiningError, PolicyError, SchemaError
+from .errors import InputFormatError, MetamineError
 from .introspection import MetadataProvider, collect_report, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_object, read_json, write_json
 from .knowledge import load_schema, save_schema
@@ -59,16 +59,18 @@ class UsageError(Exception):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    shared = {"epilog": EXIT_CODES_DOC, "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = argparse.ArgumentParser(
         prog="metamine",
         description="Closed-loop self-adaptation: simulate, introspect, mine, compile, deploy.",
-        epilog=EXIT_CODES_DOC,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **shared,
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    p = sub.add_parser("simulate", help="run episodes on a world and write a trace CSV",
-                       epilog=EXIT_CODES_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help, **shared)
+
+    p = command("simulate", help="run episodes on a world and write a trace CSV")
     p.add_argument("--world", required=True, help="world definition JSON")
     p.add_argument("--policy", help="policy JSON (default: the world's naive default policy)")
     p.add_argument("--episodes", type=int, default=100, help="episode count (default 100)")
@@ -76,8 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--explore", type=float, default=0.0, help="exploration rate in [0,1] (default 0)")
     p.add_argument("--out", required=True, help="trace CSV to write")
 
-    p = sub.add_parser("collect", help="turn a trace CSV into a labeled dataset CSV (+ sidecar)",
-                       epilog=EXIT_CODES_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = command("collect", help="turn a trace CSV into a labeled dataset CSV (+ sidecar)")
     p.add_argument("--traces", required=True, help="trace CSV from `simulate`")
     p.add_argument("--world", help="world definition JSON (source of the schema)")
     p.add_argument("--schema", help="schema JSON (alternative to --world)")
@@ -87,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=4, help="equal-width bins for numeric attributes (default 4)")
     p.add_argument("--out", required=True, help="dataset CSV to write (sidecar: <out>.meta.json)")
 
-    p = sub.add_parser("mine", help="mine a model from a dataset CSV",
-                       epilog=EXIT_CODES_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = command("mine", help="mine a model from a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV from `collect`")
     p.add_argument("--algo", required=True, choices=("tree", "apriori"), help="model family")
     p.add_argument("--config", help="mining config JSON (flag values override it)")
@@ -100,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="fold shuffle seed (required for --algo tree)")
     p.add_argument("--out", required=True, help="model JSON to write")
 
-    p = sub.add_parser("compile", help="compile a model file into a policy file",
-                       epilog=EXIT_CODES_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = command("compile", help="compile a model file into a policy file")
     p.add_argument("--model", required=True, help="model JSON from `mine`")
     p.add_argument("--default", required=True, help="default action when no rule matches")
     p.add_argument("--schema", help="schema JSON for domain validation and typed values")
@@ -109,24 +108,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="drop association rules below this confidence (default: keep all)")
     p.add_argument("--out", required=True, help="policy JSON to write")
 
-    p = sub.add_parser("cycle", help="run a full gated multi-cycle experiment",
-                       epilog=EXIT_CODES_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = command("cycle", help="run a full gated multi-cycle experiment")
     p.add_argument("--config", required=True, help="experiment config JSON (see README)")
     p.add_argument("--world", help="world definition JSON (overrides the config's world path)")
     p.add_argument("--seed", type=int, help="master seed (overrides the config's master_seed)")
     p.add_argument("--cycles", type=int, help="cycle count (overrides the config's cycles)")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("report", help="flatten an experiment JSON into a per-cycle CSV",
-                       epilog=EXIT_CODES_DOC, formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = command("report", help="flatten an experiment JSON into a per-cycle CSV")
     p.add_argument("--experiment", required=True, help="experiment JSON from `cycle`")
     p.add_argument("--out", required=True, help="CSV to write")
 
     return parser
-
-
-def _say(text: str) -> None:
-    print(text)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -141,7 +134,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     traces = run_episodes(world, policy, args.episodes, seed, explore=args.explore)
     save_traces(traces, schema, args.out)
     reached = sum(t.reached_goal for t in traces)
-    _say(f"wrote {len(traces)} episodes ({reached}/{len(traces)} reached the goal) to {args.out}")
+    print(f"wrote {len(traces)} episodes ({reached}/{len(traces)} reached the goal) to {args.out}")
     return EXIT_OK
 
 
@@ -166,7 +159,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
     reports = [collect_report(t, provider, schema) for t in traces]
     dataset = featurise(reports, args.bins)
     save_dataset(dataset, args.out)
-    _say(f"wrote {len(dataset)} instances ({args.label_rule}) to {args.out}")
+    print(f"wrote {len(dataset)} instances ({args.label_rule}) to {args.out}")
     return EXIT_OK
 
 
@@ -192,7 +185,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         detail = f"cv_mean={model.evaluation['cv_mean']}"
     else:
         detail = f"{model.evaluation['n_frequent']} frequent sets, {model.evaluation['n_rules']} rules"
-    _say(f"wrote {model.kind} model ({detail}) to {args.out}")
+    print(f"wrote {model.kind} model ({detail}) to {args.out}")
     return EXIT_OK
 
 
@@ -219,7 +212,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     policy = compile_policy(ruleset, default, schema=schema,
                             provenance={"sources": [model.kind], "model_scope": model.scope})
     save_policy(policy, args.out)
-    _say(f"wrote policy {policy_id(policy)} ({len(ruleset.rules)} rules, default {args.default}) to {args.out}")
+    print(f"wrote policy {policy_id(policy)} ({len(ruleset.rules)} rules, default {args.default}) to {args.out}")
     return EXIT_OK
 
 
@@ -260,15 +253,15 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     save_policy(experiment.final_policy, out_dir / "final.policy.json")
     save_schema(schema, out_dir / "schema.json")
     for cycle in experiment.cycles:
-        _say(f"cycle {cycle.index}: {cycle.decision} ({cycle.reason})")
-    _say(f"final policy {exp_json['final_policy_id']} -> {out_dir / 'final.policy.json'}")
+        print(f"cycle {cycle.index}: {cycle.decision} ({cycle.reason})")
+    print(f"final policy {exp_json['final_policy_id']} -> {out_dir / 'final.policy.json'}")
     return EXIT_OK
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     csv_text = cycles_csv_from_json(read_json(args.experiment))
     Path(args.out).write_text(csv_text, encoding="utf-8")
-    _say(f"wrote {len(csv_text.splitlines()) - 1} cycle rows to {args.out}")
+    print(f"wrote {len(csv_text.splitlines()) - 1} cycle rows to {args.out}")
     return EXIT_OK
 
 
@@ -301,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     except InputFormatError as exc:
         print(f"metamine: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (SchemaError, ConsistencyError, MiningError, PolicyError) as exc:
-        print(f"metamine: error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     except MetamineError as exc:
         print(f"metamine: error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

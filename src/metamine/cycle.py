@@ -20,7 +20,7 @@ from typing import Any, Callable
 from .errors import ConsistencyError, InputFormatError
 from .introspection import MetadataProvider, collect_report, featurise
 from .jsonio import decode, expect_field, expect_object
-from .knowledge import is_number
+from .knowledge import is_int, is_number
 from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
 from .policy import (
     Policy,
@@ -73,17 +73,17 @@ class CycleConfig:
     def __post_init__(self):
         for name in ("training_episodes", "evaluation_episodes"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if not is_int(v) or v < 1:
                 raise ConsistencyError("BadConfig", f"{name} must be >= 1, got {v!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ConsistencyError("BadConfig", f"model_kind must be one of {MODEL_KINDS}, got {self.model_kind!r}")
         if self.integration_mode not in INTEGRATION_MODES:
             raise ConsistencyError("BadConfig", f"integration_mode must be one of {INTEGRATION_MODES}, got {self.integration_mode!r}")
-        if not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool):
+        if not is_int(self.master_seed):
             raise ConsistencyError("BadConfig", f"master_seed must be an integer, got {self.master_seed!r}")
         if not is_number(self.exploration) or not 0.0 <= self.exploration <= 1.0:
             raise ConsistencyError("BadConfig", f"exploration must be in [0, 1], got {self.exploration!r}")
-        if not isinstance(self.bins, int) or self.bins < 1:
+        if not is_int(self.bins) or self.bins < 1:
             raise ConsistencyError("BadConfig", f"bins must be >= 1, got {self.bins!r}")
 
 
@@ -134,7 +134,7 @@ class CycleReport:
 def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n: int, seed: int) -> EvalResult:
     """Paired comparison: both policies run the same n episode seeds with
     no exploration; delta is candidate rate minus incumbent rate."""
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise ConsistencyError("BadCount", f"evaluation episode count must be >= 1, got {n!r}")
     seeds = [derive_seed(seed, i) for i in range(n)]
     inc = [outcome_of(t) for t in run_seeded(world, incumbent, seeds)]
@@ -171,7 +171,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     outcome class, or fewer rows than CV folds) yields the
     insufficient-data outcome with the incumbent unchanged, not an error.
     """
-    if not isinstance(cycle_index, int) or cycle_index < 1:
+    if not is_int(cycle_index) or cycle_index < 1:
         raise ConsistencyError("BadIndex", f"cycle_index must be >= 1, got {cycle_index!r}")
     schema = world_schema(world)
     pre_id = policy_id(incumbent)
@@ -183,10 +183,9 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         for name in PHASES:
             if name not in done:
                 phases.append(PhaseRecord(name, "skipped", reason=reason))
-        ordered = tuple(sorted(phases, key=lambda p: PHASES.index(p.phase)))
         return post, CycleReport(
             index=cycle_index,
-            phases=ordered,
+            phases=tuple(phases),
             decision=decision,
             reason=reason,
             pre_policy_id=pre_id,
@@ -324,7 +323,7 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
                    trace_sink: TraceSink | None = None) -> ExperimentReport:
     """Chain n_cycles cycles from the default policy, recording a fixed
     baseline measurement and every cycle report along the way."""
-    if not isinstance(n_cycles, int) or n_cycles < 0:
+    if not is_int(n_cycles) or n_cycles < 0:
         raise ConsistencyError("BadCount", f"n_cycles must be >= 0, got {n_cycles!r}")
     schema = world_schema(world)
     policy = initial_policy(schema)

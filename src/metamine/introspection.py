@@ -14,19 +14,20 @@ import csv
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Sequence
 
-from .errors import ConsistencyError, InputFormatError, MiningError, SchemaError
-from .jsonio import ATOM, expect_field, expect_object, read_json, write_json
+from .errors import ConsistencyError, MiningError, SchemaError
+from .jsonio import ATOM, expect_field, expect_object, read_json, read_table, write_json
 from .knowledge import (
     AttributeDef,
-    InformationState,
     Schema,
     attribute_from_json,
     attribute_to_json,
     define_schema,
+    format_value,
+    is_int,
 )
-from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, EpisodeTrace, format_cell, parse_cell
+from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, EpisodeTrace
 
 LABEL_RULES = ("outcome-as-class", "strategy-as-class")
 
@@ -69,12 +70,13 @@ class MetadataProvider:
 
 @dataclass(frozen=True)
 class IntrospectiveReport:
-    """Selected, labeled rows describing one episode, one per decision."""
+    """Selected, labeled rows describing one episode, one per decision;
+    each row maps attribute names to values."""
 
     schema: Schema
     selected_attributes: tuple[str, ...]
     label_attribute: str
-    rows: tuple[InformationState, ...]
+    rows: tuple[dict, ...]
 
 
 def collect_report(trace: EpisodeTrace, provider: MetadataProvider, schema: Schema) -> IntrospectiveReport:
@@ -102,7 +104,7 @@ def collect_report(trace: EpisodeTrace, provider: MetadataProvider, schema: Sche
             if name not in available:
                 raise ConsistencyError("MissingObservation", f"trace records carry no value for {name!r}")
             values[name] = available[name]
-        rows.append(InformationState(values=values, epoch=rec.epoch))
+        rows.append(values)
     return IntrospectiveReport(schema, tuple(provider.selected_attributes), label_attr, tuple(rows))
 
 
@@ -171,7 +173,7 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
     observed [min, max]; a constant column maps everything to bin_0.
     Rows keep their input order; duplicates are preserved.
     """
-    if not isinstance(bins, int) or isinstance(bins, bool) or bins < 1:
+    if not is_int(bins) or bins < 1:
         raise MiningError("BadBins", f"bins must be a positive integer, got {bins!r}")
     reports = list(reports)
     if not reports:
@@ -196,13 +198,12 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
 
     defs: list[AttributeDef] = []
     edges_by_attr: dict[str, tuple[float, ...]] = {}
-    converters: dict[str, Any] = {}
     for name in column_names:
         attr = schema.attribute(name)
         if attr.is_finite:
             defs.append(attr)
             continue
-        values = [row.values[name] for row in rows]
+        values = [row[name] for row in rows]
         lo, hi = min(values), max(values)
         if hi > lo:
             width = (hi - lo) / bins
@@ -210,17 +211,12 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
         else:
             edges = ()
         edges_by_attr[name] = edges
-        converters[name] = edges
         defs.append(AttributeDef(name, "categorical", attr.scope, tuple(bin_label(i) for i in range(bins))))
 
-    instances = []
-    for row in rows:
-        inst = {}
-        for name in column_names:
-            v = row.values[name]
-            inst[name] = assign_bin(converters[name], v) if name in converters else v
-        instances.append(inst)
-    return Dataset(tuple(defs), label, tuple(instances), edges_by_attr)
+    if edges_by_attr:
+        rows = [{**row, **{name: assign_bin(edges, row[name]) for name, edges in edges_by_attr.items()}}
+                for row in rows]
+    return Dataset(tuple(defs), label, tuple(rows), edges_by_attr)
 
 
 def dataset_meta_path(csv_path: str | Path) -> Path:
@@ -235,7 +231,7 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
         writer = csv.writer(fh)
         writer.writerow(names)
         for inst in dataset.instances:
-            writer.writerow([format_cell(inst[n]) for n in names])
+            writer.writerow([format_value(inst[n]) for n in names])
     write_json(dataset_meta_path(csv_path), {
         "attributes": [attribute_to_json(a) for a in dataset.attributes],
         "class_attribute": dataset.class_attribute,
@@ -246,23 +242,11 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
 def load_dataset(csv_path: str | Path) -> Dataset:
     meta = expect_object(read_json(dataset_meta_path(csv_path)), "dataset metadata")
     defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
-    by_name = {a.name: a for a in defs}
     edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
-    names = [a.name for a in defs]
-    try:
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError("UnreadableFile", f"cannot read {csv_path}: {exc}") from exc
-    if not rows or rows[0] != names:
-        raise InputFormatError("BadHeader", f"{csv_path}: header does not match the sidecar attribute list")
     instances = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(names):
-            raise InputFormatError("BadRow", f"{csv_path} line {line_no}: expected {len(names)} cells, got {len(row)}")
-        instances.append({
-            name: parse_cell(by_name[name], cell, f"{csv_path} line {line_no}")
-            for name, cell in zip(names, row)
-        })
+    name = str(csv_path)
+    for line_no, row in enumerate(read_table(csv_path, [a.name for a in defs]), start=2):
+        where = f"{name} line {line_no}"
+        instances.append({a.name: a.parse(cell, where) for a, cell in zip(defs, row)})
     return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(instances), edges)

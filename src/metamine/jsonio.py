@@ -1,8 +1,13 @@
-"""Canonical JSON reading and writing, and the shape rules for reading it back.
+"""Canonical JSON reading and writing, the shape rules for reading it back,
+and the CSV table reader.
 
 All JSON the package emits goes through canonical_dumps so that equal
 objects serialize to identical bytes: sorted keys, two-space indent,
 UTF-8 text, no NaN/Infinity, one trailing newline.
+
+CSV files (traces, datasets) are read through read_table, which checks
+the file, its header and the width of every row; the cells themselves
+are parsed by the attribute codec in knowledge.
 
 Every reader checks shape here: objects are objects, lists are lists and
 names, values and labels are JSON atoms. Types and ranges of the values
@@ -12,6 +17,7 @@ fields double as the table of keys a record may carry (see decode).
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import json
@@ -54,6 +60,22 @@ def read_json(path: str | Path) -> Any:
         return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except ValueError as exc:
         raise InputFormatError("MalformedJson", f"{p} is not valid JSON: {exc}") from exc
+
+
+def read_table(path: str | Path, header: list[str]) -> list[list[str]]:
+    """The data rows of a UTF-8 CSV file whose first row is header; every
+    row has one cell per column. Row i of the result is line i + 2."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise InputFormatError("UnreadableFile", f"cannot read {path}: {exc}") from exc
+    if not rows or rows[0] != header:
+        raise InputFormatError("BadHeader", f"{path}: expected columns {header}, got {rows[0] if rows else 'nothing'}")
+    for line_no, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise InputFormatError("BadRow", f"{path} line {line_no}: expected {len(header)} cells, got {len(row)}")
+    return rows[1:]
 
 
 def content_id(obj: Any) -> str:

@@ -1,20 +1,22 @@
-"""Attribute schemas and information states.
+"""Attribute schemas and the codec for attribute values.
 
 A Schema is the flat vocabulary everything else is expressed in: each
 attribute has a kind (categorical, boolean, numeric), a scope saying
 whether it describes the external world or the agent itself, and a value
-domain. An InformationState is one row of an introspective report: the
-attribute values held at one epoch. Traces, reports, datasets, mined rules, and policies all refer
-back to one schema, so validation lives here.
+domain. Traces, reports, datasets, mined rules, and policies all refer
+back to one schema, so validation lives here, and so does the text form
+of a value: AttributeDef.parse reads a CSV cell and format_value writes
+one (and the values in rule text).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-from .errors import SchemaError
+from .errors import InputFormatError, SchemaError
 from .jsonio import ATOM, expect_field, expect_object, read_json, write_json
 
 KINDS = ("categorical", "boolean", "numeric")
@@ -24,6 +26,19 @@ SCOPES = ("world", "self")
 def is_number(value: Any) -> bool:
     """True for ints and floats; bools are not numbers here."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_int(value: Any) -> bool:
+    """True for ints; bools are not counts, seeds or coordinates here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def format_value(value: Any) -> str:
+    """The text form of an attribute value: true/false for booleans, an
+    empty string for None, str() for everything else."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
 
 
 @dataclass(frozen=True)
@@ -85,6 +100,31 @@ class AttributeDef:
             return isinstance(value, bool)
         return is_number(value) and self.domain[0] <= value <= self.domain[1]
 
+    def parse(self, text: str, where: str) -> Any:
+        """The typed value a CSV cell written by format_value holds.
+
+        Text that is not a value of this kind (not true/false, not a
+        finite number) is an InputFormatError; a value outside the domain
+        is a SchemaError.
+        """
+        if self.kind == "categorical":
+            if text in self.domain:
+                return text
+            raise SchemaError("OutOfDomainValue", f"{where}: {self.name} {text!r} is not in the schema domain")
+        if self.kind == "boolean":
+            if text in ("true", "false"):
+                return text == "true"
+            raise InputFormatError("BadRow", f"{where}: {self.name} must be true/false, got {text!r}")
+        try:
+            value = float(text)
+        except ValueError:
+            raise InputFormatError("BadRow", f"{where}: {self.name} must be numeric, got {text!r}") from None
+        if not math.isfinite(value):
+            raise InputFormatError("BadRow", f"{where}: {self.name} must be finite, got {text!r}")
+        if not self.domain[0] <= value <= self.domain[1]:
+            raise SchemaError("OutOfDomainValue", f"{where}: {self.name} {text} is outside {self.domain}")
+        return value
+
 
 @dataclass(frozen=True)
 class Schema:
@@ -132,22 +172,6 @@ class Schema:
 
 def define_schema(attributes: Iterable[AttributeDef], class_attribute: str) -> Schema:
     return Schema(tuple(attributes), class_attribute)
-
-
-@dataclass(frozen=True)
-class InformationState:
-    """Attribute values observed or held at one epoch."""
-
-    values: Mapping[str, Any]
-    epoch: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", dict(self.values))
-        if not isinstance(self.epoch, int) or isinstance(self.epoch, bool) or self.epoch < 0:
-            raise SchemaError("BadEpoch", f"epoch must be a non-negative integer, got {self.epoch!r}")
-
-    def get(self, name: str, default: Any = None) -> Any:
-        return self.values.get(name, default)
 
 
 def attribute_to_json(attr: AttributeDef) -> dict:

@@ -22,7 +22,7 @@ from typing import Any, Iterable, Mapping, Sequence, Union
 from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
 from .jsonio import ATOM, expect_field, expect_object, expect_pairs, read_json, write_json
-from .knowledge import AttributeDef, is_number
+from .knowledge import AttributeDef, format_value, is_int, is_number
 
 
 @dataclass(frozen=True)
@@ -35,17 +35,17 @@ class MiningConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.max_depth, int) or self.max_depth < 1:
+        if not is_int(self.max_depth) or self.max_depth < 1:
             raise MiningError("BadConfig", f"max_depth must be >= 1, got {self.max_depth!r}")
-        if not isinstance(self.min_leaf_instances, int) or self.min_leaf_instances < 1:
+        if not is_int(self.min_leaf_instances) or self.min_leaf_instances < 1:
             raise MiningError("BadConfig", f"min_leaf_instances must be >= 1, got {self.min_leaf_instances!r}")
         if not is_number(self.min_support) or not 0.0 < self.min_support <= 1.0:
             raise MiningError("BadConfig", f"min_support must be in (0, 1], got {self.min_support!r}")
         if not is_number(self.min_confidence) or not 0.0 < self.min_confidence <= 1.0:
             raise MiningError("BadConfig", f"min_confidence must be in (0, 1], got {self.min_confidence!r}")
-        if not isinstance(self.cv_folds, int) or self.cv_folds < 2:
+        if not is_int(self.cv_folds) or self.cv_folds < 2:
             raise MiningError("BadConfig", f"cv_folds must be >= 2, got {self.cv_folds!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+        if not is_int(self.seed):
             raise MiningError("BadConfig", f"seed must be an integer, got {self.seed!r}")
 
 
@@ -293,14 +293,8 @@ class AssociationRule:
 
 def _item_text(item: Any) -> str:
     if isinstance(item, tuple) and len(item) == 2:
-        return f"{item[0]}={format_atom(item[1])}"
+        return f"{item[0]}={format_value(item[1])}"
     return str(item)
-
-
-def format_atom(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def derive_rules(frequent: Mapping[frozenset, int], min_confidence: float, n_transactions: int) -> tuple[AssociationRule, ...]:
@@ -347,7 +341,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     other fold's.
     """
     n = len(dataset.instances)
-    if not isinstance(k, int) or k < 2:
+    if not is_int(k) or k < 2:
         raise MiningError("BadConfig", f"fold count must be >= 2, got {k!r}")
     if k > n:
         raise MiningError("TooFewInstances", f"cannot make {k} folds from {n} instances")

@@ -17,8 +17,8 @@ from typing import Any, Iterable, Mapping
 
 from .errors import ConsistencyError, PolicyError
 from .jsonio import ATOM, content_id, expect_field, expect_object, expect_pairs, read_json, write_json
-from .knowledge import Schema, is_number
-from .mining import AssociationRule, DecisionTree, Leaf, format_atom
+from .knowledge import Schema, format_value, is_number
+from .mining import AssociationRule, DecisionTree, Leaf
 
 ORIGINS = ("tree", "association", "default", "manual")
 
@@ -51,8 +51,8 @@ class Rule:
 
     @property
     def text(self) -> str:
-        left = " AND ".join(f"{a}={format_atom(v)}" for a, v in self.conditions) or "TRUE"
-        return f"{left} => {format_atom(self.action)}"
+        left = " AND ".join(f"{a}={format_value(v)}" for a, v in self.conditions) or "TRUE"
+        return f"{left} => {format_value(self.action)}"
 
     def matches(self, values: Mapping[str, Any]) -> bool:
         return all(a in values and values[a] == v for a, v in self.conditions)

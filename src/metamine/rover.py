@@ -15,14 +15,15 @@ produce byte-identical traces.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ConsistencyError, InputFormatError, SchemaError
-from .jsonio import expect_field, expect_object, expect_pairs, read_json, write_json
-from .knowledge import AttributeDef, Schema, define_schema, is_number
+from .jsonio import expect_field, expect_object, expect_pairs, read_json, read_table, write_json
+from .knowledge import AttributeDef, Schema, define_schema, format_value, is_int, is_number
 from .seeds import derive_seed
 
 Coord = tuple[int, int]
@@ -34,6 +35,7 @@ OUTCOMES = (OUTCOME_SUCCESS, OUTCOME_FAILURE)
 TERRAIN_ATTR = "terrain"
 STRATEGY_ATTR = "strategy"
 OUTCOME_ATTR = "outcome"
+OUTCOME_DEF = AttributeDef(OUTCOME_ATTR, "categorical", "self", OUTCOMES)
 
 
 class DecisionMaker(Protocol):
@@ -88,7 +90,7 @@ class GridWorld:
                 if t not in self.terrains:
                     raise SchemaError("UnknownTerrain", f"cell terrain {t!r} is not a declared terrain")
         for label, pos in (("start", self.start), ("goal", self.goal)):
-            if not all(isinstance(c, int) and not isinstance(c, bool) for c in pos) or not self.in_bounds(*pos):
+            if not all(is_int(c) for c in pos) or not self.in_bounds(*pos):
                 raise SchemaError("OutOfGrid", f"{label} {pos} must be integer coordinates inside the grid")
         if self.start == self.goal:
             raise SchemaError("DegenerateWorld", "start and goal must differ")
@@ -98,9 +100,9 @@ class GridWorld:
         for pair, p in self.hazard.items():
             if not is_number(p) or not 0.0 <= p <= 1.0:
                 raise SchemaError("BadHazard", f"hazard{pair} must be a probability, got {p!r}")
-        if not isinstance(self.max_steps, int) or self.max_steps < 1:
+        if not is_int(self.max_steps) or self.max_steps < 1:
             raise SchemaError("BadMaxSteps", f"max_steps must be a positive integer, got {self.max_steps!r}")
-        if self.master_seed is not None and (not isinstance(self.master_seed, int) or isinstance(self.master_seed, bool)):
+        if self.master_seed is not None and not is_int(self.master_seed):
             raise SchemaError("BadSeed", f"master_seed must be an integer, got {self.master_seed!r}")
 
     def in_bounds(self, x: int, y: int) -> bool:
@@ -236,7 +238,7 @@ def world_schema(world: GridWorld) -> Schema:
         [
             AttributeDef(TERRAIN_ATTR, "categorical", "world", world.terrains),
             AttributeDef(STRATEGY_ATTR, "categorical", "self", world.strategies),
-            AttributeDef(OUTCOME_ATTR, "categorical", "self", OUTCOMES),
+            OUTCOME_DEF,
         ],
         class_attribute=STRATEGY_ATTR,
     )
@@ -298,6 +300,15 @@ def load_world(path: str | Path) -> GridWorld:
 
 
 TRACE_FIXED_COLUMNS = ("episode", "epoch", "x", "y", "strategy", "outcome", "reward", "reached_goal")
+# The trace columns that no schema attribute describes, as attributes so
+# that the one codec reads every cell.
+REWARD_DEF = AttributeDef("reward", "numeric", "self", (-math.inf, math.inf))
+REACHED_DEF = AttributeDef("reached_goal", "boolean", "self")
+
+
+def _trace_header(schema: Schema) -> list[str]:
+    world_attrs = [a.name for a in schema.scoped("world")]
+    return list(TRACE_FIXED_COLUMNS[:4]) + world_attrs + list(TRACE_FIXED_COLUMNS[4:])
 
 
 def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path) -> None:
@@ -307,90 +318,45 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
     in schema order, so the file is self-describing alongside its schema.
     """
     world_attrs = [a.name for a in schema.scoped("world")]
-    header = list(TRACE_FIXED_COLUMNS[:4]) + world_attrs + list(TRACE_FIXED_COLUMNS[4:])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow(_trace_header(schema))
         for i, trace in enumerate(traces):
+            reached = format_value(trace.reached_goal)
             for rec in trace.records:
                 row = [i, rec.epoch, rec.cell[0], rec.cell[1]]
-                row += [format_cell(rec.observed.get(name)) for name in world_attrs]
-                row += [rec.strategy, rec.outcome, repr(rec.reward), "true" if trace.reached_goal else "false"]
+                row += [format_value(rec.observed.get(name)) for name in world_attrs]
+                row += [rec.strategy, rec.outcome, repr(rec.reward), reached]
                 writer.writerow(row)
 
 
 def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
-    """Read a trace CSV back into episodes, checking each row: strategy and
-    outcome lie in their schema domains, reached_goal is true/false and the
-    same on every row of an episode, and each episode's epochs run 0..n-1."""
-    world_attrs = [a.name for a in schema.scoped("world")]
-    expected = list(TRACE_FIXED_COLUMNS[:4]) + world_attrs + list(TRACE_FIXED_COLUMNS[4:])
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputFormatError("UnreadableFile", f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0] != expected:
-        raise InputFormatError("BadHeader", f"{path}: expected columns {expected}, got {rows[0] if rows else 'nothing'}")
-    strategies = set(schema.class_def.values())
-    outcomes = set(schema.attribute(OUTCOME_ATTR).values() if OUTCOME_ATTR in schema else OUTCOMES)
-    base = 4 + len(world_attrs)
+    """Read a trace CSV back into episodes, checking every cell: world
+    attributes, strategy and outcome lie in their schema domains, rewards
+    are finite, reached_goal is true/false and the same on every row of an
+    episode, and each episode's epochs run 0..n-1."""
+    world_defs = schema.scoped("world")
+    strategy_def = schema.class_def
+    outcome_def = schema.attribute(OUTCOME_ATTR) if OUTCOME_ATTR in schema else OUTCOME_DEF
+    base = 4 + len(world_defs)
     grouped: dict[int, list[DecisionRecord]] = {}
-    goal_flags: dict[int, str] = {}
-    for line_no, row in enumerate(rows[1:], start=2):
-        where = f"{path} line {line_no}"
-        if len(row) != len(expected):
-            raise InputFormatError("BadRow", f"{where}: expected {len(expected)} cells, got {len(row)}")
+    goal_flags: dict[int, bool] = {}
+    name = str(path)
+    for line_no, row in enumerate(read_table(path, _trace_header(schema)), start=2):
+        where = f"{name} line {line_no}"
         try:
-            episode = int(row[0])
-            observed = {
-                name: parse_cell(schema.attribute(name), row[4 + k], where)
-                for k, name in enumerate(world_attrs)
-            }
-            rec = DecisionRecord(
-                epoch=int(row[1]),
-                cell=(int(row[2]), int(row[3])),
-                observed=observed,
-                strategy=row[base],
-                outcome=row[base + 1],
-                reward=float(row[base + 2]),
-            )
+            episode, epoch, cell = int(row[0]), int(row[1]), (int(row[2]), int(row[3]))
         except ValueError as exc:
             raise InputFormatError("BadRow", f"{where}: {exc}") from exc
-        if rec.strategy not in strategies:
-            raise SchemaError("OutOfDomainValue", f"{where}: strategy {rec.strategy!r} is not in the schema domain")
-        if rec.outcome not in outcomes:
-            raise SchemaError("OutOfDomainValue", f"{where}: outcome {rec.outcome!r} is not in the schema domain")
-        reached = row[base + 3]
-        if reached not in ("true", "false"):
-            raise InputFormatError("BadRow", f"{where}: reached_goal must be true/false, got {reached!r}")
+        observed = {a.name: a.parse(row[4 + k], where) for k, a in enumerate(world_defs)}
+        rec = DecisionRecord(epoch, cell, observed, strategy_def.parse(row[base], where),
+                             outcome_def.parse(row[base + 1], where), REWARD_DEF.parse(row[base + 2], where))
+        reached = REACHED_DEF.parse(row[base + 3], where)
         if goal_flags.setdefault(episode, reached) != reached:
             raise InputFormatError("BadTrace", f"{where}: reached_goal changes within episode {episode}")
         records = grouped.setdefault(episode, [])
-        if rec.epoch != len(records):
-            raise InputFormatError("BadTrace", f"{where}: episode {episode} has epoch {rec.epoch} where "
+        if epoch != len(records):
+            raise InputFormatError("BadTrace", f"{where}: episode {episode} has epoch {epoch} where "
                                                f"{len(records)} comes next")
         records.append(rec)
-    return [
-        EpisodeTrace(tuple(grouped[e]), goal_flags[e] == "true", len(grouped[e]))
-        for e in sorted(grouped)
-    ]
-
-
-def format_cell(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return "" if value is None else str(value)
-
-
-def parse_cell(attr: AttributeDef, text: str, where: str) -> Any:
-    if attr.kind == "boolean":
-        if text in ("true", "false"):
-            return text == "true"
-        raise InputFormatError("BadRow", f"{where}: {attr.name} must be true/false, got {text!r}")
-    if attr.kind == "numeric":
-        try:
-            return float(text)
-        except ValueError:
-            raise InputFormatError("BadRow", f"{where}: {attr.name} must be numeric, got {text!r}") from None
-    return text
+    return [EpisodeTrace(tuple(grouped[e]), goal_flags[e], len(grouped[e])) for e in sorted(grouped)]

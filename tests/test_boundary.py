@@ -6,6 +6,8 @@ byte that is not UTF-8) and runs every subcommand that reads that kind of
 file. The exit code
 must be 0, 3 or 4: the file still made sense, or it was rejected as
 malformed (3) or inconsistent (4). Exit 5, an internal error, is a bug.
+Where the mutation cannot make sense (a non-finite reward, a terrain the
+world does not have, a boolean count) the exit code is pinned.
 """
 
 import contextlib
@@ -160,33 +162,82 @@ def test_mutated_json_inputs_never_exit_internal(valid, kind, data):
         assert code in allowed, f"{argv[0]} exited {code}: {err}"
 
 
-@given(data=st.data())
-def test_bad_trace_cells_never_exit_internal(valid, data):
+def trace_rows(valid):
     with open(valid / "run/traces/cycle_01.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    r = data.draw(st.integers(1, len(rows) - 1), label="row")
-    c = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
-    rows[r][c] = data.draw(st.sampled_from(BAD_CELLS), label="cell")
+        return list(csv.reader(fh))
+
+
+def collect_exits(valid, rows):
+    """Exit codes of collect on the trace rows under both label rules."""
     target = valid / "work" / "traces.csv"
     with open(target, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerows(rows)
-    for rule in ("outcome-as-class", "strategy-as-class"):
-        code, err = run("collect", "--traces", target, "--world", valid / "world.json", "--label-rule", rule,
-                        "--out", valid / "work" / "d.csv")
+    return [run("collect", "--traces", target, "--world", valid / "world.json", "--label-rule", rule,
+                "--out", valid / "work" / "d.csv")
+            for rule in ("outcome-as-class", "strategy-as-class")]
+
+
+@given(data=st.data())
+def test_bad_trace_cells_never_exit_internal(valid, data):
+    rows = trace_rows(valid)
+    r = data.draw(st.integers(1, len(rows) - 1), label="row")
+    c = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+    rows[r][c] = data.draw(st.sampled_from(BAD_CELLS), label="cell")
+    for code, err in collect_exits(valid, rows):
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_SCHEMA), f"collect exited {code}: {err}"
 
 
-@pytest.mark.parametrize("broken", ["world.json", "cycle_01.csv", "d.csv"])
-def test_files_that_are_not_utf8_are_input_errors(valid, broken):
+@pytest.mark.parametrize("column, cell, expected", [
+    ("reward", "nan", EXIT_INPUT),
+    ("reward", "inf", EXIT_INPUT),
+    ("terrain", "mud", EXIT_SCHEMA),
+])
+def test_bad_cells_on_a_failure_row_are_rejected_under_both_label_rules(valid, column, cell, expected):
+    rows = trace_rows(valid)
+    failure = next(row for row in rows if row[rows[0].index("outcome")] == "failure")
+    failure[rows[0].index(column)] = cell
+    assert [code for code, _ in collect_exits(valid, rows)] == [expected, expected]
+
+
+# Every count, seed and coordinate a config or world file carries.
+BOOL_COUNTS = (
+    [("cycle", (name,)) for name in ("training_episodes", "evaluation_episodes", "bins", "master_seed", "cycles")]
+    + [("mining", (name,)) for name in ("max_depth", "min_leaf_instances", "cv_folds", "seed")]
+    + [("world", ("max_steps",)), ("world", ("start", 0)), ("world", ("goal", 1)), ("world", ("master_seed",))]
+)
+
+
+@pytest.mark.parametrize("kind, path", BOOL_COUNTS, ids=[f"{k}:{'.'.join(map(str, p))}" for k, p in BOOL_COUNTS])
+def test_boolean_counts_are_schema_errors(valid, kind, path):
+    target = valid / "work" / FILES[kind]
+    dump(target, mutated(json.loads((valid / FILES[kind]).read_text()), path, True))
+    for argv in invocations(kind, valid, target):
+        code, err = run(*argv)
+        assert code == EXIT_SCHEMA, f"{argv[0]} exited {code}: {err}"
+
+
+def run_with_one_file_changed(valid, broken, old, new):
+    """Copies the valid inputs to work/, replaces the first old by new in
+    the file named broken, and returns the exit code of a run that reads it."""
     work = valid / "work"
     for source in ("world.json", "run/traces/cycle_01.csv", "d.csv", "d.csv.meta.json"):
         data = (valid / source).read_bytes()
         name = source.rsplit("/", 1)[-1]
-        (work / name).write_bytes(data.replace(b"dune", b"d\xfcne") if name == broken else data)
+        (work / name).write_bytes(data.replace(old, new, 1) if name == broken else data)
     argv = {
         "world.json": ("simulate", "--world", work / "world.json", "--seed", "1"),
         "cycle_01.csv": ("collect", "--traces", work / "cycle_01.csv", "--world", work / "world.json",
                          "--label-rule", "outcome-as-class"),
         "d.csv": ("mine", "--data", work / "d.csv", "--algo", "apriori"),
     }[broken]
-    assert run(*argv, "--out", work / "out")[0] == EXIT_INPUT
+    return run(*argv, "--out", work / "out")[0]
+
+
+@pytest.mark.parametrize("broken", ["world.json", "cycle_01.csv", "d.csv"])
+def test_files_that_are_not_utf8_are_input_errors(valid, broken):
+    assert run_with_one_file_changed(valid, broken, b"dune", b"d\xfcne") == EXIT_INPUT
+
+
+@pytest.mark.parametrize("broken", ["cycle_01.csv", "d.csv"])
+def test_csv_fields_beyond_the_parser_limit_are_input_errors(valid, broken):
+    assert run_with_one_file_changed(valid, broken, b"dune", b"x" * 200_000) == EXIT_INPUT

@@ -97,6 +97,8 @@ class TestEvaluateCandidate:
     def test_count_must_be_positive(self):
         with pytest.raises(ConsistencyError):
             evaluate_candidate(striped_world(), fixed_policy("FAST"), fixed_policy("FAST"), 0, seed=1)
+        with pytest.raises(ConsistencyError):
+            evaluate_candidate(striped_world(), fixed_policy("FAST"), fixed_policy("FAST"), True, seed=1)
 
 
 class TestReportInvariants:

@@ -16,7 +16,7 @@ from metamine.introspection import (
     load_dataset,
     save_dataset,
 )
-from metamine.knowledge import AttributeDef, InformationState, define_schema
+from metamine.knowledge import AttributeDef, define_schema
 from metamine.rover import OUTCOME_SUCCESS, run_episode, run_episodes, world_schema
 
 SELECTED = ("terrain", "strategy")
@@ -70,11 +70,7 @@ class TestCollectReport:
         assert len(report.rows) == len(trace.records)
         assert report.label_attribute == "outcome"
         for rec, row in zip(trace.records, report.rows):
-            assert row.epoch == rec.epoch
-            assert set(row.values) == {"terrain", "strategy", "outcome"}
-            assert row.values["terrain"] == rec.observed["terrain"]
-            assert row.values["strategy"] == rec.strategy
-            assert row.values["outcome"] == rec.outcome
+            assert row == {"terrain": rec.observed["terrain"], "strategy": rec.strategy, "outcome": rec.outcome}
 
     def test_strategy_rows_keep_only_successes(self):
         trace, schema = sample_trace()
@@ -83,16 +79,15 @@ class TestCollectReport:
         successes = [r for r in trace.records if r.outcome == OUTCOME_SUCCESS]
         assert 0 < len(report.rows) == len(successes) < len(trace.records)
         for rec, row in zip(successes, report.rows):
-            assert row.values["strategy"] == rec.strategy
-            assert set(row.values) == {"terrain", "strategy"}
+            assert row == {"terrain": rec.observed["terrain"], "strategy": rec.strategy}
 
     def test_rows_validate_against_the_schema_and_are_reflective(self):
         trace, schema = sample_trace()
         for rule in ("outcome-as-class", "strategy-as-class"):
             report = collect_report(trace, MetadataProvider(SELECTED, rule), schema)
             for row in report.rows:
-                assert all(schema.attribute(name).contains(v) for name, v in row.values.items())
-                assert any(schema.attribute(name).scope == "self" for name in row.values)
+                assert all(schema.attribute(name).contains(v) for name, v in row.items())
+                assert any(schema.attribute(name).scope == "self" for name in row)
 
     def test_all_failures_make_an_empty_strategy_report(self):
         world = uniform_hazard_world(1.0)
@@ -162,7 +157,7 @@ def numeric_report(values, label="GO"):
         ],
         "strategy",
     )
-    rows = tuple(InformationState({"v": x, "strategy": label}, epoch=i) for i, x in enumerate(values))
+    rows = tuple({"v": x, "strategy": label} for x in values)
     return IntrospectiveReport(schema, ("v", "strategy"), "strategy", rows)
 
 
@@ -194,7 +189,7 @@ class TestFeaturise:
         assert len(dataset) == len(rep_a.rows) + len(rep_b.rows)
         assert [a.name for a in dataset.attributes] == ["terrain", "strategy", "outcome"]
         head = dataset.instances[: len(rep_a.rows)]
-        assert [i["outcome"] for i in head] == [r.values["outcome"] for r in rep_a.rows]
+        assert [i["outcome"] for i in head] == [r["outcome"] for r in rep_a.rows]
 
     def test_no_reports_or_no_rows_is_an_error(self):
         with pytest.raises(MiningError) as err:

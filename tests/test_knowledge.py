@@ -1,14 +1,14 @@
-"""Attribute, schema, and information-state behavior."""
+"""Attribute, schema, and value codec behavior."""
 
 import pytest
 
 from helpers import cat
-from metamine.errors import SchemaError
+from metamine.errors import InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
 from metamine.knowledge import (
     AttributeDef,
-    InformationState,
     define_schema,
+    format_value,
     schema_from_json,
     schema_to_json,
 )
@@ -100,19 +100,28 @@ class TestSchema:
         assert err.value.code == "InfiniteClassDomain"
 
 
-class TestInformationState:
-    def test_values_are_copied(self):
-        source = {"terrain": "sand"}
-        state = InformationState(values=source, epoch=3)
-        source["terrain"] = "ice"
-        assert state.values["terrain"] == "sand"
-        assert state.get("terrain") == "sand"
-        assert state.get("missing", "d") == "d"
+class TestValueCodec:
+    @pytest.mark.parametrize("name, value", [("terrain", "ice"), ("wet", True), ("wet", False), ("charge", 12.5)])
+    def test_parse_reads_what_format_value_writes(self, name, value):
+        assert full_schema().attribute(name).parse(format_value(value), "here") == value
 
-    @pytest.mark.parametrize("epoch", [-1, 1.5, True, "0"])
-    def test_bad_epoch_rejected(self, epoch):
-        with pytest.raises(SchemaError):
-            InformationState(values={}, epoch=epoch)
+    @pytest.mark.parametrize("name, text, error", [
+        ("terrain", "mud", SchemaError),
+        ("terrain", "", SchemaError),
+        ("wet", "True", InputFormatError),
+        ("charge", "x", InputFormatError),
+        ("charge", "nan", InputFormatError),
+        ("charge", "inf", InputFormatError),
+        ("charge", "1e400", InputFormatError),
+        ("charge", "100.5", SchemaError),
+    ])
+    def test_parse_rejects_bad_and_out_of_domain_text(self, name, text, error):
+        with pytest.raises(error) as err:
+            full_schema().attribute(name).parse(text, "line 7")
+        assert "line 7" in str(err.value)
+
+    def test_format_value(self):
+        assert [format_value(v) for v in (True, False, None, "sand", 2.5, 3)] == ["true", "false", "", "sand", "2.5", "3"]
 
 
 class TestSerialization:

@@ -12,7 +12,7 @@ from helpers import cat, make_dataset
 from metamine.errors import ConsistencyError, InputFormatError, MiningError
 from metamine.introspection import Dataset
 from metamine.jsonio import canonical_dumps, decode
-from metamine.knowledge import AttributeDef, InformationState
+from metamine.knowledge import AttributeDef
 from metamine.mining import (
     Leaf,
     MiningConfig,
@@ -222,10 +222,9 @@ class TestInduceTree:
 
 
 class TestClassify:
-    def test_accepts_information_states(self):
+    def test_accepts_plain_mappings(self):
         tree = induce_tree(xor_dataset(), MiningConfig())
-        state = InformationState({"a": True, "b": False})
-        assert classify(tree, state.values) == "+"
+        assert classify(tree, {"a": True, "b": False}) == "+"
 
     def test_missing_tested_attribute_is_an_error(self):
         tree = induce_tree(xor_dataset(), MiningConfig())
