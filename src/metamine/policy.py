@@ -230,11 +230,12 @@ def integrate_policies(incumbent: Policy, candidate: Policy, mode: str) -> Polic
 
 
 def initial_policy(schema: Schema) -> Policy:
-    """The naive starting point: one unconditional rule choosing the
-    first value of the control domain."""
+    """The naive starting point: no rules, so every decision is the
+    default action, the first value of the control domain. An
+    unconditional rule would do the same and shadow every rule that
+    append mode adds after it."""
     first = schema.class_def.values()[0]
-    rule = Rule((), first, 1.0, "default")
-    return Policy(RuleSet((rule,), schema.class_attribute), first, {"cycle": 0, "sources": ["default"]})
+    return Policy(RuleSet((), schema.class_attribute), first, {"cycle": 0, "sources": ["default"]})
 
 
 def rule_to_json(rule: Rule) -> dict:

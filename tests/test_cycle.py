@@ -171,6 +171,13 @@ class TestRunCycleDeployed:
                                     derive_seed(4, "cycle", 1, "eval"))
         assert replay == report.heldout
 
+    def test_append_mode_deployment_changes_a_decision(self):
+        world = striped_world()
+        incumbent = start_policy(world)
+        deployed, report = run_cycle(world, incumbent, loop_config(4, integration_mode="append"), 1)
+        assert report.decision == "deployed"
+        assert any(deployed.decide({"terrain": t}) != incumbent.decide({"terrain": t}) for t in world.terrains)
+
     def test_cycle_index_must_be_positive(self):
         world = striped_world()
         with pytest.raises(ConsistencyError):
