@@ -244,9 +244,6 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
     edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
-    instances = []
-    name = str(csv_path)
-    for line_no, row in enumerate(read_table(csv_path, [a.name for a in defs]), start=2):
-        where = f"{name} line {line_no}"
-        instances.append({a.name: a.parse(cell, where) for a, cell in zip(defs, row)})
+    instances = [{a.name: a.parse(cell, where) for a, cell in zip(defs, row)}
+                 for where, row in read_table(csv_path, [a.name for a in defs])]
     return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(instances), edges)

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from .errors import InputFormatError
 
@@ -62,20 +62,24 @@ def read_json(path: str | Path) -> Any:
         raise InputFormatError("MalformedJson", f"{p} is not valid JSON: {exc}") from exc
 
 
-def read_table(path: str | Path, header: list[str]) -> list[list[str]]:
-    """The data rows of a UTF-8 CSV file whose first row is header; every
-    row has one cell per column. Row i of the result is line i + 2."""
+def read_table(path: str | Path, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+    """Stream the data rows of a UTF-8 CSV file whose first row is header,
+    each with one cell per column, as (where, row): where names the file
+    and line for error messages."""
+    name = str(path)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            first = next(reader, None)
+            if first != header:
+                raise InputFormatError("BadHeader", f"{name}: expected columns {header}, got {first or 'nothing'}")
+            for line_no, row in enumerate(reader, start=2):
+                where = f"{name} line {line_no}"
+                if len(row) != len(header):
+                    raise InputFormatError("BadRow", f"{where}: expected {len(header)} cells, got {len(row)}")
+                yield where, row
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise InputFormatError("UnreadableFile", f"cannot read {path}: {exc}") from exc
-    if not rows or rows[0] != header:
-        raise InputFormatError("BadHeader", f"{path}: expected columns {header}, got {rows[0] if rows else 'nothing'}")
-    for line_no, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise InputFormatError("BadRow", f"{path} line {line_no}: expected {len(header)} cells, got {len(row)}")
-    return rows[1:]
+        raise InputFormatError("UnreadableFile", f"cannot read {name}: {exc}") from exc
 
 
 def content_id(obj: Any) -> str:

@@ -341,9 +341,7 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     base = 4 + len(world_defs)
     grouped: dict[int, list[DecisionRecord]] = {}
     goal_flags: dict[int, bool] = {}
-    name = str(path)
-    for line_no, row in enumerate(read_table(path, _trace_header(schema)), start=2):
-        where = f"{name} line {line_no}"
+    for where, row in read_table(path, _trace_header(schema)):
         try:
             episode, epoch, cell = int(row[0]), int(row[1]), (int(row[2]), int(row[3]))
         except ValueError as exc:

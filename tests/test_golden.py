@@ -2,8 +2,8 @@
 
 Output identity is the gate for performance and simplification work, so
 it is checked here on every run. A change that alters an output on
-purpose records the new digests below and says why in CHANGES.md.
-To print the current digests, run this file with `-s`.
+purpose records the new digests below, which a failing run prints, and
+says why in CHANGES.md.
 """
 
 import contextlib
@@ -66,9 +66,8 @@ def digests(root: Path) -> dict:
 
 def check(out: Path, expected: dict) -> None:
     found = digests(out)
-    print(found)
     changed = sorted(name for name in found.keys() | expected.keys() if found.get(name) != expected.get(name))
-    assert not changed, f"output bytes changed: {changed}"
+    assert not changed, f"output bytes changed: {changed}; digests now {found}"
 
 
 @pytest.mark.parametrize("mode", sorted(LOOP_DIGESTS))
