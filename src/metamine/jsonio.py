@@ -95,11 +95,11 @@ def expect_object(value: Any, what: str) -> dict:
 
 def expect_field(obj: dict, key: str, what: str, kind: type | tuple = object) -> Any:
     """obj[key], which must be present and an instance of kind: dict, list,
-    str, int, ATOM, or object for any JSON value."""
+    str, int (not a boolean), ATOM, or object for any JSON value."""
     if key not in obj:
         raise InputFormatError("MissingField", f"{what} is missing required field {key!r}")
     value = obj[key]
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise InputFormatError("BadField", f"{what} field {key!r} must be {_KIND_NAMES[kind]}, "
                                            f"got {type(value).__name__}")
     return value

@@ -307,7 +307,9 @@ class TestReportCommand:
         5,
         [5],
         [{"index": 1, "dataset_sizes": {"performance": 9}, "cv_accuracy": "high", "decision": "deployed"}],
-    ], ids=["not-a-list", "not-an-object", "text-accuracy"])
+        [{"index": True, "dataset_sizes": {"performance": 9}, "decision": "deployed"}],
+        [{"index": 1, "dataset_sizes": {"performance": False}, "decision": "deployed"}],
+    ], ids=["not-a-list", "not-an-object", "text-accuracy", "boolean-index", "boolean-size"])
     def test_malformed_cycles_are_input_errors(self, workdir, capsys, cycles):
         bad = workdir / "exp.json"
         write_json(bad, {"cycles": cycles})
