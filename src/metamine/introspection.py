@@ -171,7 +171,8 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
 
     Numeric attributes are cut into `bins` equal-width intervals over the
     observed [min, max]; a constant column maps everything to bin_0.
-    Rows keep their input order; duplicates are preserved.
+    Rows keep their input order; duplicates are preserved. When no column
+    needs binning, the report rows themselves become the instances.
     """
     if not is_int(bins) or bins < 1:
         raise MiningError("BadBins", f"bins must be a positive integer, got {bins!r}")
