@@ -1,4 +1,4 @@
-"""Golden output digests: every output file of two fixed runs, byte for byte.
+"""Golden output digests: every output file of four fixed runs, byte for byte.
 
 Output identity is the gate for performance and simplification work, so
 it is checked here on every run. A change that alters an output on
@@ -54,6 +54,27 @@ CHAIN_DIGESTS = {
 }
 
 
+SIMULATE_DIGESTS = {
+    "wide": "19f4cf46071abcb0cabc8db1fd4ecdff98fdf3620232c70968b45f0d740dc699",
+    "up-left": "3e0cf07acc867893a9c169a5ceb58bab746f21f71f05726d5687d4940ddcb49b",
+}
+
+
+def simulate_worlds() -> dict:
+    """A 32x32 striped world with room for 128 steps, and a non-square world
+    whose goal lies up and to the left of its start (negative moves)."""
+    base = striped_world()
+    terrains = base.terrains
+
+    def stripes(width, height):
+        return tuple(tuple(terrains[(x + y) % 3] for x in range(width)) for y in range(height))
+
+    return {
+        "wide": dataclasses.replace(base, width=32, height=32, cells=stripes(32, 32), goal=(31, 31), max_steps=128),
+        "up-left": dataclasses.replace(base, width=7, height=5, cells=stripes(7, 5), start=(6, 4), goal=(1, 0)),
+    }
+
+
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main([str(a) for a in argv]) == EXIT_OK
@@ -95,3 +116,13 @@ def test_file_stage_chain_outputs(tmp_path):
         run("compile", "--model", out / f"decision.{model}.json", "--default", "FAST", "--min-confidence", "0.55",
             "--out", out / f"{model}.policy.json")
     check(out, CHAIN_DIGESTS)
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+def test_simulate_outputs(tmp_path, name):
+    world, out = tmp_path / "world.json", tmp_path / "out"
+    save_world(simulate_worlds()[name], world)
+    out.mkdir()
+    run("simulate", "--world", world, "--episodes", "200", "--seed", "5", "--explore", "0.3",
+        "--out", out / "traces.csv")
+    check(out, {"traces.csv": SIMULATE_DIGESTS[name]})
