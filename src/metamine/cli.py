@@ -93,7 +93,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", required=True, choices=("tree", "apriori"), help="model family")
     p.add_argument("--config", help="mining config JSON (flag values override it)")
     p.add_argument("--max-depth", type=int, help="tree depth limit")
-    p.add_argument("--min-leaf", type=int, help="minimum rows to keep splitting")
+    p.add_argument("--min-leaf", type=int, dest="min_leaf_instances", metavar="N",
+                   help="minimum rows to keep splitting")
     p.add_argument("--min-support", type=float, help="apriori support threshold")
     p.add_argument("--min-confidence", type=float, help="rule confidence threshold")
     p.add_argument("--cv-folds", type=int, help="cross-validation folds")
@@ -166,13 +167,8 @@ def cmd_collect(args: argparse.Namespace) -> int:
 def cmd_mine(args: argparse.Namespace) -> int:
     raw = read_json(args.config) if args.config else {}
     config = decode(MiningConfig, raw, "mining config")
-    overrides: dict[str, Any] = {}
-    for flag, field_name in (("max_depth", "max_depth"), ("min_leaf", "min_leaf_instances"),
-                             ("min_support", "min_support"), ("min_confidence", "min_confidence"),
-                             ("cv_folds", "cv_folds"), ("seed", "seed")):
-        value = getattr(args, flag)
-        if value is not None:
-            overrides[field_name] = value
+    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(MiningConfig)
+                 if getattr(args, f.name) is not None}
     if overrides:
         config = dataclasses.replace(config, **overrides)
     if args.algo == "tree" and args.seed is None and "seed" not in raw:

@@ -14,6 +14,7 @@ Rejected cycles leave the incumbent untouched, byte for byte.
 from __future__ import annotations
 
 import io
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
@@ -32,7 +33,7 @@ from .policy import (
     rules_to_ruleset,
     tree_to_rules,
 )
-from .rover import EpisodeTrace, GridWorld, outcome_of, run_seeded, world_schema
+from .rover import EpisodeTrace, GridWorld, run_seeded, world_schema
 from .seeds import derive_seed
 
 PHASES = ("data_understanding", "data_preparation", "modelling", "operationalisation", "evaluation", "deployment")
@@ -131,22 +132,29 @@ class CycleReport:
             raise ConsistencyError("GateViolation", "non-deployed cycle must keep the incumbent policy")
 
 
+def goal_rate_and_mean_reward(traces: list[EpisodeTrace]) -> tuple[float, float]:
+    """Share of episodes that reached the goal, and the mean of their
+    reward sums."""
+    total = sum(sum(r.reward for r in t.records) for t in traces)
+    if not abs(total) <= sys.float_info.max:
+        raise ConsistencyError("BadReward", f"the reward sum of {len(traces)} episodes is not a finite number")
+    return sum(t.reached_goal for t in traces) / len(traces), total / len(traces)
+
+
 def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n: int, seed: int) -> EvalResult:
     """Paired comparison: both policies run the same n episode seeds with
     no exploration; delta is candidate rate minus incumbent rate."""
     if not is_int(n) or n < 1:
         raise ConsistencyError("BadCount", f"evaluation episode count must be >= 1, got {n!r}")
     seeds = [derive_seed(seed, i) for i in range(n)]
-    inc = [outcome_of(t) for t in run_seeded(world, incumbent, seeds)]
-    cand = [outcome_of(t) for t in run_seeded(world, candidate, seeds)]
-    inc_rate = sum(o.reached_goal for o in inc) / n
-    cand_rate = sum(o.reached_goal for o in cand) / n
+    inc_rate, inc_reward = goal_rate_and_mean_reward(run_seeded(world, incumbent, seeds))
+    cand_rate, cand_reward = goal_rate_and_mean_reward(run_seeded(world, candidate, seeds))
     return EvalResult(
         incumbent_rate=inc_rate,
         candidate_rate=cand_rate,
         delta=cand_rate - inc_rate,
-        incumbent_mean_reward=sum(o.total_reward for o in inc) / n,
-        candidate_mean_reward=sum(o.total_reward for o in cand) / n,
+        incumbent_mean_reward=inc_reward,
+        candidate_mean_reward=cand_reward,
     )
 
 
@@ -328,12 +336,12 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
     schema = world_schema(world)
     policy = initial_policy(schema)
     base_seeds = [derive_seed(config.master_seed, "baseline", i) for i in range(config.evaluation_episodes)]
-    base = [outcome_of(t) for t in run_seeded(world, policy, base_seeds)]
+    success_rate, mean_reward = goal_rate_and_mean_reward(run_seeded(world, policy, base_seeds))
     baseline = {
         "policy": policy_id(policy),
         "episodes": config.evaluation_episodes,
-        "success_rate": sum(o.reached_goal for o in base) / len(base),
-        "mean_reward": sum(o.total_reward for o in base) / len(base),
+        "success_rate": success_rate,
+        "mean_reward": mean_reward,
     }
     reports = []
     for index in range(1, n_cycles + 1):

@@ -114,35 +114,26 @@ class DecisionTree:
     class_values: tuple
     root: Node
 
-    def depth(self) -> int:
-        def d(node: Node) -> int:
+    def paths(self) -> list[tuple[tuple[tuple[str, Any], ...], Leaf]]:
+        """Each leaf with the (attribute, value) tests on its path, depth first."""
+        out: list[tuple[tuple[tuple[str, Any], ...], Leaf]] = []
+        stack: list[tuple[tuple[tuple[str, Any], ...], Node]] = [((), self.root)]
+        while stack:
+            path, node = stack.pop()
             if isinstance(node, Leaf):
-                return 0
-            return 1 + max(d(child) for _, child in node.children)
-        return d(self.root)
-
-    def leaves(self) -> list[Leaf]:
-        out: list[Leaf] = []
-
-        def walk(node: Node) -> None:
-            if isinstance(node, Leaf):
-                out.append(node)
+                out.append((path, node))
             else:
-                for _, child in node.children:
-                    walk(child)
-        walk(self.root)
+                stack.extend((path + ((node.attribute, value),), child) for value, child in reversed(node.children))
         return out
 
-    def split_attributes(self) -> set[str]:
-        used: set[str] = set()
+    def depth(self) -> int:
+        return max(len(path) for path, _ in self.paths())
 
-        def walk(node: Node) -> None:
-            if isinstance(node, Split):
-                used.add(node.attribute)
-                for _, child in node.children:
-                    walk(child)
-        walk(self.root)
-        return used
+    def leaves(self) -> list[Leaf]:
+        return [leaf for _, leaf in self.paths()]
+
+    def split_attributes(self) -> set[str]:
+        return {attribute for path, _ in self.paths() for attribute, _ in path}
 
 
 def _majority(rows: Sequence[Mapping], class_attribute: str, class_values: tuple) -> tuple[Any, float]:

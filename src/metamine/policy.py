@@ -18,7 +18,7 @@ from typing import Any, Iterable, Mapping
 from .errors import ConsistencyError, PolicyError
 from .jsonio import ATOM, content_id, expect_field, expect_object, expect_pairs, read_json, write_json
 from .knowledge import Schema, format_value, is_number
-from .mining import AssociationRule, DecisionTree, Leaf
+from .mining import AssociationRule, DecisionTree
 
 ORIGINS = ("tree", "association", "default", "manual")
 
@@ -133,17 +133,7 @@ def tree_to_rules(tree: DecisionTree, control_attribute: str | None = None) -> R
     if tree.class_attribute != control:
         raise PolicyError("NotControlAttribute",
                           f"tree classifies {tree.class_attribute!r}, not the control attribute {control!r}")
-    rules: list[Rule] = []
-
-    def walk(node, path: tuple[tuple[str, Any], ...]) -> None:
-        if isinstance(node, Leaf):
-            rules.append(Rule(path, node.label, node.confidence, "tree"))
-            return
-        for value, child in node.children:
-            walk(child, path + ((node.attribute, value),))
-
-    walk(tree.root, ())
-    return RuleSet.canonical(rules, control)
+    return RuleSet.canonical([Rule(path, leaf.label, leaf.confidence, "tree") for path, leaf in tree.paths()], control)
 
 
 def rules_to_ruleset(rules: Iterable[AssociationRule], control_attribute: str, min_confidence: float = 0.0) -> RuleSet:

@@ -6,6 +6,9 @@ on the terrain of the cell it is about to enter. That keeps the world
 trivial to simulate while leaving one real regularity for the mining side
 to discover: which strategy survives which terrain.
 
+Since every move is greedy and a slip only repeats a cell, each episode
+walks a prefix of one fixed route, `greedy_route(world)`.
+
 Determinism: a step consumes exactly one uniform draw from the supplied
 generator, taken before the move is resolved. Episode-level exploration
 draws happen before the step draw. Same world, policy, and seed always
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from random import Random
@@ -51,8 +55,8 @@ class Rewards:
     def __post_init__(self):
         for name in ("step_cost", "failure_penalty", "goal_reward"):
             v = getattr(self, name)
-            if not is_number(v) or v < 0:
-                raise SchemaError("BadReward", f"{name} must be a non-negative number, got {v!r}")
+            if not is_number(v) or not 0 <= v <= sys.float_info.max:
+                raise SchemaError("BadReward", f"{name} must be a finite non-negative number, got {v!r}")
         if self.goal_reward <= 0:
             raise SchemaError("BadReward", "goal_reward must be positive")
 
@@ -102,6 +106,9 @@ class GridWorld:
                 raise SchemaError("BadHazard", f"hazard{pair} must be a probability, got {p!r}")
         if not is_int(self.max_steps) or self.max_steps < 1:
             raise SchemaError("BadMaxSteps", f"max_steps must be a positive integer, got {self.max_steps!r}")
+        r = self.rewards
+        if not self.max_steps * (r.step_cost + r.failure_penalty) + r.goal_reward <= sys.float_info.max:
+            raise SchemaError("BadReward", f"rewards over {self.max_steps} steps must sum to a finite number")
         if self.master_seed is not None and not is_int(self.master_seed):
             raise SchemaError("BadSeed", f"master_seed must be an integer, got {self.master_seed!r}")
 
@@ -116,14 +123,14 @@ class GridWorld:
 
 @dataclass(frozen=True)
 class DecisionRecord:
-    """One step as the rover experienced it.
+    """One step as the rover experienced it; its index in the episode is
+    its epoch.
 
     cell is where the rover stood, observed holds the features it saw when
     choosing (the terrain of the cell it was about to enter), outcome says
     whether the move succeeded, and reward is the step's score.
     """
 
-    epoch: int
     cell: Coord
     observed: dict[str, Any]
     strategy: str
@@ -135,22 +142,6 @@ class DecisionRecord:
 class EpisodeTrace:
     records: tuple[DecisionRecord, ...]
     reached_goal: bool
-    steps_used: int
-
-    def __post_init__(self):
-        if self.steps_used != len(self.records):
-            raise ConsistencyError("BadTrace", f"steps_used {self.steps_used} != {len(self.records)} records")
-
-
-@dataclass(frozen=True)
-class Outcome:
-    reached_goal: bool
-    total_reward: float
-    steps_used: int
-
-
-def outcome_of(trace: EpisodeTrace) -> Outcome:
-    return Outcome(trace.reached_goal, sum(r.reward for r in trace.records), trace.steps_used)
 
 
 def greedy_target(world: GridWorld, position: Coord) -> Coord:
@@ -169,56 +160,51 @@ def greedy_target(world: GridWorld, position: Coord) -> Coord:
     return (x, y + (1 if dy > 0 else -1))
 
 
-def step(world: GridWorld, position: Coord, strategy: str, rng: Random) -> tuple[Coord, str, float]:
-    """Resolve one move attempt; returns (new position, outcome, reward).
-
-    Consumes exactly one draw even when no move is possible (at the goal or
-    the target would leave the grid), so step-count and stream position
-    stay in lockstep.
-    """
-    if not world.in_bounds(*position):
-        raise ConsistencyError("OutOfGrid", f"position {position} is outside the grid")
-    if strategy not in world.strategies:
-        raise ConsistencyError("UnknownStrategy", f"strategy {strategy!r} is not one the world supports")
-    u = rng.random()
-    target = greedy_target(world, position)
-    if target == position or not world.in_bounds(*target):
-        return position, OUTCOME_SUCCESS, -world.rewards.step_cost
-    if u < world.hazard[(world.terrain_at(*target), strategy)]:
-        return position, OUTCOME_FAILURE, -(world.rewards.step_cost + world.rewards.failure_penalty)
-    reward = -world.rewards.step_cost
-    if target == world.goal:
-        reward += world.rewards.goal_reward
-    return target, OUTCOME_SUCCESS, reward
+def greedy_route(world: GridWorld) -> list[Coord]:
+    """The cells from start to goal, both included, that greedy moves visit."""
+    route = [world.start]
+    while route[-1] != world.goal:
+        route.append(greedy_target(world, route[-1]))
+    return route
 
 
 def run_episode(world: GridWorld, policy: DecisionMaker, seed: int, explore: float = 0.0) -> EpisodeTrace:
     """One episode from start until the goal or the step budget runs out.
 
-    With explore > 0, each step first draws once; below the threshold the
-    strategy is drawn uniformly instead of asking the policy. Exploration
-    belongs to training runs only; evaluation uses the default 0.0.
+    Each step observes the terrain of the next route cell and draws once:
+    below the hazard the rover slips and stays, otherwise it advances one
+    cell. With explore > 0, each step first draws once more; below the
+    threshold the strategy is drawn uniformly instead of asking the policy.
+    Exploration belongs to training runs only; evaluation uses the default
+    0.0.
     """
     if not 0.0 <= explore <= 1.0:
         raise ConsistencyError("BadExploration", f"explore must be in [0, 1], got {explore!r}")
     rng = Random(seed)
-    position = world.start
+    route = greedy_route(world)
+    last = len(route) - 1
+    rewards = world.rewards
+    at = 0
     records: list[DecisionRecord] = []
-    for epoch in range(world.max_steps):
-        if position == world.goal:
-            break
-        target = greedy_target(world, position)
-        observed = {TERRAIN_ATTR: world.terrain_at(*target)}
+    while at < last and len(records) < world.max_steps:
+        terrain = world.terrain_at(*route[at + 1])
+        observed = {TERRAIN_ATTR: terrain}
         if explore > 0.0 and rng.random() < explore:
             strategy = rng.choice(world.strategies)
         else:
             strategy = policy.decide(observed)
         if strategy not in world.strategies:
             raise ConsistencyError("UnknownStrategy", f"policy chose {strategy!r}, not a world strategy")
-        here = position
-        position, outcome, reward = step(world, position, strategy, rng)
-        records.append(DecisionRecord(epoch, here, observed, strategy, outcome, reward))
-    return EpisodeTrace(tuple(records), position == world.goal, len(records))
+        here = route[at]
+        if rng.random() < world.hazard[(terrain, strategy)]:
+            outcome, reward = OUTCOME_FAILURE, -(rewards.step_cost + rewards.failure_penalty)
+        else:
+            at += 1
+            outcome, reward = OUTCOME_SUCCESS, -rewards.step_cost
+            if at == last:
+                reward += rewards.goal_reward
+        records.append(DecisionRecord(here, observed, strategy, outcome, reward))
+    return EpisodeTrace(tuple(records), at == last)
 
 
 def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0) -> list[EpisodeTrace]:
@@ -323,8 +309,8 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
         writer.writerow(_trace_header(schema))
         for i, trace in enumerate(traces):
             reached = format_value(trace.reached_goal)
-            for rec in trace.records:
-                row = [i, rec.epoch, rec.cell[0], rec.cell[1]]
+            for epoch, rec in enumerate(trace.records):
+                row = [i, epoch, rec.cell[0], rec.cell[1]]
                 row += [format_value(rec.observed.get(name)) for name in world_attrs]
                 row += [rec.strategy, rec.outcome, repr(rec.reward), reached]
                 writer.writerow(row)
@@ -347,7 +333,7 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
         except ValueError as exc:
             raise InputFormatError("BadRow", f"{where}: {exc}") from exc
         observed = {a.name: a.parse(row[4 + k], where) for k, a in enumerate(world_defs)}
-        rec = DecisionRecord(epoch, cell, observed, strategy_def.parse(row[base], where),
+        rec = DecisionRecord(cell, observed, strategy_def.parse(row[base], where),
                              outcome_def.parse(row[base + 1], where), REWARD_DEF.parse(row[base + 2], where))
         reached = REACHED_DEF.parse(row[base + 3], where)
         if goal_flags.setdefault(episode, reached) != reached:
@@ -357,4 +343,4 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
             raise InputFormatError("BadTrace", f"{where}: episode {episode} has epoch {epoch} where "
                                                f"{len(records)} comes next")
         records.append(rec)
-    return [EpisodeTrace(tuple(grouped[e]), goal_flags[e], len(grouped[e])) for e in sorted(grouped)]
+    return [EpisodeTrace(tuple(grouped[e]), goal_flags[e]) for e in sorted(grouped)]

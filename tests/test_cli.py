@@ -182,6 +182,22 @@ class TestPipeline:
         assert code == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
 
+    def test_mining_flags_override_their_config_fields(self, workdir, capsys):
+        traces = self.simulate(workdir)
+        data = workdir / "d.csv"
+        assert main(["collect", "--traces", str(traces), "--world", str(workdir / "world.json"),
+                     "--label-rule", "outcome-as-class", "--out", str(data)]) == EXIT_OK
+        write_json(workdir / "mining.json", MINING)
+        flags = {"max_depth": 2, "min_leaf_instances": 3, "min_support": 0.2, "min_confidence": 0.7,
+                 "cv_folds": 3, "seed": 9}
+        argv = ["--max-depth", "2", "--min-leaf", "3", "--min-support", "0.2", "--min-confidence", "0.7",
+                "--cv-folds", "3", "--seed", "9"]
+        model = workdir / "m.json"
+        assert main(["mine", "--data", str(data), "--algo", "tree", "--config", str(workdir / "mining.json"),
+                     *argv, "--out", str(model)]) == EXIT_OK
+        assert json.loads(model.read_text())["evaluation"]["config"] == flags
+        capsys.readouterr()
+
     def test_compiling_a_non_control_model_is_a_schema_error(self, workdir, capsys):
         traces = self.simulate(workdir)
         data = workdir / "outcome.csv"
@@ -255,6 +271,17 @@ class TestCycleCommand:
         write_json(path, payload)
         assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_SCHEMA
         assert name in capsys.readouterr().err
+
+    # 1e308: an episode's reward sum overflows; 1e306: each episode's sum is
+    # finite but the mean of ten is not; 10**400: beyond float range at all.
+    @pytest.mark.parametrize("step_cost", [1e308, 1e306, 10**400], ids=["1e308", "1e306", "10**400"])
+    def test_rewards_that_overflow_are_schema_errors(self, workdir, capsys, step_cost):
+        config = cycle_config(workdir, cycles=1, training_episodes=20, evaluation_episodes=10)
+        payload = json.loads((workdir / "world.json").read_text())
+        payload["rewards"]["step_cost"] = step_cost
+        write_json(workdir / "world.json", payload)
+        assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_SCHEMA
+        assert "BadReward" in capsys.readouterr().err
 
     def test_world_flag_overrides_the_config_world(self, workdir, capsys):
         config = cycle_config(workdir, world="absent.json")

@@ -1,5 +1,6 @@
 """Gridworld mechanics: movement, hazards, rewards, traces, and seeding."""
 
+import csv
 from random import Random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import fixed_policy, striped_world, terrain_policy, tiny_world, uniform_hazard_world
+from metamine.cycle import goal_rate_and_mean_reward
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
 from metamine.rover import (
@@ -14,16 +16,15 @@ from metamine.rover import (
     OUTCOME_SUCCESS,
     GridWorld,
     Rewards,
+    greedy_route,
     greedy_target,
     load_traces,
     load_world,
-    outcome_of,
     run_episode,
     run_episodes,
     run_seeded,
     save_traces,
     save_world,
-    step,
     world_from_json,
     world_schema,
     world_to_json,
@@ -110,73 +111,93 @@ class TestGreedyTarget:
                 assert world.in_bounds(tx, ty)
                 assert after == before - 1
 
+    def test_route_runs_from_start_to_goal_in_greedy_moves(self):
+        world = tiny_world(width=7, height=5, cells=tuple(("flat",) * 7 for _ in range(5)),
+                           start=(6, 4), goal=(1, 0))
+        route = greedy_route(world)
+        assert route[0] == world.start and route[-1] == world.goal
+        assert all(greedy_target(world, a) == b for a, b in zip(route, route[1:]))
+        assert len(route) == 1 + 5 + 4
+
 
 class TestStep:
+    """One step of an episode along the greedy route, on tiny_world:
+    (0, 0) -> (1, 0) -> (1, 1), entering dune and then the flat goal."""
+
     def test_safe_step_moves_and_costs_one(self):
-        world = tiny_world()
-        pos, outcome, reward = step(world, (0, 0), "CAREFUL", Random(0))
         # dune CAREFUL hazard is 0.05; Random(0) first draw is ~0.844
-        assert pos == (1, 0) and outcome == OUTCOME_SUCCESS and reward == -1.0
+        first, second = run_episode(tiny_world(), fixed_policy("CAREFUL"), seed=0).records
+        assert (first.cell, first.outcome, first.reward) == ((0, 0), OUTCOME_SUCCESS, -1.0)
+        assert second.cell == (1, 0)
 
     def test_hazard_failure_stays_and_pays_penalty(self):
-        world = uniform_hazard_world(1.0)
-        pos, outcome, reward = step(world, (0, 0), "FAST", Random(0))
-        assert pos == (0, 0) and outcome == OUTCOME_FAILURE and reward == -3.0
+        # dune FAST hazard is 0.5; Random(1) first draw is ~0.134
+        first, second = run_episode(tiny_world(), fixed_policy("FAST"), seed=1).records[:2]
+        assert (first.cell, first.outcome, first.reward) == ((0, 0), OUTCOME_FAILURE, -3.0)
+        assert second.cell == (0, 0)
 
     def test_goal_entry_adds_goal_reward(self):
-        world = tiny_world()
-        pos, outcome, reward = step(world, (1, 0), "CAREFUL", Random(0))
-        assert pos == (1, 1) and outcome == OUTCOME_SUCCESS and reward == 9.0
+        trace = run_episode(tiny_world(), fixed_policy("CAREFUL"), seed=0)
+        assert trace.reached_goal
+        assert (trace.records[-1].cell, trace.records[-1].reward) == ((1, 0), 9.0)
 
-    def test_at_goal_consumes_draw_and_stays(self):
-        world = tiny_world()
-        rng = Random(3)
-        shadow = Random(3)
-        pos, outcome, reward = step(world, (1, 1), "FAST", rng)
-        assert pos == (1, 1) and outcome == OUTCOME_SUCCESS and reward == -1.0
-        shadow.random()
-        assert rng.random() == shadow.random()
+    def test_step_rewards_are_the_three_reward_expressions(self):
+        traces = [run_episode(tiny_world(), fixed_policy("FAST"), seed=s) for s in range(20)]
+        assert {r.reward for t in traces for r in t.records} == {-1.0, -3.0, 9.0}
+
+    def test_every_cell_lies_on_the_greedy_route(self):
+        world = striped_world()
+        route = greedy_route(world)
+        for seed in range(10):
+            trace = run_episode(world, fixed_policy("FAST"), seed=seed, explore=0.5)
+            assert all(r.cell in route for r in trace.records)
+
+    def test_success_advances_one_route_cell_and_failure_stays(self):
+        world = striped_world()
+        route = greedy_route(world)
+        for seed in range(10):
+            records = run_episode(world, fixed_policy("FAST"), seed=seed).records
+            for rec, after in zip(records, records[1:]):
+                moved = route.index(after.cell) - route.index(rec.cell)
+                assert moved == (1 if rec.outcome == OUTCOME_SUCCESS else 0)
 
     @pytest.mark.parametrize("strategy", ["FAST", "CAREFUL"])
     def test_exactly_one_draw_per_call(self, strategy):
-        world = tiny_world()
-        rng = Random(11)
-        shadow = Random(11)
-        step(world, (0, 0), strategy, rng)
-        shadow.random()
-        assert rng.random() == shadow.random()
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConsistencyError) as err:
-            step(tiny_world(), (0, 0), "WALK", Random(0))
-        assert err.value.code == "UnknownStrategy"
-
-    def test_out_of_grid_position_rejected(self):
-        with pytest.raises(ConsistencyError):
-            step(tiny_world(), (5, 5), "FAST", Random(0))
+        """Without exploration each step makes one policy call and one draw:
+        replaying Random(seed) by hand, one draw per step, gives the trace."""
+        world = striped_world()
+        route = greedy_route(world)
+        for seed in range(10):
+            trace = run_episode(world, fixed_policy(strategy), seed=seed)
+            shadow, at, expected = Random(seed), 0, []
+            for _ in trace.records:
+                slipped = shadow.random() < world.hazard[(world.terrain_at(*route[at + 1]), strategy)]
+                expected.append((route[at], OUTCOME_FAILURE if slipped else OUTCOME_SUCCESS))
+                at += not slipped
+            assert [(r.cell, r.outcome) for r in trace.records] == expected
 
 
 class TestRunEpisode:
     def test_zero_hazard_reaches_goal_on_shortest_path(self):
         world = uniform_hazard_world(0.0)
         trace = run_episode(world, fixed_policy("FAST"), seed=1)
-        assert trace.reached_goal and trace.steps_used == 2
+        assert trace.reached_goal and len(trace.records) == 2
         assert [r.cell for r in trace.records] == [(0, 0), (1, 0)]
-        assert outcome_of(trace).total_reward == -1.0 + 9.0
+        assert goal_rate_and_mean_reward([trace]) == (1.0, -1.0 + 9.0)
 
     def test_adjacent_start_yields_single_record(self):
         world = uniform_hazard_world(0.0, start=(1, 0))
         trace = run_episode(world, fixed_policy("FAST"), seed=1)
-        assert trace.reached_goal and trace.steps_used == 1
-        assert outcome_of(trace).total_reward == 9.0
+        assert trace.reached_goal and len(trace.records) == 1
+        assert goal_rate_and_mean_reward([trace]) == (1.0, 9.0)
 
     def test_certain_hazard_exhausts_step_budget(self):
         world = uniform_hazard_world(1.0)
         trace = run_episode(world, fixed_policy("FAST"), seed=1)
         assert not trace.reached_goal
-        assert trace.steps_used == world.max_steps
+        assert len(trace.records) == world.max_steps
         assert all(r.outcome == OUTCOME_FAILURE for r in trace.records)
-        assert outcome_of(trace).total_reward == -world.max_steps * 3.0
+        assert goal_rate_and_mean_reward([trace]) == (0.0, -world.max_steps * 3.0)
 
     def test_same_seed_same_trace(self):
         world = striped_world()
@@ -196,9 +217,15 @@ class TestRunEpisode:
             target = greedy_target(world, rec.cell)
             assert rec.observed == {"terrain": world.terrain_at(*target)}
 
-    def test_epochs_count_up_from_zero(self):
-        trace = run_episode(striped_world(), fixed_policy("CAREFUL"), seed=2)
-        assert [r.epoch for r in trace.records] == list(range(trace.steps_used))
+    def test_epochs_count_up_from_zero(self, tmp_path):
+        world = striped_world()
+        traces = run_episodes(world, fixed_policy("CAREFUL"), 3, master_seed=2)
+        save_traces(traces, world_schema(world), tmp_path / "t.csv")
+        with open(tmp_path / "t.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        for episode, trace in enumerate(traces):
+            epochs = [int(row["epoch"]) for row in rows if int(row["episode"]) == episode]
+            assert epochs == list(range(len(trace.records)))
 
     def test_reaching_goal_implies_last_cell_adjacent(self):
         world = striped_world()
@@ -213,10 +240,10 @@ class TestRunEpisode:
         world = striped_world()
         trace = run_episode(world, fixed_policy("FAST"), seed=seed)
         failures = sum(r.outcome == OUTCOME_FAILURE for r in trace.records)
-        expected = (-trace.steps_used * world.rewards.step_cost
+        expected = (-len(trace.records) * world.rewards.step_cost
                     - failures * world.rewards.failure_penalty
                     + (world.rewards.goal_reward if trace.reached_goal else 0.0))
-        assert outcome_of(trace).total_reward == pytest.approx(expected)
+        assert goal_rate_and_mean_reward([trace])[1] == pytest.approx(expected)
 
     def test_policy_returning_unknown_strategy_is_an_error(self):
         with pytest.raises(ConsistencyError) as err:
