@@ -161,6 +161,14 @@ class TestStep:
                 moved = route.index(after.cell) - route.index(rec.cell)
                 assert moved == (1 if rec.outcome == OUTCOME_SUCCESS else 0)
 
+    def test_unknown_strategy_rejected(self):
+        # the first step enters dune and is taken with CAREFUL; the step that
+        # would enter the flat goal gets WALK from the policy default
+        with pytest.raises(ConsistencyError) as err:
+            run_episode(tiny_world(), terrain_policy({"dune": "CAREFUL"}, "WALK"), seed=0)
+        assert err.value.code == "UnknownStrategy"
+        assert "'WALK'" in str(err.value)
+
     @pytest.mark.parametrize("strategy", ["FAST", "CAREFUL"])
     def test_exactly_one_draw_per_call(self, strategy):
         """Without exploration each step makes one policy call and one draw:
