@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -112,36 +113,29 @@ def collect_report(trace: EpisodeTrace, provider: MetadataProvider, schema: Sche
 class Dataset:
     """Finite-domain training table; the class attribute is last.
 
-    bin_edges holds, per formerly numeric attribute, the interior interval
-    boundaries used to discretize it (empty tuple when every value was
-    identical and everything went to bin_0).
+    rows holds one value tuple per instance, in attribute order. Values
+    are checked where rows enter (the trace and dataset CSV readers), so
+    the dataset checks only its columns. bin_edges holds, per formerly
+    numeric attribute, the interior interval boundaries used to
+    discretize it (empty tuple when every value was identical and
+    everything went to bin_0).
     """
 
     attributes: tuple[AttributeDef, ...]
     class_attribute: str
-    instances: tuple[dict, ...]
+    rows: tuple[tuple, ...]
     bin_edges: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
-        names = [a.name for a in self.attributes]
-        if len(set(names)) != len(names):
-            raise SchemaError("DuplicateAttribute", "dataset lists an attribute twice")
-        if self.class_attribute not in names:
-            raise SchemaError("UnknownClassAttribute", f"class attribute {self.class_attribute!r} not in dataset")
-        if names[-1] != self.class_attribute:
+        define_schema(self.attributes, self.class_attribute)
+        if self.attributes[-1].name != self.class_attribute:
             raise SchemaError("ClassNotLast", "the class attribute must be the last dataset column")
         for a in self.attributes:
             if not a.is_finite:
                 raise SchemaError("NumericAttribute", f"dataset attribute {a.name!r} is numeric; discretize first")
-        for i, inst in enumerate(self.instances):
-            if set(inst) != set(names):
-                raise SchemaError("IncompleteInstance", f"instance {i} does not cover exactly the dataset attributes")
-            for a in self.attributes:
-                if not a.contains(inst[a.name]):
-                    raise SchemaError("OutOfDomainValue", f"instance {i}: {inst[a.name]!r} not in domain of {a.name!r}")
 
     def __len__(self) -> int:
-        return len(self.instances)
+        return len(self.rows)
 
     @property
     def feature_attributes(self) -> tuple[AttributeDef, ...]:
@@ -152,10 +146,11 @@ class Dataset:
         return self.attributes[-1]
 
     def labels(self) -> list:
-        return [inst[self.class_attribute] for inst in self.instances]
+        return [row[-1] for row in self.rows]
 
-    def schema(self) -> Schema:
-        return define_schema(self.attributes, self.class_attribute)
+    def patterns(self) -> Counter:
+        """The distinct rows with their counts, in first-occurrence order."""
+        return Counter(self.rows)
 
 
 def bin_label(index: int) -> str:
@@ -171,8 +166,8 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
 
     Numeric attributes are cut into `bins` equal-width intervals over the
     observed [min, max]; a constant column maps everything to bin_0.
-    Rows keep their input order; duplicates are preserved. When no column
-    needs binning, the report rows themselves become the instances.
+    Rows keep their input order and their duplicates; equal rows share
+    one tuple, since a dataset repeats a few patterns many times.
     """
     if not is_int(bins) or bins < 1:
         raise MiningError("BadBins", f"bins must be a positive integer, got {bins!r}")
@@ -188,23 +183,25 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
         )
         if not same:
             raise ConsistencyError("MixedReports", "all reports must share one schema, selection, and label")
-    rows = [row for rep in reports for row in rep.rows]
-    if not rows:
-        raise MiningError("EmptyDataset", "reports contain no rows")
     label = first.label_attribute
     schema = first.schema
     column_names = [n for n in schema.names if n in set(first.selected_attributes) and n != label] + [label]
+    shared: dict[tuple, tuple] = {}
+    rows = [shared.setdefault(key, key)
+            for key in (tuple(row[n] for n in column_names) for rep in reports for row in rep.rows)]
+    if not rows:
+        raise MiningError("EmptyDataset", "reports contain no rows")
     if not schema.attribute(label).is_finite:
         raise MiningError("NumericLabel", f"label attribute {label!r} must be categorical or boolean")
 
     defs: list[AttributeDef] = []
     edges_by_attr: dict[str, tuple[float, ...]] = {}
-    for name in column_names:
+    for col, name in enumerate(column_names):
         attr = schema.attribute(name)
         if attr.is_finite:
             defs.append(attr)
             continue
-        values = [row[name] for row in rows]
+        values = [row[col] for row in rows]
         lo, hi = min(values), max(values)
         if hi > lo:
             width = (hi - lo) / bins
@@ -215,8 +212,8 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
         defs.append(AttributeDef(name, "categorical", attr.scope, tuple(bin_label(i) for i in range(bins))))
 
     if edges_by_attr:
-        rows = [{**row, **{name: assign_bin(edges, row[name]) for name, edges in edges_by_attr.items()}}
-                for row in rows]
+        cuts = [edges_by_attr.get(name) for name in column_names]
+        rows = [tuple(v if edges is None else assign_bin(edges, v) for edges, v in zip(cuts, row)) for row in rows]
     return Dataset(tuple(defs), label, tuple(rows), edges_by_attr)
 
 
@@ -225,14 +222,12 @@ def dataset_meta_path(csv_path: str | Path) -> Path:
 
 
 def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
-    """Write instances as CSV plus a sidecar with attribute definitions
+    """Write rows as CSV plus a sidecar with attribute definitions
     and bin boundaries (<csv_path>.meta.json)."""
-    names = [a.name for a in dataset.attributes]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for inst in dataset.instances:
-            writer.writerow([format_value(inst[n]) for n in names])
+        writer.writerow([a.name for a in dataset.attributes])
+        writer.writerows([format_value(v) for v in row] for row in dataset.rows)
     write_json(dataset_meta_path(csv_path), {
         "attributes": [attribute_to_json(a) for a in dataset.attributes],
         "class_attribute": dataset.class_attribute,
@@ -245,6 +240,6 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
     edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
-    instances = [{a.name: a.parse(cell, where) for a, cell in zip(defs, row)}
-                 for where, row in read_table(csv_path, [a.name for a in defs])]
-    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(instances), edges)
+    rows = tuple(tuple(a.parse(cell, where) for a, cell in zip(defs, row))
+                 for where, row in read_table(csv_path, [a.name for a in defs]))
+    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), rows, edges)

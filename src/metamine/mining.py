@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 from random import Random
-from typing import Any, Iterable, Mapping, Sequence, Union
+from typing import Any, Collection, Iterable, Mapping, Sequence, Union
 
 from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
@@ -51,34 +51,40 @@ class MiningConfig:
 
 def entropy(labels: Iterable[Any]) -> float:
     """Shannon entropy of a label multiset, in bits. Empty input is 0."""
-    counts = Counter(labels)
-    total = sum(counts.values())
+    return _count_entropy(Counter(labels).values())
+
+
+def _count_entropy(counts: Collection[int]) -> float:
+    total = sum(counts)
     if total == 0:
         return 0.0
     h = 0.0
-    for c in counts.values():
+    for c in counts:
         p = c / total
         h -= p * math.log2(p)
     return h
 
 
-def _partition_gain(rows: Sequence[Mapping], attribute: str, class_attribute: str) -> float:
-    labels = [r[class_attribute] for r in rows]
-    groups: dict[Any, list] = {}
-    for r in rows:
-        groups.setdefault(r[attribute], []).append(r[class_attribute])
-    n = len(rows)
-    remainder = sum(len(g) / n * entropy(g) for g in groups.values())
-    return entropy(labels) - remainder
+def _partition_gain(patterns: Mapping[tuple, int], column: int) -> float:
+    """Information gain of splitting counted rows (class last) on one column."""
+    classes: Counter = Counter()
+    groups: dict[Any, Counter] = {}
+    for row, count in patterns.items():
+        classes[row[-1]] += count
+        groups.setdefault(row[column], Counter())[row[-1]] += count
+    n = sum(classes.values())
+    remainder = sum(sum(g.values()) / n * _count_entropy(g.values()) for g in groups.values())
+    return _count_entropy(classes.values()) - remainder
 
 
 def info_gain(dataset: Dataset, attribute: str) -> float:
     """Information gain of splitting the dataset on one feature attribute."""
-    if not dataset.instances:
+    if not dataset.rows:
         raise MiningError("EmptyDataset", "cannot compute gain on an empty dataset")
-    if attribute not in {a.name for a in dataset.feature_attributes}:
+    names = [a.name for a in dataset.feature_attributes]
+    if attribute not in names:
         raise MiningError("UnknownAttribute", f"{attribute!r} is not a feature attribute of the dataset")
-    return _partition_gain(dataset.instances, attribute, dataset.class_attribute)
+    return _partition_gain(dataset.patterns(), names.index(attribute))
 
 
 @dataclass(frozen=True)
@@ -136,13 +142,6 @@ class DecisionTree:
         return {attribute for path, _ in self.paths() for attribute, _ in path}
 
 
-def _majority(rows: Sequence[Mapping], class_attribute: str, class_values: tuple) -> tuple[Any, float]:
-    counts = Counter(r[class_attribute] for r in rows)
-    best = max(counts.values())
-    label = next(v for v in class_values if counts.get(v) == best)
-    return label, best / len(rows)
-
-
 def induce_tree(dataset: Dataset, config: MiningConfig) -> DecisionTree:
     """Greedy recursive induction on the highest-gain attribute.
 
@@ -153,40 +152,47 @@ def induce_tree(dataset: Dataset, config: MiningConfig) -> DecisionTree:
     values unseen in the partition get a support-0 leaf inheriting the
     node's majority label and fraction.
     """
-    if not dataset.instances:
+    if not dataset.rows:
         raise MiningError("EmptyDataset", "cannot induce a tree from an empty dataset")
-    return _grow_tree(dataset, dataset.instances, config)
+    return _grow_tree(dataset, dataset.patterns(), config)
 
 
-def _grow_tree(dataset: Dataset, rows: Sequence[Mapping], config: MiningConfig) -> DecisionTree:
-    """induce_tree on a non-empty subset of the dataset's own rows, which
-    the dataset has already validated."""
-    class_attr = dataset.class_attribute
+def _grow_tree(dataset: Dataset, patterns: Mapping[tuple, int], config: MiningConfig) -> DecisionTree:
+    """induce_tree on a non-empty multiset of the dataset's own rows,
+    given as distinct rows with their counts."""
     class_values = dataset.class_def.values()
 
-    def build(rows: Sequence[Mapping], remaining: tuple[AttributeDef, ...], depth: int) -> Node:
-        label, fraction = _majority(rows, class_attr, class_values)
-        if fraction == 1.0 or depth >= config.max_depth or not remaining or len(rows) < config.min_leaf_instances:
-            return Leaf(label, len(rows), fraction)
-        best_attr = None
+    def build(patterns: Mapping[tuple, int], remaining: tuple[int, ...], depth: int) -> Node:
+        classes: Counter = Counter()
+        for row, count in patterns.items():
+            classes[row[-1]] += count
+        n = sum(classes.values())
+        best = max(classes.values())
+        label = next(v for v in class_values if classes[v] == best)
+        fraction = best / n
+        if fraction == 1.0 or depth >= config.max_depth or not remaining or n < config.min_leaf_instances:
+            return Leaf(label, n, fraction)
+        best_column = None
         best_gain = -math.inf
-        for attr in remaining:
-            g = _partition_gain(rows, attr.name, class_attr)
+        for column in remaining:
+            g = _partition_gain(patterns, column)
             if g > best_gain + 1e-12:
                 best_gain = g
-                best_attr = attr
-        assert best_attr is not None
-        rest = tuple(a for a in remaining if a.name != best_attr.name)
+                best_column = column
+        assert best_column is not None
+        attr = dataset.attributes[best_column]
+        rest = tuple(c for c in remaining if c != best_column)
         children = []
-        for value in best_attr.values():
-            part = [r for r in rows if r[best_attr.name] == value]
+        for value in attr.values():
+            part = {row: count for row, count in patterns.items() if row[best_column] == value}
             if part:
                 children.append((value, build(part, rest, depth + 1)))
             else:
                 children.append((value, Leaf(label, 0, fraction)))
-        return Split(best_attr.name, tuple(children), label)
+        return Split(attr.name, tuple(children), label)
 
-    return DecisionTree(class_attr, class_values, build(rows, dataset.feature_attributes, 0))
+    return DecisionTree(dataset.class_attribute, class_values,
+                        build(patterns, tuple(range(len(dataset.feature_attributes))), 0))
 
 
 def classify(tree: DecisionTree, values: Mapping[str, Any]) -> Any:
@@ -207,9 +213,15 @@ def classify(tree: DecisionTree, values: Mapping[str, Any]) -> Any:
     return node.label
 
 
+def _hits(tree: DecisionTree, dataset: Dataset, patterns: Mapping[tuple, int]) -> int:
+    """Instances among the counted rows whose class the tree predicts;
+    each distinct row is classified once."""
+    names = [a.name for a in dataset.attributes]
+    return sum(count for row, count in patterns.items() if classify(tree, dict(zip(names, row))) == row[-1])
+
+
 def training_accuracy(tree: DecisionTree, dataset: Dataset) -> float:
-    hits = sum(1 for inst in dataset.instances if classify(tree, inst) == inst[dataset.class_attribute])
-    return hits / len(dataset.instances)
+    return _hits(tree, dataset, dataset.patterns()) / len(dataset)
 
 
 def _itemset_key(itemset: Iterable) -> tuple:
@@ -221,42 +233,33 @@ def apriori(transactions: Sequence[Iterable], min_support: float) -> dict[frozen
 
     Returns every itemset whose support count / n_transactions is at least
     min_support, mapped to its absolute count, in a deterministic order.
+    Identical transactions are collapsed and counted by their multiplicity.
     """
     if not 0.0 < min_support <= 1.0:
         raise MiningError("BadConfig", f"min_support must be in (0, 1], got {min_support!r}")
-    tx = [frozenset(t) for t in transactions]
-    n = len(tx)
+    tx = Counter(frozenset(t) for t in transactions)
+    n = sum(tx.values())
     if n == 0:
         raise MiningError("EmptyDataset", "apriori needs at least one transaction")
-
-    def frequent_enough(count: int) -> bool:
-        return count / n >= min_support
-
-    singles = Counter(item for t in tx for item in t)
-    current = {
-        frozenset([item]): singles[item]
-        for item in sorted(singles, key=repr)
-        if frequent_enough(singles[item])
-    }
-    result = dict(current)
-    k = 2
-    while current:
-        prev = set(current)
-        seeds = sorted(prev, key=_itemset_key)
-        candidates = set()
+    result: dict[frozenset, int] = {}
+    candidates = [frozenset([item]) for item in sorted({item for t in tx for item in t}, key=repr)]
+    k = 1
+    while candidates:
+        counts = {c: sum(weight for t, weight in tx.items() if c <= t) for c in candidates}
+        current = {c: cnt for c, cnt in counts.items() if cnt / n >= min_support}
+        result.update(current)
+        k += 1
+        seeds = sorted(current, key=_itemset_key)
+        unions = set()
         for i in range(len(seeds)):
             for j in range(i + 1, len(seeds)):
                 union = seeds[i] | seeds[j]
                 if len(union) == k:
-                    candidates.add(union)
-        pruned = [
-            c for c in sorted(candidates, key=_itemset_key)
-            if all(frozenset(sub) in prev for sub in combinations(c, k - 1))
+                    unions.add(union)
+        candidates = [
+            c for c in sorted(unions, key=_itemset_key)
+            if all(frozenset(sub) in current for sub in combinations(c, k - 1))
         ]
-        counts = {c: sum(1 for t in tx if c <= t) for c in pruned}
-        current = {c: cnt for c, cnt in counts.items() if frequent_enough(cnt)}
-        result.update(current)
-        k += 1
     return result
 
 
@@ -331,7 +334,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     dealt round-robin, so each fold's class counts are within one of any
     other fold's.
     """
-    n = len(dataset.instances)
+    n = len(dataset)
     if not is_int(k) or k < 2:
         raise MiningError("BadConfig", f"fold count must be >= 2, got {k!r}")
     if k > n:
@@ -340,7 +343,7 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     folds: list[list[int]] = [[] for _ in range(k)]
     cursor = 0
     for value in dataset.class_def.values():
-        idxs = [i for i, inst in enumerate(dataset.instances) if inst[dataset.class_attribute] == value]
+        idxs = [i for i, row in enumerate(dataset.rows) if row[-1] == value]
         rng.shuffle(idxs)
         for idx in idxs:
             folds[cursor % k].append(idx)
@@ -349,19 +352,23 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
 
 
 def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
-    """Stratified k-fold accuracy of the tree inducer on the dataset."""
-    n = len(dataset.instances)
+    """Stratified k-fold accuracy of the tree inducer on the dataset.
+
+    Each fold's tree grows from the dataset's row counts minus the fold's,
+    and each distinct held-out row is scored once, weighted by its count.
+    """
+    n = len(dataset)
     if config.cv_folds > n:
         raise MiningError("TooFewInstances", f"cv_folds {config.cv_folds} exceeds dataset size {n}")
     if len(set(dataset.labels())) < 2:
         raise MiningError("FewerThanTwoClasses", "cross-validation needs at least two classes")
     folds = stratified_folds(dataset, config.cv_folds, config.seed)
+    total = dataset.patterns()
     per_fold = []
     for fold in folds:
-        test = set(fold)
-        tree = _grow_tree(dataset, [inst for i, inst in enumerate(dataset.instances) if i not in test], config)
-        hits = sum(1 for i in fold if classify(tree, dataset.instances[i]) == dataset.instances[i][dataset.class_attribute])
-        per_fold.append(hits / len(fold))
+        test = Counter(dataset.rows[i] for i in fold)
+        tree = _grow_tree(dataset, total - test, config)
+        per_fold.append(_hits(tree, dataset, test) / len(fold))
     return CvScores(tuple(per_fold))
 
 
@@ -392,16 +399,9 @@ def scope_of(defs: Iterable[AttributeDef]) -> str:
     return "mixed"
 
 
-def dataset_transactions(dataset: Dataset) -> list[frozenset]:
-    """One transaction per instance; items are (attribute, value) pairs
-    including the class attribute."""
-    names = [a.name for a in dataset.attributes]
-    return [frozenset((name, inst[name]) for name in names) for inst in dataset.instances]
-
-
 def _base_evaluation(dataset: Dataset, config: MiningConfig) -> dict:
     return {
-        "training_size": len(dataset.instances),
+        "training_size": len(dataset),
         "config": asdict(config),
         "cv_mean": None,
         "cv_per_fold": None,
@@ -414,7 +414,7 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     tree = induce_tree(dataset, config)
     evaluation = _base_evaluation(dataset, config)
     evaluation["training_accuracy"] = training_accuracy(tree, dataset)
-    if config.cv_folds <= len(dataset.instances) and len(set(dataset.labels())) >= 2:
+    if config.cv_folds <= len(dataset) and len(set(dataset.labels())) >= 2:
         scores = cross_validate(dataset, config)
         evaluation["cv_mean"] = scores.mean
         evaluation["cv_per_fold"] = list(scores.per_fold)
@@ -431,10 +431,11 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
 
 def fit_rules_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     """Mine frequent itemsets and derive association rules from the
-    dataset's (attribute, value) transactions."""
-    tx = dataset_transactions(dataset)
-    frequent = apriori(tx, config.min_support)
-    rules = derive_rules(frequent, config.min_confidence, len(tx))
+    dataset's rows, each a transaction of (attribute, value) items
+    including the class attribute."""
+    names = [a.name for a in dataset.attributes]
+    frequent = apriori([zip(names, row) for row in dataset.rows], config.min_support)
+    rules = derive_rules(frequent, config.min_confidence, len(dataset))
     evaluation = _base_evaluation(dataset, config)
     evaluation["n_frequent"] = len(frequent)
     evaluation["n_rules"] = len(rules)
@@ -450,7 +451,7 @@ def fit_rules_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
         evaluation=evaluation,
         rules=rules,
         frequent=tuple((itemset, count) for itemset, count in frequent.items()),
-        n_transactions=len(tx),
+        n_transactions=len(dataset),
     )
 
 

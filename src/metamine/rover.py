@@ -48,6 +48,8 @@ class DecisionMaker(Protocol):
 
 @dataclass(frozen=True)
 class Rewards:
+    """Reward terms, stored as floats so a world file's 1 and 1.0 write equal traces."""
+
     step_cost: float = 1.0
     failure_penalty: float = 2.0
     goal_reward: float = 10.0
@@ -57,6 +59,7 @@ class Rewards:
             v = getattr(self, name)
             if not is_number(v) or not 0 <= v <= sys.float_info.max:
                 raise SchemaError("BadReward", f"{name} must be a finite non-negative number, got {v!r}")
+            object.__setattr__(self, name, float(v))
         if self.goal_reward <= 0:
             raise SchemaError("BadReward", "goal_reward must be positive")
 

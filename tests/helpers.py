@@ -18,7 +18,7 @@ def make_dataset(features, class_domain, rows, class_name="label"):
     """Categorical dataset from {name: domain} plus rows as plain dicts."""
     defs = [cat(n, d) for n, d in features.items()]
     defs.append(cat(class_name, class_domain, scope="self"))
-    return Dataset(tuple(defs), class_name, tuple(dict(r) for r in rows))
+    return Dataset(tuple(defs), class_name, tuple(tuple(r[d.name] for d in defs) for r in rows))
 
 
 def fixed_policy(action, control="strategy"):

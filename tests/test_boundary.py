@@ -241,3 +241,11 @@ def test_files_that_are_not_utf8_are_input_errors(valid, broken):
 @pytest.mark.parametrize("broken", ["cycle_01.csv", "d.csv"])
 def test_csv_fields_beyond_the_parser_limit_are_input_errors(valid, broken):
     assert run_with_one_file_changed(valid, broken, b"dune", b"x" * 200_000) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("old, new, code", [
+    (b"dune", b"mud", EXIT_SCHEMA),  # a cell outside its attribute's domain
+    (b"dune,", b"", EXIT_INPUT),  # a row one cell short
+], ids=["out-of-domain", "short-row"])
+def test_malformed_dataset_rows_are_rejected_when_read(valid, old, new, code):
+    assert run_with_one_file_changed(valid, "d.csv", old, new) == code

@@ -5,7 +5,7 @@ from dataclasses import asdict
 from itertools import combinations, product
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from helpers import cat, make_dataset
@@ -43,8 +43,7 @@ def xor_dataset():
         AttributeDef("b", "boolean", "world"),
         cat("label", ("+", "-"), scope="self"),
     )
-    rows = tuple({"a": p, "b": q, "label": "+" if p != q else "-"}
-                 for p in (False, True) for q in (False, True))
+    rows = tuple((p, q, "+" if p != q else "-") for p in (False, True) for q in (False, True))
     return Dataset(defs, "label", rows)
 
 
@@ -372,7 +371,7 @@ class TestStratifiedFolds:
         assert flat == list(range(len(labels)))
         assert all(f for f in folds)
         for value in "+-":
-            counts = [sum(1 for i in f if ds.instances[i]["label"] == value) for f in folds]
+            counts = [sum(1 for i in f if ds.rows[i][-1] == value) for f in folds]
             assert max(counts) - min(counts) <= 1
 
 
@@ -397,14 +396,31 @@ class TestCrossValidate:
             cross_validate(labeled("+-"), MiningConfig(cv_folds=5, seed=0))
         assert err.value.code == "TooFewInstances"
 
+    @given(st.data())
+    def test_counted_folds_match_a_row_wise_reference(self, data):
+        """Each fold's score equals growing a tree on a fresh dataset of the
+        fold's training rows and classifying every held-out row."""
+        domains = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        defs = tuple(cat(f"f{j}", tuple(f"v{i}" for i in range(d))) for j, d in enumerate(domains))
+        defs += (cat("label", ("a", "b", "c")[: data.draw(st.integers(2, 3))], scope="self"),)
+        rows = tuple(data.draw(st.lists(st.tuples(*(st.sampled_from(a.values()) for a in defs)),
+                                        min_size=5, max_size=40)))
+        config = MiningConfig(max_depth=data.draw(st.integers(1, 4)), min_leaf_instances=data.draw(st.integers(1, 4)),
+                              cv_folds=data.draw(st.integers(2, 5)), seed=data.draw(st.integers(0, 99)))
+        ds = Dataset(defs, "label", rows)
+        assume(config.cv_folds <= len(ds) and len(set(ds.labels())) >= 2)
+        names = [a.name for a in defs]
+        expected = []
+        for fold in stratified_folds(ds, config.cv_folds, config.seed):
+            train = Dataset(defs, "label", tuple(row for i, row in enumerate(rows) if i not in fold))
+            tree = induce_tree(train, config)
+            expected.append(sum(classify(tree, dict(zip(names, rows[i]))) == rows[i][-1] for i in fold) / len(fold))
+        assert cross_validate(ds, config).per_fold == tuple(expected)
+
 
 class TestModels:
     def strategy_dataset(self):
-        rows = (
-            [{"terrain": "sand", "strategy": "CAREFUL"} for _ in range(8)]
-            + [{"terrain": "rock", "strategy": "FAST"} for _ in range(8)]
-            + [{"terrain": "sand", "strategy": "FAST"} for _ in range(2)]
-        )
+        rows = [("sand", "CAREFUL")] * 8 + [("rock", "FAST")] * 8 + [("sand", "FAST")] * 2
         defs = (cat("terrain", ("sand", "rock")), cat("strategy", ("FAST", "CAREFUL"), scope="self"))
         return Dataset(defs, "strategy", tuple(rows))
 

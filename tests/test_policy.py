@@ -247,7 +247,7 @@ class TestCompilePolicy:
 
     def test_tree_and_compiled_policy_agree_on_the_full_grid(self):
         rows = [
-            {"terrain": t, "wet": w, "strategy": "CAREFUL" if (t == "ice") == w else "FAST"}
+            (t, w, "CAREFUL" if (t == "ice") == w else "FAST")
             for t, w in product(("sand", "rock", "ice"), (False, True))
             for _ in range(2)
         ]

@@ -1,6 +1,7 @@
 """Gridworld mechanics: movement, hazards, rewards, traces, and seeding."""
 
 import csv
+import dataclasses
 from random import Random
 
 import pytest
@@ -341,6 +342,18 @@ class TestTraceFiles:
         save_traces(traces, schema, a)
         save_traces(load_traces(a, schema), schema, b)
         assert a.read_bytes() == b.read_bytes()
+
+    def test_integer_rewards_write_the_float_reward_trace(self, tmp_path):
+        float_world = striped_world()
+        int_world = dataclasses.replace(float_world, rewards=Rewards(1, 2, 10))
+        schema = world_schema(float_world)
+        paths = {}
+        for name, world in (("float", float_world), ("int", int_world)):
+            paths[name] = tmp_path / f"{name}.csv"
+            save_traces(run_episodes(world, fixed_policy("FAST"), 5, master_seed=8), schema, paths[name])
+        again = tmp_path / "again.csv"
+        save_traces(load_traces(paths["int"], schema), schema, again)
+        assert again.read_bytes() == paths["int"].read_bytes() == paths["float"].read_bytes()
 
     def test_header_is_stable_and_carries_world_attributes(self, tmp_path):
         world = striped_world()
