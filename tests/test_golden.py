@@ -1,4 +1,4 @@
-"""Golden output digests: every output file of four fixed runs, byte for byte.
+"""Golden output digests: every output file of five fixed runs, byte for byte.
 
 Output identity is the gate for performance and simplification work, so
 it is checked here on every run. A change that alters an output on
@@ -10,14 +10,16 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import random
 from pathlib import Path
 
 import pytest
 
-from helpers import loop_config, striped_world
+from helpers import loop_config, striped_world, terrain_policy
 from metamine.cli import EXIT_OK, main
 from metamine.jsonio import write_json
-from metamine.rover import save_world
+from metamine.knowledge import AttributeDef, define_schema, save_schema
+from metamine.rover import run_episodes, save_traces, save_world, world_schema
 
 LOOP_DIGESTS = {
     "override": {
@@ -57,6 +59,15 @@ CHAIN_DIGESTS = {
 SIMULATE_DIGESTS = {
     "wide": "19f4cf46071abcb0cabc8db1fd4ecdff98fdf3620232c70968b45f0d740dc699",
     "up-left": "3e0cf07acc867893a9c169a5ceb58bab746f21f71f05726d5687d4940ddcb49b",
+}
+
+NUMERIC_COLLECT_DIGESTS = {
+    "decision.csv": "0eb79a976c417c6f9f4160cca16dc14dc8b97261fa5722236849a0914160fbbf",
+    "decision.csv.meta.json": "b5e4c812ed095b34eb4688ea2bd93dc12dac5aa6798e12c3e266498c52eee1a9",
+    "perf.csv": "43f1c039014c7e73b20966736f21a56808d1bc63fb1e4c0cac1355f6ad754f33",
+    "perf.csv.meta.json": "0de3965a359a2fd6f43dd26e4bcb9ab3dabcdef83a2cdfbb3b2b2aa5d324e2db",
+    "schema.json": "cd008d43628ba9c4cf50d8cd721550cc53a0b6885cc4f2e28a311f7234766d84",
+    "traces.csv": "c1e23394d132b7e67866f2fb3d02ae541938d610ef343b0b510d0b46de9c03a4",
 }
 
 
@@ -126,3 +137,31 @@ def test_simulate_outputs(tmp_path, name):
     run("simulate", "--world", world, "--episodes", "200", "--seed", "5", "--explore", "0.3",
         "--out", out / "traces.csv")
     check(out, {"traces.csv": SIMULATE_DIGESTS[name]})
+
+
+def numeric_trace_file(out: Path) -> Path:
+    """A schema with a numeric world attribute, slope, beside terrain, and
+    a seeded trace CSV whose records carry a slope reading each."""
+    world = striped_world()
+    base = world_schema(world)
+    slope = AttributeDef("slope", "numeric", "world", (-8.0, 8.0))
+    schema = define_schema((base.attributes[0], slope) + base.attributes[1:], base.class_attribute)
+    rng = random.Random(29)
+    policy = terrain_policy({"sand": "CAREFUL", "rock": "FAST"}, "FAST")
+    traces = [dataclasses.replace(trace, records=tuple(
+                  dataclasses.replace(rec, observed={**rec.observed, "slope": round(rng.uniform(-6.0, 6.0), 3)})
+                  for rec in trace.records))
+              for trace in run_episodes(world, policy, 60, master_seed=8, explore=0.5)]
+    save_schema(schema, out / "schema.json")
+    save_traces(traces, schema, out / "traces.csv")
+    return out / "traces.csv"
+
+
+def test_numeric_collect_outputs(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    traces = numeric_trace_file(out)
+    for rule, name in (("outcome-as-class", "perf"), ("strategy-as-class", "decision")):
+        run("collect", "--traces", traces, "--schema", out / "schema.json", "--label-rule", rule,
+            "--bins", "3", "--out", out / f"{name}.csv")
+    check(out, NUMERIC_COLLECT_DIGESTS)
