@@ -10,7 +10,7 @@ Modules
 -------
 knowledge      attribute schemas and the attribute value codec
 rover          gridworld, strategies, episode simulation, trace files
-introspection  trace -> report -> dataset featurisation
+introspection  traces -> dataset featurisation, dataset files
 mining         entropy/gain trees, apriori, rule derivation, cross-validation
 policy         rules, rulesets, compiled policies, integration
 cycle          the gated mine-evaluate-deploy loop and its reports

@@ -23,7 +23,7 @@ from .cycle import (
     run_experiment,
 )
 from .errors import InputFormatError, MetamineError
-from .introspection import MetadataProvider, collect_report, featurise, load_dataset, save_dataset
+from .introspection import MetadataProvider, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_object, read_json, write_json
 from .knowledge import load_schema, save_schema
 from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
@@ -157,8 +157,7 @@ def cmd_collect(args: argparse.Namespace) -> int:
     else:
         selected = tuple(a.name for a in schema.scoped("world")) + (schema.class_attribute,)
     provider = MetadataProvider(selected, args.label_rule)
-    reports = [collect_report(t, provider, schema) for t in traces]
-    dataset = featurise(reports, args.bins)
+    dataset = featurise(traces, provider, schema, args.bins)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} instances ({args.label_rule}) to {args.out}")
     return EXIT_OK

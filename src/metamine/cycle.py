@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from .errors import ConsistencyError, InputFormatError
-from .introspection import MetadataProvider, collect_report, featurise
+from .introspection import MetadataProvider, featurise
 from .jsonio import decode, expect_field, expect_object
 from .knowledge import is_int, is_number
 from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
@@ -33,7 +33,7 @@ from .policy import (
     rules_to_ruleset,
     tree_to_rules,
 )
-from .rover import EpisodeTrace, GridWorld, run_seeded, world_schema
+from .rover import OUTCOME_SUCCESS, EpisodeTrace, GridWorld, run_seeded, world_schema
 from .seeds import derive_seed
 
 PHASES = ("data_understanding", "data_preparation", "modelling", "operationalisation", "evaluation", "deployment")
@@ -230,12 +230,10 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     selected = world_attrs + (schema.class_attribute,)
     perf_provider = MetadataProvider(selected, "outcome-as-class")
     decision_provider = MetadataProvider(selected, "strategy-as-class")
-    perf_reports = [collect_report(t, perf_provider, schema) for t in traces]
-    decision_reports = [collect_report(t, decision_provider, schema) for t in traces]
-    decision_rows = sum(len(r.rows) for r in decision_reports)
+    perf_dataset = featurise(traces, perf_provider, schema, config.bins)
+    decision_rows = perf_dataset.labels().count(OUTCOME_SUCCESS)
     sizes = {"performance": total_rows, "decision": decision_rows}
-    perf_dataset = featurise(perf_reports, config.bins)
-    decision_dataset = featurise(decision_reports, config.bins) if decision_rows else None
+    decision_dataset = featurise(traces, decision_provider, schema, config.bins) if decision_rows else None
     phases.append(PhaseRecord("data_preparation", "completed", metrics=dict(sizes)))
     if decision_rows == 0:
         return insufficient("no successful decisions to learn from", sizes)

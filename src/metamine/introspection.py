@@ -1,21 +1,21 @@
 """From episode logs to mineable tables.
 
-A MetadataProvider picks which attributes a report shows and how each row
-is labeled; collect_report turns one trace into schema-conforming rows,
-one per decision the rover took. featurise concatenates reports and
-discretizes any numeric attributes so the miners only ever see finite
-domains. The resulting Dataset remembers its bin boundaries, so the same
-discretization can be replayed at deployment time.
+A MetadataProvider picks which attributes a dataset shows and how each
+row is labeled. featurise projects every decision the rover took into one
+row and discretizes any numeric attributes, so the miners only ever see
+finite domains. The resulting Dataset remembers its bin boundaries, so
+the same discretization can be replayed at deployment time.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from .errors import ConsistencyError, MiningError, SchemaError
 from .jsonio import ATOM, expect_field, expect_object, read_json, read_table, write_json
@@ -35,7 +35,7 @@ LABEL_RULES = ("outcome-as-class", "strategy-as-class")
 
 @dataclass(frozen=True)
 class MetadataProvider:
-    """Chooses report content and labeling.
+    """Chooses dataset columns and labeling.
 
     outcome-as-class labels every step with its success/failure outcome
     (performance monitoring data); strategy-as-class keeps only the
@@ -67,46 +67,6 @@ class MetadataProvider:
         if not any(schema.attribute(n).scope == "world" for n in self.selected_attributes):
             raise SchemaError("NoWorldAttribute", "provider must select at least one world attribute")
         schema.attribute(self.label_attribute(schema))
-
-
-@dataclass(frozen=True)
-class IntrospectiveReport:
-    """Selected, labeled rows describing one episode, one per decision;
-    each row maps attribute names to values."""
-
-    schema: Schema
-    selected_attributes: tuple[str, ...]
-    label_attribute: str
-    rows: tuple[dict, ...]
-
-
-def collect_report(trace: EpisodeTrace, provider: MetadataProvider, schema: Schema) -> IntrospectiveReport:
-    """Interpret a trace as labeled rows.
-
-    Each row is the projection of one DecisionRecord onto the provider's
-    selected attributes plus the label attribute. strategy-as-class drops
-    failed steps: only decisions that worked are worth imitating.
-    """
-    provider.validate_against(schema)
-    label_attr = provider.label_attribute(schema)
-    wanted = list(provider.selected_attributes)
-    if label_attr not in wanted:
-        wanted.append(label_attr)
-    rows = []
-    for rec in trace.records:
-        if provider.label_rule == "strategy-as-class" and rec.outcome != OUTCOME_SUCCESS:
-            continue
-        available = dict(rec.observed)
-        available[schema.class_attribute] = rec.strategy
-        if OUTCOME_ATTR in schema:
-            available[OUTCOME_ATTR] = rec.outcome
-        values = {}
-        for name in wanted:
-            if name not in available:
-                raise ConsistencyError("MissingObservation", f"trace records carry no value for {name!r}")
-            values[name] = available[name]
-        rows.append(values)
-    return IntrospectiveReport(schema, tuple(provider.selected_attributes), label_attr, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -161,38 +121,54 @@ def assign_bin(edges: tuple[float, ...], value: float) -> str:
     return bin_label(bisect_right(edges, value))
 
 
-def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
-    """Concatenate report rows into one dataset, discretizing numerics.
+def equal_width_edges(lo: float, hi: float, bins: int) -> tuple[float, ...]:
+    """The interior boundaries of `bins` equal-width intervals over [lo, hi]."""
+    if not hi > lo:
+        return ()
+    if math.isfinite(hi - lo):
+        width = (hi - lo) / bins
+        return tuple(lo + width * i for i in range(1, bins))
+    # the range is wider than the largest float: mix the ends instead
+    return tuple(lo / bins * (bins - i) + hi / bins * i for i in range(1, bins))
 
-    Numeric attributes are cut into `bins` equal-width intervals over the
-    observed [min, max]; a constant column maps everything to bin_0.
-    Rows keep their input order and their duplicates; equal rows share
-    one tuple, since a dataset repeats a few patterns many times.
+
+def featurise(traces: Iterable[EpisodeTrace], provider: MetadataProvider, schema: Schema, bins: int) -> Dataset:
+    """Project every decision of every trace into one dataset row.
+
+    A row holds the provider's selected attributes in schema order, then
+    the label: outcome is the step's outcome, the class attribute its
+    strategy, and any other attribute what the rover observed.
+    strategy-as-class drops failed steps: only decisions that worked are
+    worth imitating. Numeric attributes are cut into `bins` equal-width
+    intervals over the observed [min, max]; a constant column maps
+    everything to bin_0. Rows keep their input order and their
+    duplicates; equal rows share one tuple, since a dataset repeats a few
+    patterns many times.
     """
+    provider.validate_against(schema)
     if not is_int(bins) or bins < 1:
         raise MiningError("BadBins", f"bins must be a positive integer, got {bins!r}")
-    reports = list(reports)
-    if not reports:
-        raise MiningError("EmptyDataset", "no reports to featurise")
-    first = reports[0]
-    for rep in reports[1:]:
-        same = (
-            rep.schema == first.schema
-            and rep.selected_attributes == first.selected_attributes
-            and rep.label_attribute == first.label_attribute
-        )
-        if not same:
-            raise ConsistencyError("MixedReports", "all reports must share one schema, selection, and label")
-    label = first.label_attribute
-    schema = first.schema
-    column_names = [n for n in schema.names if n in set(first.selected_attributes) and n != label] + [label]
-    shared: dict[tuple, tuple] = {}
-    rows = [shared.setdefault(key, key)
-            for key in (tuple(row[n] for n in column_names) for rep in reports for row in rep.rows)]
-    if not rows:
-        raise MiningError("EmptyDataset", "reports contain no rows")
+    label = provider.label_attribute(schema)
     if not schema.attribute(label).is_finite:
         raise MiningError("NumericLabel", f"label attribute {label!r} must be categorical or boolean")
+    selected = set(provider.selected_attributes)
+    column_names = [n for n in schema.names if n in selected and n != label] + [label]
+    class_attr = schema.class_attribute
+    keep_failures = provider.label_rule == "outcome-as-class"
+    shared: dict[tuple, tuple] = {}
+    rows = []
+    for trace in traces:
+        for rec in trace.records:
+            if keep_failures or rec.outcome == OUTCOME_SUCCESS:
+                try:
+                    key = tuple(rec.outcome if n == OUTCOME_ATTR else rec.strategy if n == class_attr
+                                else rec.observed[n] for n in column_names)
+                except KeyError as exc:
+                    raise ConsistencyError("MissingObservation",
+                                           f"trace records carry no value for {exc.args[0]!r}") from None
+                rows.append(shared.setdefault(key, key))
+    if not rows:
+        raise MiningError("EmptyDataset", "the traces hold no decisions to learn from")
 
     defs: list[AttributeDef] = []
     edges_by_attr: dict[str, tuple[float, ...]] = {}
@@ -201,19 +177,16 @@ def featurise(reports: Sequence[IntrospectiveReport], bins: int) -> Dataset:
         if attr.is_finite:
             defs.append(attr)
             continue
-        values = [row[col] for row in rows]
-        lo, hi = min(values), max(values)
-        if hi > lo:
-            width = (hi - lo) / bins
-            edges = tuple(lo + width * i for i in range(1, bins))
-        else:
-            edges = ()
-        edges_by_attr[name] = edges
+        values = [row[col] for row in shared]
+        edges_by_attr[name] = equal_width_edges(min(values), max(values), bins)
         defs.append(AttributeDef(name, "categorical", attr.scope, tuple(bin_label(i) for i in range(bins))))
 
     if edges_by_attr:
         cuts = [edges_by_attr.get(name) for name in column_names]
-        rows = [tuple(v if edges is None else assign_bin(edges, v) for edges, v in zip(cuts, row)) for row in rows]
+        binned = {key: tuple(v if edges is None else assign_bin(edges, v) for edges, v in zip(cuts, key))
+                  for key in shared}
+        canonical = {row: row for row in binned.values()}
+        rows = [canonical[binned[row]] for row in rows]
     return Dataset(tuple(defs), label, tuple(rows), edges_by_attr)
 
 
@@ -227,7 +200,8 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in dataset.attributes])
-        writer.writerows([format_value(v) for v in row] for row in dataset.rows)
+        text = {row: [format_value(v) for v in row] for row in set(dataset.rows)}
+        writer.writerows(text[row] for row in dataset.rows)
     write_json(dataset_meta_path(csv_path), {
         "attributes": [attribute_to_json(a) for a in dataset.attributes],
         "class_attribute": dataset.class_attribute,
@@ -240,6 +214,12 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
     edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
-    rows = tuple(tuple(a.parse(cell, where) for a, cell in zip(defs, row))
-                 for where, row in read_table(csv_path, [a.name for a in defs]))
-    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), rows, edges)
+    parsed: dict[tuple, tuple] = {}
+    rows = []
+    for where, cells in read_table(csv_path, [a.name for a in defs]):
+        key = tuple(cells)
+        row = parsed.get(key)
+        if row is None:
+            row = parsed[key] = tuple(a.parse(cell, where) for a, cell in zip(defs, cells))
+        rows.append(row)
+    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(rows), edges)

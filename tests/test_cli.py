@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -9,9 +10,9 @@ import metamine.cli as cli
 from helpers import striped_world
 from metamine.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from metamine.jsonio import write_json
-from metamine.knowledge import save_schema
+from metamine.knowledge import AttributeDef, define_schema, save_schema
 from metamine.policy import load_policy
-from metamine.rover import save_world, world_schema
+from metamine.rover import DecisionRecord, EpisodeTrace, save_traces, save_world, world_schema
 
 MINING = {"max_depth": 4, "min_leaf_instances": 5, "min_support": 0.05,
           "min_confidence": 0.55, "cv_folds": 5, "seed": 0}
@@ -171,6 +172,22 @@ class TestPipeline:
         assert main(base) == EXIT_USAGE
         assert main(base + ["--world", str(workdir / "world.json"),
                             "--schema", str(workdir / "schema.json")]) == EXIT_USAGE
+        capsys.readouterr()
+
+    def test_collect_bins_a_range_wider_than_the_largest_float(self, workdir, capsys):
+        base = world_schema(striped_world())
+        slope = AttributeDef("slope", "numeric", "world", (-1e308, 1e308))
+        schema = define_schema((base.attributes[0], slope) + base.attributes[1:], base.class_attribute)
+        records = tuple(DecisionRecord((0, 0), {"terrain": "sand", "slope": v}, "FAST", "success", -1.0)
+                        for v in (-1e308, 0.0, 1e308))
+        save_schema(schema, workdir / "slope.schema.json")
+        save_traces([EpisodeTrace(records, True)], schema, workdir / "slope.csv")
+        data = workdir / "d.csv"
+        assert main(["collect", "--traces", str(workdir / "slope.csv"), "--schema", str(workdir / "slope.schema.json"),
+                     "--label-rule", "outcome-as-class", "--bins", "3", "--out", str(data)]) == EXIT_OK
+        edges = json.loads((workdir / "d.csv.meta.json").read_text())["bin_edges"]["slope"]
+        assert len(edges) == 2 and all(math.isfinite(e) for e in edges) and edges == sorted(edges)
+        assert [line.split(",")[1] for line in data.read_text().splitlines()[1:]] == ["bin_0", "bin_1", "bin_2"]
         capsys.readouterr()
 
     def test_mine_tree_without_a_seed_is_a_usage_error(self, workdir, capsys):

@@ -1,23 +1,32 @@
-"""Trace-to-report projection, labeling rules, and featurisation."""
+"""Trace-to-row projection, labeling rules, and featurisation."""
+
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import cat, fixed_policy, striped_world, uniform_hazard_world
 from metamine.errors import ConsistencyError, MiningError, SchemaError
 from metamine.introspection import (
     Dataset,
-    IntrospectiveReport,
     MetadataProvider,
     assign_bin,
-    collect_report,
     featurise,
     load_dataset,
     save_dataset,
 )
 from metamine.knowledge import AttributeDef, define_schema
-from metamine.rover import OUTCOME_SUCCESS, run_episode, run_episodes, world_schema
+from metamine.rover import (
+    OUTCOME_DEF,
+    OUTCOME_SUCCESS,
+    OUTCOMES,
+    DecisionRecord,
+    EpisodeTrace,
+    run_episode,
+    run_episodes,
+    world_schema,
+)
 
 SELECTED = ("terrain", "strategy")
 
@@ -63,37 +72,37 @@ class TestMetadataProvider:
 
 
 class TestCollectReport:
+    """featurise projects each decision record into one row."""
+
     def test_outcome_rows_cover_every_decision(self):
         trace, schema = sample_trace()
-        provider = MetadataProvider(SELECTED, "outcome-as-class")
-        report = collect_report(trace, provider, schema)
-        assert len(report.rows) == len(trace.records)
-        assert report.label_attribute == "outcome"
-        for rec, row in zip(trace.records, report.rows):
-            assert row == {"terrain": rec.observed["terrain"], "strategy": rec.strategy, "outcome": rec.outcome}
+        dataset = featurise([trace], MetadataProvider(SELECTED, "outcome-as-class"), schema, bins=4)
+        assert len(dataset) == len(trace.records)
+        assert dataset.class_attribute == "outcome"
+        assert dataset.rows == tuple((rec.observed["terrain"], rec.strategy, rec.outcome) for rec in trace.records)
 
     def test_strategy_rows_keep_only_successes(self):
         trace, schema = sample_trace()
-        provider = MetadataProvider(SELECTED, "strategy-as-class")
-        report = collect_report(trace, provider, schema)
+        dataset = featurise([trace], MetadataProvider(SELECTED, "strategy-as-class"), schema, bins=4)
         successes = [r for r in trace.records if r.outcome == OUTCOME_SUCCESS]
-        assert 0 < len(report.rows) == len(successes) < len(trace.records)
-        for rec, row in zip(successes, report.rows):
-            assert row == {"terrain": rec.observed["terrain"], "strategy": rec.strategy}
+        assert 0 < len(dataset) == len(successes) < len(trace.records)
+        assert dataset.rows == tuple((rec.observed["terrain"], rec.strategy) for rec in successes)
 
     def test_rows_validate_against_the_schema_and_are_reflective(self):
         trace, schema = sample_trace()
         for rule in ("outcome-as-class", "strategy-as-class"):
-            report = collect_report(trace, MetadataProvider(SELECTED, rule), schema)
-            for row in report.rows:
-                assert all(schema.attribute(name).contains(v) for name, v in row.items())
-                assert any(schema.attribute(name).scope == "self" for name in row)
+            dataset = featurise([trace], MetadataProvider(SELECTED, rule), schema, bins=4)
+            assert dataset.attributes == tuple(schema.attribute(a.name) for a in dataset.attributes)
+            for row in dataset.rows:
+                assert all(a.contains(v) for a, v in zip(dataset.attributes, row))
+            assert any(a.scope == "self" for a in dataset.attributes)
 
     def test_all_failures_make_an_empty_strategy_report(self):
         world = uniform_hazard_world(1.0)
         trace = run_episode(world, fixed_policy("FAST"), seed=0)
-        report = collect_report(trace, MetadataProvider(SELECTED, "strategy-as-class"), world_schema(world))
-        assert report.rows == ()
+        with pytest.raises(MiningError) as err:
+            featurise([trace], MetadataProvider(SELECTED, "strategy-as-class"), world_schema(world), bins=4)
+        assert err.value.code == "EmptyDataset"
 
     def test_unprojectable_selection_is_an_error(self):
         world = striped_world()
@@ -109,7 +118,7 @@ class TestCollectReport:
         trace = run_episode(world, fixed_policy("FAST"), seed=1)
         provider = MetadataProvider(("terrain", "weather", "strategy"), "outcome-as-class")
         with pytest.raises(ConsistencyError) as err:
-            collect_report(trace, provider, schema)
+            featurise([trace], provider, schema, bins=4)
         assert err.value.code == "MissingObservation"
 
 
@@ -136,27 +145,40 @@ class TestDatasetInvariants:
         assert list(ds.patterns().items()) == [(("v", "b"), 2), (("u", "a"), 1)]
 
 
+NUMERIC_SCHEMA = define_schema(
+    [
+        AttributeDef("v", "numeric", "world", (-1e308, 1e308)),
+        cat("strategy", ("GO", "NO"), scope="self"),
+    ],
+    "strategy",
+)
+NUMERIC_PROVIDER = MetadataProvider(("v", "strategy"), "strategy-as-class")
+
+
 def numeric_report(values, label="GO"):
-    schema = define_schema(
-        [
-            AttributeDef("v", "numeric", "world", (-1000.0, 1000.0)),
-            cat("strategy", ("GO", "NO"), scope="self"),
-        ],
-        "strategy",
-    )
-    rows = tuple({"v": x, "strategy": label} for x in values)
-    return IntrospectiveReport(schema, ("v", "strategy"), "strategy", rows)
+    """One episode whose successful steps observed v = each value in turn."""
+    records = tuple(DecisionRecord((0, 0), {"v": x}, label, OUTCOME_SUCCESS, -1.0) for x in values)
+    return EpisodeTrace(records, True)
+
+
+def featurise_numeric(values, bins):
+    return featurise([numeric_report(values)], NUMERIC_PROVIDER, NUMERIC_SCHEMA, bins)
+
+
+def assert_equal_rows_are_shared(dataset):
+    assert len({id(row) for row in dataset.rows}) == len(set(dataset.rows))
 
 
 class TestFeaturise:
     def test_equal_width_binning_for_the_worked_example(self):
-        dataset = featurise([numeric_report([1, 2, 9, 10])], bins=2)
+        dataset = featurise_numeric([1, 2, 9, 10], bins=2)
         assert [row[0] for row in dataset.rows] == ["bin_0", "bin_0", "bin_1", "bin_1"]
+        assert_equal_rows_are_shared(dataset)
         assert dataset.bin_edges == {"v": (5.5,)}
         assert dataset.attributes[0].domain == ("bin_0", "bin_1")
 
     def test_constant_column_goes_to_bin_zero(self):
-        dataset = featurise([numeric_report([4.0, 4.0, 4.0])], bins=3)
+        dataset = featurise_numeric([4.0, 4.0, 4.0], bins=3)
         assert {row[0] for row in dataset.rows} == {"bin_0"}
         assert dataset.bin_edges == {"v": ()}
 
@@ -166,49 +188,109 @@ class TestFeaturise:
         assert assign_bin((2.0, 4.0), 2.0) == "bin_1"
         assert assign_bin((2.0, 4.0), 4.1) == "bin_2"
 
-    def test_reports_concatenate_in_order(self):
+    def test_traces_concatenate_in_order(self):
         trace_a, schema = sample_trace(seed=1)
         trace_b, _ = sample_trace(seed=2)
         provider = MetadataProvider(SELECTED, "outcome-as-class")
-        rep_a = collect_report(trace_a, provider, schema)
-        rep_b = collect_report(trace_b, provider, schema)
-        dataset = featurise([rep_a, rep_b], bins=4)
-        assert len(dataset) == len(rep_a.rows) + len(rep_b.rows)
+        dataset = featurise([trace_a, trace_b], provider, schema, bins=4)
+        assert len(dataset) == len(trace_a.records) + len(trace_b.records)
         assert [a.name for a in dataset.attributes] == ["terrain", "strategy", "outcome"]
-        head = dataset.rows[: len(rep_a.rows)]
-        assert head == tuple((r["terrain"], r["strategy"], r["outcome"]) for r in rep_a.rows)
+        assert dataset.rows[: len(trace_a.records)] == featurise([trace_a], provider, schema, bins=4).rows
 
-    def test_no_reports_or_no_rows_is_an_error(self):
+    def test_no_traces_or_no_rows_is_an_error(self):
         with pytest.raises(MiningError) as err:
-            featurise([], bins=2)
+            featurise([], NUMERIC_PROVIDER, NUMERIC_SCHEMA, bins=2)
         assert err.value.code == "EmptyDataset"
-        empty = IntrospectiveReport(numeric_report([]).schema, ("v", "strategy"), "strategy", ())
         with pytest.raises(MiningError) as err:
-            featurise([empty, empty], bins=2)
+            featurise([numeric_report([]), numeric_report([])], NUMERIC_PROVIDER, NUMERIC_SCHEMA, bins=2)
         assert err.value.code == "EmptyDataset"
 
     def test_bins_must_be_positive(self):
         with pytest.raises(MiningError):
-            featurise([numeric_report([1.0])], bins=0)
-
-    def test_mixed_reports_are_rejected(self):
-        trace, schema = sample_trace()
-        rep_a = collect_report(trace, MetadataProvider(SELECTED, "outcome-as-class"), schema)
-        rep_b = collect_report(trace, MetadataProvider(SELECTED, "strategy-as-class"), schema)
-        with pytest.raises(ConsistencyError) as err:
-            featurise([rep_a, rep_b], bins=2)
-        assert err.value.code == "MixedReports"
+            featurise_numeric([1.0], bins=0)
 
     @given(st.lists(st.floats(min_value=-1000, max_value=1000), min_size=1, max_size=30),
            st.integers(min_value=1, max_value=8))
+    @example([-1e308, 1e308], 3)
+    @example([-1e308, 1e308], 8)
     def test_binning_is_monotone_and_in_range(self, values, bins):
-        dataset = featurise([numeric_report(values)], bins=bins)
+        dataset = featurise_numeric(values, bins=bins)
         domain = dataset.attributes[0].domain
         assert domain == tuple(f"bin_{i}" for i in range(bins))
+        edges = dataset.bin_edges["v"]
+        assert all(math.isfinite(e) for e in edges) and list(edges) == sorted(edges)
         indexed = sorted(zip(values, (row[0] for row in dataset.rows)))
         bins_in_order = [int(label.split("_")[1]) for _, label in indexed]
         assert bins_in_order == sorted(bins_in_order)
         assert all(0 <= b < bins for b in bins_in_order)
+        if max(values) > min(values):
+            assert bins_in_order[-1] == bins - 1
+
+
+WORLD_ATTRS = ("terrain", "wet", "slope")
+RANDOM_SCHEMA = define_schema(
+    [
+        cat("terrain", ("sand", "rock", "ice")),
+        AttributeDef("wet", "boolean", "world"),
+        AttributeDef("slope", "numeric", "world", (-50.0, 50.0)),
+        cat("strategy", ("FAST", "CAREFUL"), scope="self"),
+        OUTCOME_DEF,
+    ],
+    "strategy",
+)
+records = st.builds(
+    DecisionRecord,
+    st.just((0, 0)),
+    st.fixed_dictionaries({"terrain": st.sampled_from(("sand", "rock", "ice")), "wet": st.booleans(),
+                           "slope": st.integers(-40, 40).map(lambda k: k / 4)}),
+    st.sampled_from(("FAST", "CAREFUL")),
+    st.sampled_from(OUTCOMES),
+    st.just(-1.0),
+)
+random_traces = st.lists(st.builds(EpisodeTrace, st.lists(records, max_size=8).map(tuple), st.booleans()),
+                         max_size=5)
+
+
+def project_by_dict(traces, provider, schema, bins):
+    """The dataset rows featurise should build, one dict per decision,
+    binned with the equal-width rule over each numeric column."""
+    label = provider.label_attribute(schema)
+    wanted = list(provider.selected_attributes) + [label] * (label not in provider.selected_attributes)
+    dicts = []
+    for trace in traces:
+        for rec in trace.records:
+            if provider.label_rule == "strategy-as-class" and rec.outcome != OUTCOME_SUCCESS:
+                continue
+            available = dict(rec.observed, strategy=rec.strategy, outcome=rec.outcome)
+            dicts.append({name: available[name] for name in wanted})
+    for name in wanted:
+        if schema.attribute(name).kind == "numeric" and dicts:
+            lo = min(d[name] for d in dicts)
+            hi = max(d[name] for d in dicts)
+            edges = [lo + (hi - lo) / bins * i for i in range(1, bins)] if hi > lo else []
+            for d in dicts:
+                d[name] = f"bin_{sum(d[name] >= e for e in edges)}"
+    columns = [n for n in schema.names if n in wanted and n != label] + [label]
+    return columns, [tuple(d[n] for n in columns) for d in dicts]
+
+
+class TestProjectionReference:
+    @given(random_traces, st.sampled_from(("outcome-as-class", "strategy-as-class")),
+           st.lists(st.sampled_from(WORLD_ATTRS), min_size=1, unique=True), st.booleans(),
+           st.integers(min_value=1, max_value=4))
+    def test_featurise_matches_a_row_by_row_dict_projection(self, traces, rule, world_attrs, with_outcome, bins):
+        selected = tuple(world_attrs) + ("strategy",) + ("outcome",) * with_outcome
+        provider = MetadataProvider(selected, rule)
+        columns, rows = project_by_dict(traces, provider, RANDOM_SCHEMA, bins)
+        if not rows:
+            with pytest.raises(MiningError) as err:
+                featurise(traces, provider, RANDOM_SCHEMA, bins)
+            assert err.value.code == "EmptyDataset"
+            return
+        dataset = featurise(traces, provider, RANDOM_SCHEMA, bins)
+        assert [a.name for a in dataset.attributes] == columns
+        assert list(dataset.rows) == rows
+        assert_equal_rows_are_shared(dataset)
 
 
 class TestDatasetFiles:
@@ -216,19 +298,20 @@ class TestDatasetFiles:
         world = striped_world()
         schema = world_schema(world)
         traces = run_episodes(world, fixed_policy("FAST"), 6, master_seed=4, explore=0.5)
-        provider = MetadataProvider(SELECTED, "outcome-as-class")
-        dataset = featurise([collect_report(t, provider, schema) for t in traces], bins=4)
+        dataset = featurise(traces, MetadataProvider(SELECTED, "outcome-as-class"), schema, bins=4)
+        assert_equal_rows_are_shared(dataset)
         path = tmp_path / "data.csv"
         save_dataset(dataset, path)
         loaded = load_dataset(path)
         assert loaded == dataset
+        assert_equal_rows_are_shared(loaded)
         again = tmp_path / "again.csv"
         save_dataset(loaded, again)
         assert again.read_bytes() == path.read_bytes()
         assert (tmp_path / "data.csv.meta.json").exists()
 
     def test_numeric_bin_edges_survive_the_sidecar(self, tmp_path):
-        dataset = featurise([numeric_report([1, 2, 9, 10])], bins=2)
+        dataset = featurise_numeric([1, 2, 9, 10], bins=2)
         path = tmp_path / "num.csv"
         save_dataset(dataset, path)
         assert load_dataset(path).bin_edges == {"v": (5.5,)}
@@ -236,7 +319,7 @@ class TestDatasetFiles:
     def test_header_mismatch_is_an_input_error(self, tmp_path):
         from metamine.errors import InputFormatError
 
-        dataset = featurise([numeric_report([1, 2])], bins=2)
+        dataset = featurise_numeric([1, 2], bins=2)
         path = tmp_path / "data.csv"
         save_dataset(dataset, path)
         body = path.read_text().splitlines()
