@@ -33,7 +33,7 @@ from .policy import (
     rules_to_ruleset,
     tree_to_rules,
 )
-from .rover import OUTCOME_SUCCESS, EpisodeTrace, GridWorld, run_seeded, world_schema
+from .rover import OUTCOME_SUCCESS, EpisodeTrace, GridWorld, rollout, route_table, run_seeded, world_schema
 from .seeds import derive_seed
 
 PHASES = ("data_understanding", "data_preparation", "modelling", "operationalisation", "evaluation", "deployment")
@@ -132,23 +132,31 @@ class CycleReport:
             raise ConsistencyError("GateViolation", "non-deployed cycle must keep the incumbent policy")
 
 
-def goal_rate_and_mean_reward(traces: list[EpisodeTrace]) -> tuple[float, float]:
+def goal_rate_and_mean_reward(goals: int, reward_sums: list[float]) -> tuple[float, float]:
     """Share of episodes that reached the goal, and the mean of their
-    reward sums."""
-    total = sum(sum(r.reward for r in t.records) for t in traces)
+    reward sums, from a rollout's output."""
+    total = sum(reward_sums)
     if not abs(total) <= sys.float_info.max:
-        raise ConsistencyError("BadReward", f"the reward sum of {len(traces)} episodes is not a finite number")
-    return sum(t.reached_goal for t in traces) / len(traces), total / len(traces)
+        raise ConsistencyError("BadReward", f"the reward sum of {len(reward_sums)} episodes is not a finite number")
+    return goals / len(reward_sums), total / len(reward_sums)
 
 
 def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n: int, seed: int) -> EvalResult:
     """Paired comparison: both policies run the same n episode seeds with
-    no exploration; delta is candidate rate minus incumbent rate."""
+    no exploration; delta is candidate rate minus incumbent rate.
+
+    A candidate whose route table has the incumbent's hazards takes the
+    same draws to the same outcomes, so the incumbent's rollout stands for
+    it."""
     if not is_int(n) or n < 1:
         raise ConsistencyError("BadCount", f"evaluation episode count must be >= 1, got {n!r}")
     seeds = [derive_seed(seed, i) for i in range(n)]
-    inc_rate, inc_reward = goal_rate_and_mean_reward(run_seeded(world, incumbent, seeds))
-    cand_rate, cand_reward = goal_rate_and_mean_reward(run_seeded(world, candidate, seeds))
+    inc_table = route_table(world, incumbent)
+    inc_outcome = rollout(world, inc_table, seeds)
+    cand_table = route_table(world, candidate)
+    cand_outcome = inc_outcome if cand_table.hazards == inc_table.hazards else rollout(world, cand_table, seeds)
+    inc_rate, inc_reward = goal_rate_and_mean_reward(*inc_outcome)
+    cand_rate, cand_reward = goal_rate_and_mean_reward(*cand_outcome)
     return EvalResult(
         incumbent_rate=inc_rate,
         candidate_rate=cand_rate,
@@ -334,7 +342,7 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
     schema = world_schema(world)
     policy = initial_policy(schema)
     base_seeds = [derive_seed(config.master_seed, "baseline", i) for i in range(config.evaluation_episodes)]
-    success_rate, mean_reward = goal_rate_and_mean_reward(run_seeded(world, policy, base_seeds))
+    success_rate, mean_reward = goal_rate_and_mean_reward(*rollout(world, route_table(world, policy), base_seeds))
     baseline = {
         "policy": policy_id(policy),
         "episodes": config.evaluation_episodes,

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from .errors import ConsistencyError, MiningError, SchemaError
-from .jsonio import ATOM, expect_field, expect_object, read_json, read_table, write_json
+from .errors import ConsistencyError, InputFormatError, MiningError, SchemaError
+from .jsonio import ATOM, expect_field, expect_object, located, read_json, read_table, write_json
 from .knowledge import (
     AttributeDef,
     Schema,
@@ -216,10 +216,13 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
     parsed: dict[tuple, tuple] = {}
     rows = []
-    for where, cells in read_table(csv_path, [a.name for a in defs]):
+    for line, cells in read_table(csv_path, [a.name for a in defs]):
         key = tuple(cells)
         row = parsed.get(key)
         if row is None:
-            row = parsed[key] = tuple(a.parse(cell, where) for a, cell in zip(defs, cells))
+            try:
+                row = parsed[key] = tuple(a.parse(cell) for a, cell in zip(defs, cells))
+            except (InputFormatError, SchemaError) as exc:
+                raise located(exc, csv_path, line) from exc
         rows.append(row)
     return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(rows), edges)

@@ -25,7 +25,7 @@ import math
 from pathlib import Path
 from typing import Any, Iterator
 
-from .errors import InputFormatError
+from .errors import InputFormatError, MetamineError
 
 # The JSON scalars: what names, attribute values, labels and actions may be.
 ATOM = (str, int, float, bool, type(None))
@@ -62,24 +62,29 @@ def read_json(path: str | Path) -> Any:
         raise InputFormatError("MalformedJson", f"{p} is not valid JSON: {exc}") from exc
 
 
-def read_table(path: str | Path, header: list[str]) -> Iterator[tuple[str, list[str]]]:
+def read_table(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
     """Stream the data rows of a UTF-8 CSV file whose first row is header,
-    each with one cell per column, as (where, row): where names the file
-    and line for error messages."""
+    each with one cell per column, as (line, row): line is the row's line
+    number, for located() to put in an error message."""
     name = str(path)
+    width = len(header)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             first = next(reader, None)
             if first != header:
                 raise InputFormatError("BadHeader", f"{name}: expected columns {header}, got {first or 'nothing'}")
-            for line_no, row in enumerate(reader, start=2):
-                where = f"{name} line {line_no}"
-                if len(row) != len(header):
-                    raise InputFormatError("BadRow", f"{where}: expected {len(header)} cells, got {len(row)}")
-                yield where, row
+            for line, row in enumerate(reader, start=2):
+                if len(row) != width:
+                    raise InputFormatError("BadRow", f"{name} line {line}: expected {width} cells, got {len(row)}")
+                yield line, row
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputFormatError("UnreadableFile", f"cannot read {name}: {exc}") from exc
+
+
+def located(exc: MetamineError, path: str | Path, line: int) -> MetamineError:
+    """exc again, its message led by the file and line of the row it is about."""
+    return type(exc)(exc.code, f"{path} line {line}: {exc.message}")
 
 
 def content_id(obj: Any) -> str:

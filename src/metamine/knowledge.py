@@ -100,29 +100,30 @@ class AttributeDef:
             return isinstance(value, bool)
         return is_number(value) and self.domain[0] <= value <= self.domain[1]
 
-    def parse(self, text: str, where: str) -> Any:
+    def parse(self, text: str) -> Any:
         """The typed value a CSV cell written by format_value holds.
 
         Text that is not a value of this kind (not true/false, not a
         finite number) is an InputFormatError; a value outside the domain
-        is a SchemaError.
+        is a SchemaError. The reader of the file adds where the cell is
+        (jsonio.located).
         """
         if self.kind == "categorical":
             if text in self.domain:
                 return text
-            raise SchemaError("OutOfDomainValue", f"{where}: {self.name} {text!r} is not in the schema domain")
+            raise SchemaError("OutOfDomainValue", f"{self.name} {text!r} is not in the schema domain")
         if self.kind == "boolean":
             if text in ("true", "false"):
                 return text == "true"
-            raise InputFormatError("BadRow", f"{where}: {self.name} must be true/false, got {text!r}")
+            raise InputFormatError("BadRow", f"{self.name} must be true/false, got {text!r}")
         try:
             value = float(text)
         except ValueError:
-            raise InputFormatError("BadRow", f"{where}: {self.name} must be numeric, got {text!r}") from None
+            raise InputFormatError("BadRow", f"{self.name} must be numeric, got {text!r}") from None
         if not math.isfinite(value):
-            raise InputFormatError("BadRow", f"{where}: {self.name} must be finite, got {text!r}")
+            raise InputFormatError("BadRow", f"{self.name} must be finite, got {text!r}")
         if not self.domain[0] <= value <= self.domain[1]:
-            raise SchemaError("OutOfDomainValue", f"{where}: {self.name} {text} is outside {self.domain}")
+            raise SchemaError("OutOfDomainValue", f"{self.name} {text} is outside {self.domain}")
         return value
 
 

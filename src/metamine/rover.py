@@ -7,7 +7,10 @@ trivial to simulate while leaving one real regularity for the mining side
 to discover: which strategy survives which terrain.
 
 Since every move is greedy and a slip only repeats a cell, each episode
-walks a prefix of one fixed route, `greedy_route(world)`.
+walks a prefix of one fixed route, `greedy_route(world)`, and a policy
+compiles into a `RouteTable` of what it does at each route step. Traced
+runs (`run_seeded`) keep a decision record per step; evaluation
+(`rollout`) keeps only the goal count and each episode's reward sum.
 
 Determinism: a step consumes exactly one uniform draw from the supplied
 generator, taken before the move is resolved. Episode-level exploration
@@ -26,7 +29,7 @@ from random import Random
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ConsistencyError, InputFormatError, SchemaError
-from .jsonio import expect_field, expect_object, expect_pairs, read_json, read_table, write_json
+from .jsonio import expect_field, expect_object, expect_pairs, located, read_json, read_table, write_json
 from .knowledge import AttributeDef, Schema, define_schema, format_value, is_int, is_number
 from .seeds import derive_seed
 
@@ -171,48 +174,120 @@ def greedy_route(world: GridWorld) -> list[Coord]:
     return route
 
 
+@dataclass(frozen=True)
+class RouteTable:
+    """A policy compiled against one world.
+
+    The rover only ever observes the cells of greedy_route(world), so what
+    a policy does there is fixed before any episode runs. Entry i is the
+    move from route[i] to route[i + 1]: the terrain ahead, the policy's
+    action, and that action's slip hazard, None when the action is not a
+    world strategy. Such an entry is an error only when an episode reaches
+    it and takes the policy's action there.
+    """
+
+    route: tuple[Coord, ...]
+    terrains: tuple[str, ...]
+    actions: tuple[Any, ...]
+    hazards: tuple[float | None, ...]
+
+
+def route_table(world: GridWorld, policy: DecisionMaker) -> RouteTable:
+    """Ask the policy once per route cell; policy.decide must depend on the
+    observation alone."""
+    route = tuple(greedy_route(world))
+    terrains = tuple(world.terrain_at(*cell) for cell in route[1:])
+    actions = tuple(policy.decide({TERRAIN_ATTR: t}) for t in terrains)
+    hazards = tuple(world.hazard[(t, a)] if a in world.strategies else None for t, a in zip(terrains, actions))
+    return RouteTable(route, terrains, actions, hazards)
+
+
+def _step_rewards(rewards: Rewards) -> tuple[float, float, float]:
+    """The reward of a step that slips, of one that advances, and of the
+    one that enters the goal."""
+    move = -rewards.step_cost
+    return -(rewards.step_cost + rewards.failure_penalty), move, move + rewards.goal_reward
+
+
+def _unknown_strategy(strategy: Any) -> ConsistencyError:
+    return ConsistencyError("UnknownStrategy", f"policy chose {strategy!r}, not a world strategy")
+
+
 def run_episode(world: GridWorld, policy: DecisionMaker, seed: int, explore: float = 0.0) -> EpisodeTrace:
     """One episode from start until the goal or the step budget runs out.
 
     Each step observes the terrain of the next route cell and draws once:
     below the hazard the rover slips and stays, otherwise it advances one
     cell. With explore > 0, each step first draws once more; below the
-    threshold the strategy is drawn uniformly instead of asking the policy.
-    Exploration belongs to training runs only; evaluation uses the default
-    0.0.
+    threshold the strategy is drawn uniformly instead of taking the
+    policy's. Exploration belongs to training runs only; evaluation uses
+    the default 0.0.
     """
-    if not 0.0 <= explore <= 1.0:
-        raise ConsistencyError("BadExploration", f"explore must be in [0, 1], got {explore!r}")
-    rng = Random(seed)
-    route = greedy_route(world)
-    last = len(route) - 1
-    rewards = world.rewards
-    at = 0
-    records: list[DecisionRecord] = []
-    while at < last and len(records) < world.max_steps:
-        terrain = world.terrain_at(*route[at + 1])
-        observed = {TERRAIN_ATTR: terrain}
-        if explore > 0.0 and rng.random() < explore:
-            strategy = rng.choice(world.strategies)
-        else:
-            strategy = policy.decide(observed)
-        if strategy not in world.strategies:
-            raise ConsistencyError("UnknownStrategy", f"policy chose {strategy!r}, not a world strategy")
-        here = route[at]
-        if rng.random() < world.hazard[(terrain, strategy)]:
-            outcome, reward = OUTCOME_FAILURE, -(rewards.step_cost + rewards.failure_penalty)
-        else:
-            at += 1
-            outcome, reward = OUTCOME_SUCCESS, -rewards.step_cost
-            if at == last:
-                reward += rewards.goal_reward
-        records.append(DecisionRecord(here, observed, strategy, outcome, reward))
-    return EpisodeTrace(tuple(records), at == last)
+    return run_seeded(world, policy, [seed], explore)[0]
 
 
 def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0) -> list[EpisodeTrace]:
-    """One episode per seed, in seed order."""
-    return [run_episode(world, policy, s, explore) for s in seeds]
+    """One run_episode per seed, in seed order, sharing one route table."""
+    if not 0.0 <= explore <= 1.0:
+        raise ConsistencyError("BadExploration", f"explore must be in [0, 1], got {explore!r}")
+    table = route_table(world, policy)
+    route, terrains, actions, hazards = table.route, table.terrains, table.actions, table.hazards
+    last = len(terrains)
+    slip, move, arrive = _step_rewards(world.rewards)
+    traces = []
+    for seed in seeds:
+        rng = Random(seed)
+        at = 0
+        records: list[DecisionRecord] = []
+        while at < last and len(records) < world.max_steps:
+            terrain = terrains[at]
+            if explore > 0.0 and rng.random() < explore:
+                strategy = rng.choice(world.strategies)
+                hazard = world.hazard[(terrain, strategy)]
+            else:
+                strategy, hazard = actions[at], hazards[at]
+                if hazard is None:
+                    raise _unknown_strategy(strategy)
+            here = route[at]
+            if rng.random() < hazard:
+                outcome, reward = OUTCOME_FAILURE, slip
+            else:
+                at += 1
+                outcome, reward = OUTCOME_SUCCESS, arrive if at == last else move
+            records.append(DecisionRecord(here, {TERRAIN_ATTR: terrain}, strategy, outcome, reward))
+        traces.append(EpisodeTrace(tuple(records), at == last))
+    return traces
+
+
+def rollout(world: GridWorld, table: RouteTable, seeds: Iterable[int]) -> tuple[int, list[float]]:
+    """The goal count and the per-episode reward sums of the episodes that
+    run_seeded traces for these seeds without exploration, keeping no
+    records. Each sum is sum() over the step rewards in step order, as over
+    a trace's records, so the floats are the same."""
+    hazards = table.hazards
+    last = len(hazards)
+    bad = hazards.index(None) if None in hazards else last
+    slip, move, arrive = _step_rewards(world.rewards)
+    max_steps = world.max_steps
+    goals = 0
+    sums: list[float] = []
+    for seed in seeds:
+        draw = Random(seed).random
+        at = 0
+        steps: list[float] = []
+        while at < bad and len(steps) < max_steps:
+            if draw() < hazards[at]:
+                steps.append(slip)
+            else:
+                at += 1
+                steps.append(move)
+        if at == last:
+            steps[-1] = arrive
+            goals += 1
+        elif at == bad and len(steps) < max_steps:
+            raise _unknown_strategy(table.actions[bad])
+        sums.append(sum(steps))
+    return goals, sums
 
 
 def run_episodes(world: GridWorld, policy: DecisionMaker, count: int, master_seed: int,
@@ -330,20 +405,23 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     base = 4 + len(world_defs)
     grouped: dict[int, list[DecisionRecord]] = {}
     goal_flags: dict[int, bool] = {}
-    for where, row in read_table(path, _trace_header(schema)):
+    for line, row in read_table(path, _trace_header(schema)):
         try:
             episode, epoch, cell = int(row[0]), int(row[1]), (int(row[2]), int(row[3]))
         except ValueError as exc:
-            raise InputFormatError("BadRow", f"{where}: {exc}") from exc
-        observed = {a.name: a.parse(row[4 + k], where) for k, a in enumerate(world_defs)}
-        rec = DecisionRecord(cell, observed, strategy_def.parse(row[base], where),
-                             outcome_def.parse(row[base + 1], where), REWARD_DEF.parse(row[base + 2], where))
-        reached = REACHED_DEF.parse(row[base + 3], where)
-        if goal_flags.setdefault(episode, reached) != reached:
-            raise InputFormatError("BadTrace", f"{where}: reached_goal changes within episode {episode}")
-        records = grouped.setdefault(episode, [])
-        if epoch != len(records):
-            raise InputFormatError("BadTrace", f"{where}: episode {episode} has epoch {epoch} where "
-                                               f"{len(records)} comes next")
+            raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
+        try:
+            observed = {a.name: a.parse(row[4 + k]) for k, a in enumerate(world_defs)}
+            rec = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
+                                 outcome_def.parse(row[base + 1]), REWARD_DEF.parse(row[base + 2]))
+            reached = REACHED_DEF.parse(row[base + 3])
+            if goal_flags.setdefault(episode, reached) != reached:
+                raise InputFormatError("BadTrace", f"reached_goal changes within episode {episode}")
+            records = grouped.setdefault(episode, [])
+            if epoch != len(records):
+                raise InputFormatError("BadTrace", f"episode {episode} has epoch {epoch} where "
+                                                   f"{len(records)} comes next")
+        except (InputFormatError, SchemaError) as exc:
+            raise located(exc, path, line) from exc
         records.append(rec)
     return [EpisodeTrace(tuple(grouped[e]), goal_flags[e]) for e in sorted(grouped)]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 from metamine.cycle import AcceptanceGates, CycleConfig
 from metamine.introspection import Dataset
 from metamine.knowledge import AttributeDef
@@ -74,6 +76,22 @@ def striped_world():
     }
     return GridWorld(8, 8, terrains, cells, (0, 0), (7, 7), ("FAST", "CAREFUL"),
                      hazard, Rewards(1.0, 2.0, 10.0), max_steps=30)
+
+
+def _stripes(width, height, terrains=("sand", "rock", "ice")):
+    return tuple(tuple(terrains[(x + y) % 3] for x in range(width)) for y in range(height))
+
+
+def wide_world():
+    """striped_world at 32x32, with room for 128 steps."""
+    return dataclasses.replace(striped_world(), width=32, height=32, cells=_stripes(32, 32), goal=(31, 31),
+                               max_steps=128)
+
+
+def up_left_world():
+    """A non-square striped world whose goal lies up and to the left of its
+    start, so the route takes negative moves."""
+    return dataclasses.replace(striped_world(), width=7, height=5, cells=_stripes(7, 5), start=(6, 4), goal=(1, 0))
 
 
 def loop_config(master_seed, **overrides):

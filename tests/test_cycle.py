@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
+import metamine.cycle
 from helpers import fixed_policy, loop_config, striped_world, terrain_policy, tiny_world, uniform_hazard_world
 from metamine.cycle import (
     PHASES,
@@ -77,6 +78,23 @@ class TestEvaluateCandidate:
         world = striped_world()
         policy = fixed_policy("FAST")
         result = evaluate_candidate(world, policy, policy, 60, seed=4)
+        assert result.delta == 0.0
+        assert result.incumbent_rate == result.candidate_rate
+        assert result.incumbent_mean_reward == result.candidate_mean_reward
+
+    @pytest.mark.parametrize("world, incumbent, candidate", [
+        # two rule lists that decide alike on every terrain
+        (striped_world(), terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL"}, "FAST"),
+         terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL", "rock": "FAST"}, "CAREFUL")),
+        # different actions that share every hazard
+        (uniform_hazard_world(0.3), fixed_policy("FAST"), fixed_policy("CAREFUL")),
+    ])
+    def test_equal_route_tables_share_one_rollout(self, monkeypatch, world, incumbent, candidate):
+        calls = []
+        real = metamine.cycle.rollout
+        monkeypatch.setattr(metamine.cycle, "rollout", lambda *args: calls.append(args) or real(*args))
+        result = evaluate_candidate(world, incumbent, candidate, 60, seed=4)
+        assert len(calls) == 1
         assert result.delta == 0.0
         assert result.incumbent_rate == result.candidate_rate
         assert result.incumbent_mean_reward == result.candidate_mean_reward

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import loop_config, striped_world, terrain_policy
+from helpers import loop_config, striped_world, terrain_policy, up_left_world, wide_world
 from metamine.cli import EXIT_OK, main
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef, define_schema, save_schema
@@ -74,16 +74,7 @@ NUMERIC_COLLECT_DIGESTS = {
 def simulate_worlds() -> dict:
     """A 32x32 striped world with room for 128 steps, and a non-square world
     whose goal lies up and to the left of its start (negative moves)."""
-    base = striped_world()
-    terrains = base.terrains
-
-    def stripes(width, height):
-        return tuple(tuple(terrains[(x + y) % 3] for x in range(width)) for y in range(height))
-
-    return {
-        "wide": dataclasses.replace(base, width=32, height=32, cells=stripes(32, 32), goal=(31, 31), max_steps=128),
-        "up-left": dataclasses.replace(base, width=7, height=5, cells=stripes(7, 5), start=(6, 4), goal=(1, 0)),
-    }
+    return {"wide": wide_world(), "up-left": up_left_world()}
 
 
 def run(*argv):

@@ -5,13 +5,23 @@ import dataclasses
 from random import Random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fixed_policy, striped_world, terrain_policy, tiny_world, uniform_hazard_world
-from metamine.cycle import goal_rate_and_mean_reward
+from helpers import (
+    fixed_policy,
+    loop_config,
+    striped_world,
+    terrain_policy,
+    tiny_world,
+    uniform_hazard_world,
+    up_left_world,
+    wide_world,
+)
+from metamine.cycle import evaluate_candidate, run_experiment
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
+from metamine.policy import Policy, Rule, RuleSet, initial_policy
 from metamine.rover import (
     OUTCOME_FAILURE,
     OUTCOME_SUCCESS,
@@ -21,6 +31,8 @@ from metamine.rover import (
     greedy_target,
     load_traces,
     load_world,
+    rollout,
+    route_table,
     run_episode,
     run_episodes,
     run_seeded,
@@ -192,13 +204,13 @@ class TestRunEpisode:
         trace = run_episode(world, fixed_policy("FAST"), seed=1)
         assert trace.reached_goal and len(trace.records) == 2
         assert [r.cell for r in trace.records] == [(0, 0), (1, 0)]
-        assert goal_rate_and_mean_reward([trace]) == (1.0, -1.0 + 9.0)
+        assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (1, [-1.0 + 9.0])
 
     def test_adjacent_start_yields_single_record(self):
         world = uniform_hazard_world(0.0, start=(1, 0))
         trace = run_episode(world, fixed_policy("FAST"), seed=1)
         assert trace.reached_goal and len(trace.records) == 1
-        assert goal_rate_and_mean_reward([trace]) == (1.0, 9.0)
+        assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (1, [9.0])
 
     def test_certain_hazard_exhausts_step_budget(self):
         world = uniform_hazard_world(1.0)
@@ -206,7 +218,7 @@ class TestRunEpisode:
         assert not trace.reached_goal
         assert len(trace.records) == world.max_steps
         assert all(r.outcome == OUTCOME_FAILURE for r in trace.records)
-        assert goal_rate_and_mean_reward([trace]) == (0.0, -world.max_steps * 3.0)
+        assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (0, [-world.max_steps * 3.0])
 
     def test_same_seed_same_trace(self):
         world = striped_world()
@@ -252,7 +264,7 @@ class TestRunEpisode:
         expected = (-len(trace.records) * world.rewards.step_cost
                     - failures * world.rewards.failure_penalty
                     + (world.rewards.goal_reward if trace.reached_goal else 0.0))
-        assert goal_rate_and_mean_reward([trace])[1] == pytest.approx(expected)
+        assert rollout(world, route_table(world, fixed_policy("FAST")), [seed])[1] == [pytest.approx(expected)]
 
     def test_policy_returning_unknown_strategy_is_an_error(self):
         with pytest.raises(ConsistencyError) as err:
@@ -297,6 +309,95 @@ class TestRunners:
         fast = sum(t.reached_goal for t in run_episodes(world, fixed_policy("FAST"), n, 1)) / n
         careful = sum(t.reached_goal for t in run_episodes(world, fixed_policy("CAREFUL"), n, 1)) / n
         assert careful > fast + 0.2
+
+
+WORLDS = {"tiny": tiny_world, "striped": striped_world, "wide": wide_world, "up-left": up_left_world}
+
+
+@pytest.fixture(scope="module")
+def policies_built_in_tests():
+    """The hand-built policies the tests run, the initial policy, and the
+    final policies of a 3-cycle loop in both integration modes."""
+    schema = world_schema(striped_world())
+    built = [fixed_policy("FAST"), fixed_policy("CAREFUL"), fixed_policy("WALK"), initial_policy(schema),
+             terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL"}, "FAST"),
+             terrain_policy({"sand": "CAREFUL", "rock": "FAST"}, "FAST"),
+             terrain_policy({"dune": "CAREFUL"}, "WALK"), terrain_policy({"dune": "WALK"}, "FAST")]
+    mined = [run_experiment(striped_world(), loop_config(1, integration_mode=mode), 3).final_policy
+             for mode in ("override", "append")]
+    return built + mined
+
+
+def check_table(world, policy):
+    """Each table entry is what the rover observes on that route cell,
+    Policy.decide on that observation, and the world's hazard for it."""
+    table = route_table(world, policy)
+    route = greedy_route(world)
+    assert table.route == tuple(route)
+    assert len(table.terrains) == len(table.actions) == len(table.hazards) == len(route) - 1
+    for i, cell in enumerate(route[1:]):
+        terrain = world.terrain_at(*cell)
+        action = policy.decide({"terrain": terrain})
+        assert (table.terrains[i], table.actions[i]) == (terrain, action)
+        assert table.hazards[i] == (world.hazard[(terrain, action)] if action in world.strategies else None)
+
+
+ACTIONS = st.sampled_from(["FAST", "CAREFUL", "WALK"])
+RULES = st.lists(st.builds(
+    lambda conditions, action, confidence: Rule(tuple(conditions.items()), action, confidence, "manual"),
+    st.dictionaries(st.sampled_from(["terrain", "slope"]), st.sampled_from(["sand", "rock", "ice", "flat", "dune"])),
+    ACTIONS, st.floats(min_value=0.01, max_value=1.0)), max_size=6)
+
+
+class TestRouteTable:
+    def test_every_policy_built_in_tests_matches_decide(self, policies_built_in_tests):
+        for make_world in WORLDS.values():
+            for policy in policies_built_in_tests:
+                check_table(make_world(), policy)
+
+    @settings(max_examples=250, deadline=None)
+    @given(RULES, ACTIONS, st.sampled_from(sorted(WORLDS)))
+    def test_random_rule_lists_match_decide(self, rules, default, world):
+        check_table(WORLDS[world](), Policy(RuleSet.canonical(rules, "strategy"), default))
+
+
+class TestRollout:
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    @pytest.mark.parametrize("rewards", [None, Rewards(0.1, 0.7, 3.3)])
+    def test_matches_the_traced_episodes(self, world, rewards):
+        """Goal count and per-episode reward sums equal run_seeded's traces
+        at explore 0, float for float, also for rewards 0.1 cannot add up
+        exactly."""
+        world = WORLDS[world]()
+        if rewards is not None:
+            world = dataclasses.replace(world, rewards=rewards)
+        seeds = list(range(500))
+        for policy in (fixed_policy("FAST"), fixed_policy("CAREFUL"),
+                       terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL", "dune": "CAREFUL"}, "FAST")):
+            traces = run_seeded(world, policy, seeds)
+            expected = (sum(t.reached_goal for t in traces), [sum(r.reward for r in t.records) for t in traces])
+            assert rollout(world, route_table(world, policy), seeds) == expected
+
+    @pytest.mark.parametrize("max_steps, reaches_bad_cell", [(4, False), (5, True)])
+    def test_unknown_strategy_fails_only_where_an_episode_takes_it(self, max_steps, reaches_bad_cell):
+        """A safe corridor of four flat cells, then the dune goal, where the
+        policy says WALK: four steps end just before it, the fifth takes it."""
+        world = uniform_hazard_world(0.0, width=6, height=1, cells=(("flat",) * 5 + ("dune",),), start=(0, 0),
+                                     goal=(5, 0), max_steps=max_steps)
+        bad = terrain_policy({"dune": "WALK"}, "FAST")
+        seeds = list(range(5))
+        assert run_seeded(world, fixed_policy("WALK"), seeds, explore=1.0)  # explored steps never ask the policy
+        runs = [lambda: run_seeded(world, bad, seeds),
+                lambda: evaluate_candidate(world, fixed_policy("FAST"), bad, 5, seed=1)]
+        for run in runs:
+            if reaches_bad_cell:
+                with pytest.raises(ConsistencyError) as err:
+                    run()
+                assert err.value.code == "UnknownStrategy"
+            else:
+                run()
+        if not reaches_bad_cell:
+            assert not any(t.reached_goal for t in run_seeded(world, bad, seeds))
 
 
 class TestWorldSchema:
@@ -369,6 +470,7 @@ class TestTraceFiles:
         ("reached_goal", "yes", InputFormatError),
         ("reached_goal", "flipped", InputFormatError),
         ("epoch", "5", InputFormatError),
+        ("x", "1.5", InputFormatError),
     ])
     def test_malformed_rows_are_rejected(self, tmp_path, column, text, error):
         world = striped_world()
@@ -381,5 +483,6 @@ class TestTraceFiles:
         cells[i] = {"true": "false", "false": "true"}[cells[i]] if text == "flipped" else text
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(error):
+        with pytest.raises(error) as err:
             load_traces(path, schema)
+        assert err.value.message.startswith(f"{path} line 3: ")
