@@ -28,7 +28,7 @@ from .knowledge import (
     format_value,
     is_int,
 )
-from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, EpisodeTrace
+from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, DecisionRecord, EpisodeTrace
 
 LABEL_RULES = ("outcome-as-class", "strategy-as-class")
 
@@ -143,7 +143,8 @@ def featurise(traces: Iterable[EpisodeTrace], provider: MetadataProvider, schema
     intervals over the observed [min, max]; a constant column maps
     everything to bin_0. Rows keep their input order and their
     duplicates; equal rows share one tuple, since a dataset repeats a few
-    patterns many times.
+    patterns many times, and a record object the traces share is projected
+    once.
     """
     provider.validate_against(schema)
     if not is_int(bins) or bins < 1:
@@ -156,17 +157,22 @@ def featurise(traces: Iterable[EpisodeTrace], provider: MetadataProvider, schema
     class_attr = schema.class_attribute
     keep_failures = provider.label_rule == "outcome-as-class"
     shared: dict[tuple, tuple] = {}
+    # id(rec) -> (rec, its row); holding rec keeps its id unique
+    projected: dict[int, tuple[DecisionRecord, tuple]] = {}
     rows = []
     for trace in traces:
         for rec in trace.records:
             if keep_failures or rec.outcome == OUTCOME_SUCCESS:
-                try:
-                    key = tuple(rec.outcome if n == OUTCOME_ATTR else rec.strategy if n == class_attr
-                                else rec.observed[n] for n in column_names)
-                except KeyError as exc:
-                    raise ConsistencyError("MissingObservation",
-                                           f"trace records carry no value for {exc.args[0]!r}") from None
-                rows.append(shared.setdefault(key, key))
+                known = projected.get(id(rec))
+                if known is None:
+                    try:
+                        key = tuple(rec.outcome if n == OUTCOME_ATTR else rec.strategy if n == class_attr
+                                    else rec.observed[n] for n in column_names)
+                    except KeyError as exc:
+                        raise ConsistencyError("MissingObservation",
+                                               f"trace records carry no value for {exc.args[0]!r}") from None
+                    known = projected[id(rec)] = (rec, shared.setdefault(key, key))
+                rows.append(known[1])
     if not rows:
         raise MiningError("EmptyDataset", "the traces hold no decisions to learn from")
 

@@ -9,8 +9,9 @@ to discover: which strategy survives which terrain.
 Since every move is greedy and a slip only repeats a cell, each episode
 walks a prefix of one fixed route, `greedy_route(world)`, and a policy
 compiles into a `RouteTable` of what it does at each route step. Traced
-runs (`run_seeded`) keep a decision record per step; evaluation
-(`rollout`) keeps only the goal count and each episode's reward sum.
+runs (`run_seeded`) keep a decision record per step, one shared object per
+distinct step; evaluation (`rollout`) keeps only the goal count and each
+episode's reward sum.
 
 Determinism: a step consumes exactly one uniform draw from the supplied
 generator, taken before the move is resolved. Episode-level exploration
@@ -135,6 +136,9 @@ class DecisionRecord:
     cell is where the rover stood, observed holds the features it saw when
     choosing (the terrain of the cell it was about to enter), outcome says
     whether the move succeeded, and reward is the step's score.
+
+    Records are values: run_seeded and load_traces hand out one object for
+    all equal steps, so traces share it and observed is read-only.
     """
 
     cell: Coord
@@ -234,13 +238,15 @@ def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], ex
     route, terrains, actions, hazards = table.route, table.terrains, table.actions, table.hazards
     last = len(terrains)
     slip, move, arrive = _step_rewards(world.rewards)
+    # the route step, strategy and outcome fix the whole record
+    shared: dict[tuple[int, Any, str], DecisionRecord] = {}
     traces = []
     for seed in seeds:
         rng = Random(seed)
         at = 0
         records: list[DecisionRecord] = []
         while at < last and len(records) < world.max_steps:
-            terrain = terrains[at]
+            step, terrain = at, terrains[at]
             if explore > 0.0 and rng.random() < explore:
                 strategy = rng.choice(world.strategies)
                 hazard = world.hazard[(terrain, strategy)]
@@ -248,13 +254,16 @@ def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], ex
                 strategy, hazard = actions[at], hazards[at]
                 if hazard is None:
                     raise _unknown_strategy(strategy)
-            here = route[at]
             if rng.random() < hazard:
                 outcome, reward = OUTCOME_FAILURE, slip
             else:
                 at += 1
                 outcome, reward = OUTCOME_SUCCESS, arrive if at == last else move
-            records.append(DecisionRecord(here, {TERRAIN_ATTR: terrain}, strategy, outcome, reward))
+            rec = shared.get((step, strategy, outcome))
+            if rec is None:
+                rec = shared[step, strategy, outcome] = DecisionRecord(
+                    route[step], {TERRAIN_ATTR: terrain}, strategy, outcome, reward)
+            records.append(rec)
         traces.append(EpisodeTrace(tuple(records), at == last))
     return traces
 
@@ -385,35 +394,47 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_trace_header(schema))
+        # id(rec) -> (rec, its cells from x to reward); holding rec keeps its id unique
+        cells: dict[int, tuple[DecisionRecord, list]] = {}
         for i, trace in enumerate(traces):
             reached = format_value(trace.reached_goal)
             for epoch, rec in enumerate(trace.records):
-                row = [i, epoch, rec.cell[0], rec.cell[1]]
-                row += [format_value(rec.observed.get(name)) for name in world_attrs]
-                row += [rec.strategy, rec.outcome, repr(rec.reward), reached]
-                writer.writerow(row)
+                known = cells.get(id(rec))
+                if known is None:
+                    known = cells[id(rec)] = (rec, [
+                        rec.cell[0], rec.cell[1], *(format_value(rec.observed.get(name)) for name in world_attrs),
+                        rec.strategy, rec.outcome, repr(rec.reward)])
+                writer.writerow([i, epoch, *known[1], reached])
 
 
 def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     """Read a trace CSV back into episodes, checking every cell: world
     attributes, strategy and outcome lie in their schema domains, rewards
     are finite, reached_goal is true/false and the same on every row of an
-    episode, and each episode's epochs run 0..n-1."""
+    episode, and each episode's epochs run 0..n-1. Rows whose cells from
+    x to reward read the same share one record."""
     world_defs = schema.scoped("world")
     strategy_def = schema.class_def
     outcome_def = schema.attribute(OUTCOME_ATTR) if OUTCOME_ATTR in schema else OUTCOME_DEF
     base = 4 + len(world_defs)
     grouped: dict[int, list[DecisionRecord]] = {}
     goal_flags: dict[int, bool] = {}
+    # the cell texts from x to reward -> their record; equal text parses to an equal value
+    shared: dict[tuple[str, ...], DecisionRecord] = {}
     for line, row in read_table(path, _trace_header(schema)):
+        key = tuple(row[2:base + 3])
+        rec = shared.get(key)
         try:
-            episode, epoch, cell = int(row[0]), int(row[1]), (int(row[2]), int(row[3]))
+            episode, epoch = int(row[0]), int(row[1])
+            if rec is None:
+                cell = (int(row[2]), int(row[3]))
         except ValueError as exc:
             raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
         try:
-            observed = {a.name: a.parse(row[4 + k]) for k, a in enumerate(world_defs)}
-            rec = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
-                                 outcome_def.parse(row[base + 1]), REWARD_DEF.parse(row[base + 2]))
+            if rec is None:
+                observed = {a.name: a.parse(row[4 + k]) for k, a in enumerate(world_defs)}
+                rec = shared[key] = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
+                                                   outcome_def.parse(row[base + 1]), REWARD_DEF.parse(row[base + 2]))
             reached = REACHED_DEF.parse(row[base + 3])
             if goal_flags.setdefault(episode, reached) != reached:
                 raise InputFormatError("BadTrace", f"reached_goal changes within episode {episode}")

@@ -328,3 +328,31 @@ class TestDatasetFiles:
         with pytest.raises(InputFormatError) as err:
             load_dataset(path)
         assert err.value.code == "BadHeader"
+
+
+class TestSharedRecordProjection:
+    def test_short_lived_traces_from_a_generator_give_the_list_dataset(self):
+        """Records that die with their trace may leave their memory to the
+        next trace's records; featurise must still project each one."""
+        terrains, strategies = ("sand", "rock", "ice"), ("FAST", "CAREFUL")
+
+        def traces():
+            for i in range(300):
+                yield EpisodeTrace(tuple(
+                    DecisionRecord((k, 0), {"terrain": terrains[(i + k) % 3]}, strategies[(i // 3 + k) % 2],
+                                   OUTCOMES[(i // 6 + k) % 2], -1.0) for k in range(4)), True)
+
+        schema = world_schema(striped_world())
+        for rule in ("outcome-as-class", "strategy-as-class"):
+            provider = MetadataProvider(SELECTED, rule)
+            assert featurise(traces(), provider, schema, 4) == featurise(list(traces()), provider, schema, 4)
+
+    def test_shared_and_fresh_records_give_one_dataset(self):
+        world = striped_world()
+        schema = world_schema(world)
+        traces = run_episodes(world, fixed_policy("FAST"), 100, master_seed=2, explore=0.5)
+        fresh = [EpisodeTrace(tuple(DecisionRecord(r.cell, dict(r.observed), r.strategy, r.outcome, r.reward)
+                                    for r in t.records), t.reached_goal) for t in traces]
+        for rule in ("outcome-as-class", "strategy-as-class"):
+            provider = MetadataProvider(SELECTED, rule)
+            assert featurise(traces, provider, schema, 4) == featurise(fresh, provider, schema, 4)

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import math
 from random import Random
 
 import pytest
@@ -25,6 +26,8 @@ from metamine.policy import Policy, Rule, RuleSet, initial_policy
 from metamine.rover import (
     OUTCOME_FAILURE,
     OUTCOME_SUCCESS,
+    DecisionRecord,
+    EpisodeTrace,
     GridWorld,
     Rewards,
     greedy_route,
@@ -486,3 +489,159 @@ class TestTraceFiles:
         with pytest.raises(error) as err:
             load_traces(path, schema)
         assert err.value.message.startswith(f"{path} line 3: ")
+
+
+def reference_episode(world, policy, seed, explore):
+    """run_episode as a plain step loop that asks the policy at every step
+    and builds a fresh record for each one."""
+    rng, route, at, records = Random(seed), greedy_route(world), 0, []
+    last = len(route) - 1
+    r = world.rewards
+    while at < last and len(records) < world.max_steps:
+        terrain = world.terrain_at(*route[at + 1])
+        if explore > 0.0 and rng.random() < explore:
+            strategy = rng.choice(world.strategies)
+        else:
+            strategy = policy.decide({"terrain": terrain})
+        here = route[at]
+        if rng.random() < world.hazard[(terrain, strategy)]:
+            outcome, reward = OUTCOME_FAILURE, -(r.step_cost + r.failure_penalty)
+        else:
+            at += 1
+            outcome, reward = OUTCOME_SUCCESS, -r.step_cost + r.goal_reward if at == last else -r.step_cost
+        records.append(DecisionRecord(here, {"terrain": terrain}, strategy, outcome, reward))
+    return EpisodeTrace(tuple(records), at == last)
+
+
+def reference_read(path, schema):
+    """load_traces without sharing: every row parsed into its own record."""
+    world_defs = schema.scoped("world")
+    episodes = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            rec = DecisionRecord((int(row["x"]), int(row["y"])), {a.name: a.parse(row[a.name]) for a in world_defs},
+                                 row["strategy"], row["outcome"], float(row["reward"]))
+            episodes.setdefault(int(row["episode"]), ([], row["reached_goal"] == "true"))[0].append(rec)
+    return [EpisodeTrace(tuple(recs), reached) for _, (recs, reached) in sorted(episodes.items())]
+
+
+def assert_equal_records_are_one_object(traces):
+    first = {}
+    for trace in traces:
+        for rec in trace.records:
+            key = (rec.cell, tuple(sorted(rec.observed.items())), rec.strategy, rec.outcome, rec.reward)
+            assert first.setdefault(key, rec) is rec
+
+
+class TestSharedRecords:
+    POLICIES = (fixed_policy("FAST"), fixed_policy("CAREFUL"), terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL",
+                                                                                "dune": "CAREFUL"}, "FAST"))
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    @pytest.mark.parametrize("explore", [0.0, 0.3, 1.0])
+    def test_run_seeded_equals_a_fresh_record_per_step(self, world, explore):
+        world = WORLDS[world]()
+        seeds = list(range(60))
+        for policy in self.POLICIES:
+            traces = run_seeded(world, policy, seeds, explore)
+            assert traces == [reference_episode(world, policy, s, explore) for s in seeds]
+            assert_equal_records_are_one_object(traces)
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    @pytest.mark.parametrize("explore", [0.0, 0.3, 1.0])
+    def test_load_traces_equals_a_row_by_row_reader(self, tmp_path, world, explore):
+        world = WORLDS[world]()
+        schema = world_schema(world)
+        path = tmp_path / "t.csv"
+        for policy in self.POLICIES:
+            traces = run_seeded(world, policy, range(60), explore)
+            save_traces(traces, schema, path)
+            loaded = load_traces(path, schema)
+            assert loaded == reference_read(path, schema) == traces
+            assert_equal_records_are_one_object(loaded)
+
+    def test_each_spelling_of_a_value_parses_on_its_own(self, tmp_path):
+        """Rows are shared by their text, so 1 and 01, -1.0 and -1, or 0.0
+        and -0.0 each read as what their own row says."""
+        schema = world_schema(striped_world())
+        path = tmp_path / "t.csv"
+        path.write_text("episode,epoch,x,y,terrain,strategy,outcome,reward,reached_goal\n"
+                        "0,0,1,0,rock,FAST,success,-1.0,false\n"
+                        "0,1,01,0,rock,FAST,success,-1,false\n"
+                        "0,2,1,0,rock,FAST,success,-1.0,false\n"
+                        "0,3,1,0,rock,FAST,success,0.0,false\n"
+                        "0,4,1,0,rock,FAST,success,-0.0,false\n")
+        records = load_traces(path, schema)[0].records
+        assert records == reference_read(path, schema)[0].records
+        assert [(r.cell, r.reward) for r in records] == [((1, 0), -1.0)] * 3 + [((1, 0), 0.0)] * 2
+        assert all(type(r.cell[0]) is int and type(r.reward) is float for r in records)
+        assert records[0] is records[2] and records[1] is not records[0]
+        assert [math.copysign(1.0, r.reward) for r in records[3:]] == [1.0, -1.0]
+        again = tmp_path / "again.csv"
+        save_traces([EpisodeTrace(records, False)], schema, again)
+        assert again.read_text().splitlines()[1:] == [f"0,{i},1,0,rock,FAST,success,{reward},false" for i, reward
+                                                      in enumerate(["-1.0", "-1.0", "-1.0", "0.0", "-0.0"])]
+
+    def test_save_traces_writes_shared_and_fresh_records_alike(self, tmp_path):
+        """Shared records, fresh equal ones, and fresh ones a generator
+        builds and drops trace by trace write the same bytes."""
+        world = striped_world()
+        schema = world_schema(world)
+        traces = run_seeded(world, fixed_policy("FAST"), range(200), 0.5)
+
+        def fresh(trace):
+            return EpisodeTrace(tuple(DecisionRecord(r.cell, dict(r.observed), r.strategy, r.outcome, r.reward)
+                                      for r in trace.records), trace.reached_goal)
+
+        paths = [tmp_path / f"{name}.csv" for name in ("shared", "fresh", "generated")]
+        save_traces(traces, schema, paths[0])
+        save_traces([fresh(t) for t in traces], schema, paths[1])
+        save_traces((fresh(t) for t in traces), schema, paths[2])
+        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+
+
+TRACE_TEXT = ("episode,epoch,x,y,terrain,strategy,outcome,reward,reached_goal\n"
+              "0,0,0,0,rock,FAST,failure,-3.0,true\n"
+              "0,1,0,0,rock,FAST,failure,-3.0,true\n"
+              "0,2,0,0,rock,FAST,success,-1.0,true\n"
+              "1,0,0,0,rock,FAST,failure,-3.0,false\n"
+              "1,1,0,0,rock,FAST,failure,-3.0,false\n"
+              "1,2,0,0,rock,FAST,failure,-3.0,false\n")
+
+
+class TestSharedRecordErrors:
+    """Sharing skips parsing a repeated x-to-reward text, but never the
+    checks on a row's own cells, and a bad text fails where it first
+    appears."""
+
+    @pytest.mark.parametrize("line, column, text, error, message", [
+        (3, "epoch", "7", InputFormatError, "episode 0 has epoch 7 where 1 comes next"),
+        (3, "epoch", "x", InputFormatError, "invalid literal for int() with base 10: 'x'"),
+        (3, "episode", "e", InputFormatError, "invalid literal for int() with base 10: 'e'"),
+        (3, "reached_goal", "false", InputFormatError, "reached_goal changes within episode 0"),
+        (6, "reached_goal", "true", InputFormatError, "reached_goal changes within episode 1"),
+        (6, "reached_goal", "yes", InputFormatError, "reached_goal must be true/false, got 'yes'"),
+        (7, "epoch", "1", InputFormatError, "episode 1 has epoch 1 where 2 comes next"),
+    ])
+    def test_a_repeated_record_still_checks_its_row(self, tmp_path, line, column, text, error, message):
+        schema = world_schema(striped_world())
+        lines = TRACE_TEXT.splitlines()
+        cells = lines[line - 1].split(",")
+        cells[lines[0].split(",").index(column)] = text
+        lines[line - 1] = ",".join(cells)
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(error) as err:
+            load_traces(path, schema)
+        assert err.value.message == f"{path} line {line}: {message}"
+
+    def test_a_repeated_bad_text_fails_at_its_first_line(self, tmp_path):
+        schema = world_schema(striped_world())
+        lines = TRACE_TEXT.splitlines()
+        for line in (3, 7):
+            lines[line - 1] = lines[line - 1].replace("rock", "mud")
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_traces(path, schema)
+        assert err.value.message == f"{path} line 3: terrain 'mud' is not in the schema domain"
