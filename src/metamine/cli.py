@@ -23,7 +23,7 @@ from .cycle import (
     run_experiment,
 )
 from .errors import InputFormatError, MetamineError
-from .introspection import MetadataProvider, featurise, load_dataset, save_dataset
+from .introspection import LABEL_RULES, MetadataProvider, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_object, read_json, write_json
 from .knowledge import load_schema, save_schema
 from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
@@ -82,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", required=True, help="trace CSV from `simulate`")
     p.add_argument("--world", help="world definition JSON (source of the schema)")
     p.add_argument("--schema", help="schema JSON (alternative to --world)")
-    p.add_argument("--label-rule", required=True, choices=("outcome-as-class", "strategy-as-class"),
+    p.add_argument("--label-rule", required=True, choices=LABEL_RULES,
                    help="how rows are labeled")
     p.add_argument("--select", help="comma-separated attributes to keep (default: world attributes + class)")
     p.add_argument("--bins", type=int, default=4, help="equal-width bins for numeric attributes (default 4)")

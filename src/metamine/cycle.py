@@ -24,12 +24,14 @@ from .jsonio import decode, expect_field, expect_object
 from .knowledge import is_int, is_number
 from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
 from .policy import (
+    INTEGRATION_MODES,
     Policy,
     RuleSet,
     compile_policy,
     initial_policy,
     integrate_policies,
     policy_id,
+    policy_to_json,
     rules_to_ruleset,
     tree_to_rules,
 )
@@ -39,7 +41,6 @@ from .seeds import derive_seed
 PHASES = ("data_understanding", "data_preparation", "modelling", "operationalisation", "evaluation", "deployment")
 DECISIONS = ("deployed", "rejected-accuracy", "rejected-heldout", "insufficient-data")
 MODEL_KINDS = ("tree", "rules", "both")
-INTEGRATION_MODES = ("override", "append", "replace")
 
 TraceSink = Callable[[int, list[EpisodeTrace]], None]
 
@@ -118,10 +119,11 @@ class CycleReport:
     pre_policy_id: str
     post_policy_id: str
     dataset_sizes: dict
-    models: tuple[dict, ...]
-    cv_accuracy: float | None
-    heldout: EvalResult | None
-    candidate_policy_id: str | None
+    # None (or no models) where the phase that computes it never ran
+    models: tuple[dict, ...] = ()
+    cv_accuracy: float | None = None
+    heldout: EvalResult | None = None
+    candidate_policy_id: str | None = None
 
     def __post_init__(self):
         if self.decision not in DECISIONS:
@@ -192,30 +194,15 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     schema = world_schema(world)
     pre_id = policy_id(incumbent)
     phases: list[PhaseRecord] = []
+    # the optional report fields, each set where the cycle computes it
+    found: dict[str, Any] = {}
 
-    def report(decision: str, reason: str, post: Policy, post_id: str, *, sizes: dict, models: tuple[dict, ...],
-               cv: float | None, heldout: EvalResult | None, candidate_id: str | None) -> tuple[Policy, CycleReport]:
-        done = {p.phase for p in phases}
-        for name in PHASES:
-            if name not in done:
-                phases.append(PhaseRecord(name, "skipped", reason=reason))
-        return post, CycleReport(
-            index=cycle_index,
-            phases=tuple(phases),
-            decision=decision,
-            reason=reason,
-            pre_policy_id=pre_id,
-            post_policy_id=post_id,
-            dataset_sizes=sizes,
-            models=models,
-            cv_accuracy=cv,
-            heldout=heldout,
-            candidate_policy_id=candidate_id,
-        )
+    def completed(**metrics: Any) -> None:
+        phases.append(PhaseRecord(PHASES[len(phases)], "completed", metrics=metrics))
 
-    def insufficient(reason: str, sizes: dict) -> tuple[Policy, CycleReport]:
-        return report("insufficient-data", reason, incumbent, pre_id, sizes=sizes, models=(),
-                      cv=None, heldout=None, candidate_id=None)
+    def end(decision: str, reason: str, post: Policy = incumbent, post_id: str = pre_id) -> tuple[Policy, CycleReport]:
+        phases.extend(PhaseRecord(name, "skipped", reason=reason) for name in PHASES[len(phases):])
+        return post, CycleReport(cycle_index, tuple(phases), decision, reason, pre_id, post_id, **found)
 
     # data understanding: run the system and look at what came back
     train_seeds = [derive_seed(config.master_seed, "cycle", cycle_index, "train", i)
@@ -224,14 +211,13 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     if trace_sink is not None:
         trace_sink(cycle_index, traces)
     total_rows = sum(len(t.records) for t in traces)
-    goal_rate = sum(t.reached_goal for t in traces) / len(traces)
-    phases.append(PhaseRecord("data_understanding", "completed", metrics={
-        "episodes": config.training_episodes,
-        "decision_records": total_rows,
-        "goal_rate": goal_rate,
-    }))
+    # every record is a performance row; the successful ones are decision rows
+    decision_rows = sum(rec.outcome == OUTCOME_SUCCESS for t in traces for rec in t.records)
+    found["dataset_sizes"] = sizes = {"performance": total_rows, "decision": decision_rows}
+    completed(episodes=config.training_episodes, decision_records=total_rows,
+              goal_rate=sum(t.reached_goal for t in traces) / len(traces))
     if total_rows == 0:
-        return insufficient("training produced no decision records", {"performance": 0, "decision": 0})
+        return end("insufficient-data", "training produced no decision records")
 
     # data preparation: two labeled views of the same traces
     world_attrs = tuple(a.name for a in schema.scoped("world"))
@@ -239,31 +225,26 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     perf_provider = MetadataProvider(selected, "outcome-as-class")
     decision_provider = MetadataProvider(selected, "strategy-as-class")
     perf_dataset = featurise(traces, perf_provider, schema, config.bins)
-    decision_rows = perf_dataset.labels().count(OUTCOME_SUCCESS)
-    sizes = {"performance": total_rows, "decision": decision_rows}
     decision_dataset = featurise(traces, decision_provider, schema, config.bins) if decision_rows else None
-    phases.append(PhaseRecord("data_preparation", "completed", metrics=dict(sizes)))
+    completed(**sizes)
     if decision_rows == 0:
-        return insufficient("no successful decisions to learn from", sizes)
+        return end("insufficient-data", "no successful decisions to learn from")
     if len(set(perf_dataset.labels())) < 2:
-        return insufficient("every step had the same outcome; nothing to classify", sizes)
+        return end("insufficient-data", "every step had the same outcome; nothing to classify")
     if len(perf_dataset) < config.mining.cv_folds:
-        return insufficient("fewer rows than cross-validation folds", sizes)
+        return end("insufficient-data", "fewer rows than cross-validation folds")
 
     # modelling: performance classifier (gates) + decision models (deploy)
     perf_model = fit_tree_model(perf_dataset, config.mining)
-    cv_mean = perf_model.evaluation["cv_mean"]
+    found["cv_accuracy"] = cv_mean = perf_model.evaluation["cv_mean"]
     decision_models: list[MetaModel] = []
     if config.model_kind in ("tree", "both"):
         decision_models.append(fit_tree_model(decision_dataset, config.mining))
     if config.model_kind in ("rules", "both"):
         decision_models.append(fit_rules_model(decision_dataset, config.mining))
-    models = tuple([_model_summary("performance", perf_model)]
-                   + [_model_summary("decision", m) for m in decision_models])
-    phases.append(PhaseRecord("modelling", "completed", metrics={
-        "models": len(models),
-        "cv_accuracy": cv_mean,
-    }))
+    found["models"] = models = tuple([_model_summary("performance", perf_model)]
+                                     + [_model_summary("decision", m) for m in decision_models])
+    completed(models=len(models), cv_accuracy=cv_mean)
 
     # operationalisation: compile the decision models into one candidate
     mined = []
@@ -277,48 +258,29 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         "cycle": cycle_index,
         "sources": [m.kind for m in decision_models],
     })
-    candidate_id = policy_id(candidate)
-    phases.append(PhaseRecord("operationalisation", "completed", metrics={
-        "rules": len(ruleset.rules),
-        "candidate_policy": candidate_id,
-    }))
+    found["candidate_policy_id"] = candidate_id = policy_id(candidate)
+    completed(rules=len(ruleset.rules), candidate_policy=candidate_id)
 
     # evaluation: CV gate first, held-out comparison second
     if cv_mean < config.acceptance.min_cv_accuracy:
         reason = (f"performance model cv accuracy {cv_mean:.4f} "
                   f"below threshold {config.acceptance.min_cv_accuracy}")
-        phases.append(PhaseRecord("evaluation", "completed", metrics={
-            "cv_accuracy": cv_mean,
-            "cv_gate": "fail",
-            "heldout_skipped": reason,
-        }))
-        return report("rejected-accuracy", reason, incumbent, pre_id, sizes=sizes, models=models,
-                      cv=cv_mean, heldout=None, candidate_id=candidate_id)
+        completed(cv_accuracy=cv_mean, cv_gate="fail", heldout_skipped=reason)
+        return end("rejected-accuracy", reason)
     # the gate judges the policy that would ship, not the bare candidate
     deployed = integrate_policies(incumbent, candidate, config.integration_mode)
-    heldout = evaluate_candidate(world, incumbent, deployed, config.evaluation_episodes,
-                                 derive_seed(config.master_seed, "cycle", cycle_index, "eval"))
-    phases.append(PhaseRecord("evaluation", "completed", metrics={
-        "cv_accuracy": cv_mean,
-        "cv_gate": "pass",
-        "incumbent_rate": heldout.incumbent_rate,
-        "candidate_rate": heldout.candidate_rate,
-        "delta": heldout.delta,
-    }))
+    found["heldout"] = heldout = evaluate_candidate(world, incumbent, deployed, config.evaluation_episodes,
+                                                    derive_seed(config.master_seed, "cycle", cycle_index, "eval"))
+    completed(cv_accuracy=cv_mean, cv_gate="pass", incumbent_rate=heldout.incumbent_rate,
+              candidate_rate=heldout.candidate_rate, delta=heldout.delta)
     if heldout.delta < config.acceptance.min_heldout_delta:
-        reason = (f"held-out delta {heldout.delta:+.4f} below threshold "
-                  f"{config.acceptance.min_heldout_delta}")
-        return report("rejected-heldout", reason, incumbent, pre_id, sizes=sizes, models=models,
-                      cv=cv_mean, heldout=heldout, candidate_id=candidate_id)
+        return end("rejected-heldout", f"held-out delta {heldout.delta:+.4f} below threshold "
+                                       f"{config.acceptance.min_heldout_delta}")
 
     # deployment: hand the integrated policy to the next cycle
     deployed_id = policy_id(deployed)
-    phases.append(PhaseRecord("deployment", "completed", metrics={
-        "integration_mode": config.integration_mode,
-        "policy": deployed_id,
-    }))
-    return report("deployed", "both gates passed", deployed, deployed_id, sizes=sizes, models=models,
-                  cv=cv_mean, heldout=heldout, candidate_id=candidate_id)
+    completed(integration_mode=config.integration_mode, policy=deployed_id)
+    return end("deployed", "both gates passed", deployed, deployed_id)
 
 
 @dataclass(frozen=True)
@@ -357,8 +319,6 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
 
 
 def experiment_to_json(experiment: ExperimentReport) -> dict:
-    from .policy import policy_to_json
-
     return {
         "config": asdict(experiment.config),
         "baseline": experiment.baseline,

@@ -60,6 +60,8 @@ def read_json(path: str | Path) -> Any:
         return json.loads(text, parse_float=_finite_float, parse_constant=_finite_float)
     except ValueError as exc:
         raise InputFormatError("MalformedJson", f"{p} is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise InputFormatError("MalformedJson", f"{p} nests its JSON values too deeply to read") from None
 
 
 def read_table(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:

@@ -135,9 +135,6 @@ class DecisionTree:
     def depth(self) -> int:
         return max(len(path) for path, _ in self.paths())
 
-    def leaves(self) -> list[Leaf]:
-        return [leaf for _, leaf in self.paths()]
-
     def split_attributes(self) -> set[str]:
         return {attribute for path, _ in self.paths() for attribute, _ in path}
 
@@ -191,8 +188,12 @@ def _grow_tree(dataset: Dataset, patterns: Mapping[tuple, int], config: MiningCo
                 children.append((value, Leaf(label, 0, fraction)))
         return Split(attr.name, tuple(children), label)
 
-    return DecisionTree(dataset.class_attribute, class_values,
-                        build(patterns, tuple(range(len(dataset.feature_attributes))), 0))
+    try:
+        root = build(patterns, tuple(range(len(dataset.feature_attributes))), 0)
+    except RecursionError:
+        raise MiningError("TreeTooDeep", f"a tree up to {config.max_depth} levels deep is too deep to grow; "
+                                         "lower max_depth") from None
+    return DecisionTree(dataset.class_attribute, class_values, root)
 
 
 def classify(tree: DecisionTree, values: Mapping[str, Any]) -> Any:
@@ -562,7 +563,10 @@ def model_from_json(obj: Any) -> MetaModel:
 
 
 def save_model(model: MetaModel, path: str | Path) -> None:
-    write_json(path, model_to_json(model))
+    try:
+        write_json(path, model_to_json(model))
+    except RecursionError:
+        raise MiningError("TreeTooDeep", "the tree is too deep to write as JSON; lower max_depth") from None
 
 
 def load_model(path: str | Path) -> MetaModel:

@@ -21,6 +21,7 @@ from .knowledge import Schema, format_value, is_number
 from .mining import AssociationRule, DecisionTree
 
 ORIGINS = ("tree", "association", "default", "manual")
+INTEGRATION_MODES = ("override", "append", "replace")
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def integrate_policies(incumbent: Policy, candidate: Policy, mode: str) -> Polic
     (conditions, action) pairs keep the higher-ranked copy; the incumbent
     default action is retained in both non-replace modes.
     """
-    if mode not in ("override", "append", "replace"):
+    if mode not in INTEGRATION_MODES:
         raise PolicyError("BadMode", f"mode must be override, append, or replace, got {mode!r}")
     if incumbent.control_attribute != candidate.control_attribute:
         raise ConsistencyError("ControlMismatch",

@@ -217,9 +217,10 @@ def _unknown_strategy(strategy: Any) -> ConsistencyError:
     return ConsistencyError("UnknownStrategy", f"policy chose {strategy!r}, not a world strategy")
 
 
-def run_episode(world: GridWorld, policy: DecisionMaker, seed: int, explore: float = 0.0) -> EpisodeTrace:
-    """One episode from start until the goal or the step budget runs out.
+def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0) -> list[EpisodeTrace]:
+    """One episode per seed, in seed order, sharing one route table.
 
+    An episode runs from start until the goal or the step budget runs out.
     Each step observes the terrain of the next route cell and draws once:
     below the hazard the rover slips and stays, otherwise it advances one
     cell. With explore > 0, each step first draws once more; below the
@@ -227,11 +228,6 @@ def run_episode(world: GridWorld, policy: DecisionMaker, seed: int, explore: flo
     policy's. Exploration belongs to training runs only; evaluation uses
     the default 0.0.
     """
-    return run_seeded(world, policy, [seed], explore)[0]
-
-
-def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0) -> list[EpisodeTrace]:
-    """One run_episode per seed, in seed order, sharing one route table."""
     if not 0.0 <= explore <= 1.0:
         raise ConsistencyError("BadExploration", f"explore must be in [0, 1], got {explore!r}")
     table = route_table(world, policy)
@@ -389,22 +385,29 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
 
     Observed world attributes get their own columns between y and strategy,
     in schema order, so the file is self-describing alongside its schema.
+    Every record must have observed each of them; otherwise nothing is
+    written.
     """
     world_attrs = [a.name for a in schema.scoped("world")]
+    traces = list(traces)
+    # id(rec) -> (rec, its cells from x to reward); holding rec keeps its id unique
+    cells: dict[int, tuple[DecisionRecord, list]] = {}
+    for trace in traces:
+        for rec in trace.records:
+            if id(rec) not in cells:
+                missing = [name for name in world_attrs if name not in rec.observed]
+                if missing:
+                    raise ConsistencyError("MissingObservation", f"trace records carry no value for {missing[0]!r}")
+                cells[id(rec)] = (rec, [rec.cell[0], rec.cell[1],
+                                        *(format_value(rec.observed[name]) for name in world_attrs),
+                                        rec.strategy, rec.outcome, repr(rec.reward)])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_trace_header(schema))
-        # id(rec) -> (rec, its cells from x to reward); holding rec keeps its id unique
-        cells: dict[int, tuple[DecisionRecord, list]] = {}
         for i, trace in enumerate(traces):
             reached = format_value(trace.reached_goal)
             for epoch, rec in enumerate(trace.records):
-                known = cells.get(id(rec))
-                if known is None:
-                    known = cells[id(rec)] = (rec, [
-                        rec.cell[0], rec.cell[1], *(format_value(rec.observed.get(name)) for name in world_attrs),
-                        rec.strategy, rec.outcome, repr(rec.reward)])
-                writer.writerow([i, epoch, *known[1], reached])
+                writer.writerow([i, epoch, *cells[id(rec)][1], reached])
 
 
 def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:

@@ -162,6 +162,15 @@ def test_mutated_json_inputs_never_exit_internal(valid, kind, data):
         assert code in allowed, f"{argv[0]} exited {code}: {err}"
 
 
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_json_nested_too_deeply_is_an_input_error(valid, kind):
+    target = valid / "work" / FILES[kind].replace("run/", "")
+    target.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    for argv in invocations(kind, valid, target):
+        code, err = run(*argv)
+        assert code == EXIT_INPUT, f"{argv[0]} exited {code}: {err}"
+
+
 def trace_rows(valid):
     with open(valid / "run/traces/cycle_01.csv", newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))

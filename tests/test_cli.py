@@ -7,8 +7,9 @@ import math
 import pytest
 
 import metamine.cli as cli
-from helpers import striped_world
+from helpers import make_dataset, striped_world
 from metamine.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from metamine.introspection import save_dataset
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef, define_schema, save_schema
 from metamine.policy import load_policy
@@ -238,6 +239,19 @@ class TestPipeline:
         code = main(["compile", "--model", str(model), "--default", "FAST", "--out", str(workdir / "p.json")])
         assert code == EXIT_INPUT
         assert "[value, node] pairs" in capsys.readouterr().err
+
+    def test_a_tree_too_deep_to_write_is_a_schema_error(self, workdir, capsys):
+        # constant features tie at zero gain, so every level splits on the next one
+        features = {f"a{i}": ("x", "y") for i in range(400)}
+        rows = [dict(dict.fromkeys(features, "x"), label=label) for label in ("+", "-") * 4]
+        data = workdir / "deep.csv"
+        save_dataset(make_dataset(features, ("+", "-"), rows), data)
+        model = workdir / "deep.model.json"
+        code = main(["mine", "--data", str(data), "--algo", "tree", "--max-depth", "400", "--cv-folds", "2",
+                     "--seed", "1", "--out", str(model)])
+        assert code == EXIT_SCHEMA
+        assert "TreeTooDeep" in capsys.readouterr().err
+        assert not model.exists()
 
 
 class TestCycleCommand:

@@ -23,8 +23,8 @@ from metamine.rover import (
     OUTCOMES,
     DecisionRecord,
     EpisodeTrace,
-    run_episode,
     run_episodes,
+    run_seeded,
     world_schema,
 )
 
@@ -33,7 +33,7 @@ SELECTED = ("terrain", "strategy")
 
 def sample_trace(seed=3, explore=0.5):
     world = striped_world()
-    return run_episode(world, fixed_policy("FAST"), seed=seed, explore=explore), world_schema(world)
+    return run_seeded(world, fixed_policy("FAST"), [seed], explore)[0], world_schema(world)
 
 
 class TestMetadataProvider:
@@ -99,7 +99,7 @@ class TestCollectReport:
 
     def test_all_failures_make_an_empty_strategy_report(self):
         world = uniform_hazard_world(1.0)
-        trace = run_episode(world, fixed_policy("FAST"), seed=0)
+        trace = run_seeded(world, fixed_policy("FAST"), [0])[0]
         with pytest.raises(MiningError) as err:
             featurise([trace], MetadataProvider(SELECTED, "strategy-as-class"), world_schema(world), bins=4)
         assert err.value.code == "EmptyDataset"
@@ -115,7 +115,7 @@ class TestCollectReport:
             ],
             "strategy",
         )
-        trace = run_episode(world, fixed_policy("FAST"), seed=1)
+        trace = run_seeded(world, fixed_policy("FAST"), [1])[0]
         provider = MetadataProvider(("terrain", "weather", "strategy"), "outcome-as-class")
         with pytest.raises(ConsistencyError) as err:
             featurise([trace], provider, schema, bins=4)

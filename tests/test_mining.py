@@ -1,6 +1,8 @@
 """Tree induction, frequent itemsets, rule derivation, and cross-validation."""
 
+import inspect
 import math
+import sys
 from dataclasses import asdict
 from itertools import combinations, product
 
@@ -155,7 +157,7 @@ class TestInduceTree:
         tree = induce_tree(xor_dataset(), MiningConfig())
         assert tree.depth() == 2
         assert training_accuracy(tree, xor_dataset()) == 1.0
-        assert len(tree.leaves()) == 4
+        assert len(tree.paths()) == 4
         assert tree.split_attributes() == {"a", "b"}
 
     def test_max_depth_stops_growth(self):
@@ -198,6 +200,21 @@ class TestInduceTree:
         with pytest.raises(MiningError):
             induce_tree(ds, MiningConfig())
 
+    def test_a_tree_too_deep_to_grow_is_a_mining_error(self):
+        # constant features tie at zero gain, so every level splits on the next one
+        features = {f"a{i}": ("x", "y") for i in range(150)}
+        rows = [dict(dict.fromkeys(features, "x"), label=label) for label in "+-+-"]
+        ds = make_dataset(features, ("+", "-"), rows)
+        limit = sys.getrecursionlimit()
+        # fewer free frames than the tree has levels: the stack overflows while it grows
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            with pytest.raises(MiningError) as err:
+                induce_tree(ds, MiningConfig(max_depth=150))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert err.value.code == "TreeTooDeep"
+
     @given(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("uv"),
                               st.sampled_from("+-")), min_size=1, max_size=40),
            st.integers(min_value=1, max_value=4), st.integers(min_value=1, max_value=5))
@@ -205,9 +222,9 @@ class TestInduceTree:
         rows = [{"a": a, "b": b, "label": l} for a, b, l in triples]
         ds = make_dataset({"a": ("x", "y", "z"), "b": ("u", "v")}, ("+", "-"), rows)
         tree = induce_tree(ds, MiningConfig(max_depth=depth, min_leaf_instances=min_leaf))
-        assert sum(leaf.support for leaf in tree.leaves()) == len(rows)
+        assert sum(leaf.support for _, leaf in tree.paths()) == len(rows)
         assert tree.depth() <= depth
-        for leaf in tree.leaves():
+        for _, leaf in tree.paths():
             assert 0.0 < leaf.confidence <= 1.0
 
     @given(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("+-")),

@@ -158,7 +158,7 @@ class TestTreeToRules:
         ds = make_dataset({"terrain": ("sand", "rock")}, ("FAST", "CAREFUL"), rows, class_name="strategy")
         tree = induce_tree(ds, MiningConfig())
         rs = tree_to_rules(tree)
-        assert len(rs.rules) == len(tree.leaves()) == 2
+        assert len(rs.rules) == len(tree.paths()) == 2
         by_terrain = {r.conditions[0][1]: r for r in rs.rules}
         assert by_terrain["sand"].action == "CAREFUL"
         assert by_terrain["sand"].confidence == pytest.approx(0.75)

@@ -22,6 +22,7 @@ from helpers import (
 from metamine.cycle import evaluate_candidate, run_experiment
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
+from metamine.knowledge import AttributeDef, define_schema
 from metamine.policy import Policy, Rule, RuleSet, initial_policy
 from metamine.rover import (
     OUTCOME_FAILURE,
@@ -36,7 +37,6 @@ from metamine.rover import (
     load_world,
     rollout,
     route_table,
-    run_episode,
     run_episodes,
     run_seeded,
     save_traces,
@@ -142,37 +142,37 @@ class TestStep:
 
     def test_safe_step_moves_and_costs_one(self):
         # dune CAREFUL hazard is 0.05; Random(0) first draw is ~0.844
-        first, second = run_episode(tiny_world(), fixed_policy("CAREFUL"), seed=0).records
+        first, second = run_seeded(tiny_world(), fixed_policy("CAREFUL"), [0])[0].records
         assert (first.cell, first.outcome, first.reward) == ((0, 0), OUTCOME_SUCCESS, -1.0)
         assert second.cell == (1, 0)
 
     def test_hazard_failure_stays_and_pays_penalty(self):
         # dune FAST hazard is 0.5; Random(1) first draw is ~0.134
-        first, second = run_episode(tiny_world(), fixed_policy("FAST"), seed=1).records[:2]
+        first, second = run_seeded(tiny_world(), fixed_policy("FAST"), [1])[0].records[:2]
         assert (first.cell, first.outcome, first.reward) == ((0, 0), OUTCOME_FAILURE, -3.0)
         assert second.cell == (0, 0)
 
     def test_goal_entry_adds_goal_reward(self):
-        trace = run_episode(tiny_world(), fixed_policy("CAREFUL"), seed=0)
+        trace = run_seeded(tiny_world(), fixed_policy("CAREFUL"), [0])[0]
         assert trace.reached_goal
         assert (trace.records[-1].cell, trace.records[-1].reward) == ((1, 0), 9.0)
 
     def test_step_rewards_are_the_three_reward_expressions(self):
-        traces = [run_episode(tiny_world(), fixed_policy("FAST"), seed=s) for s in range(20)]
+        traces = [run_seeded(tiny_world(), fixed_policy("FAST"), [s])[0] for s in range(20)]
         assert {r.reward for t in traces for r in t.records} == {-1.0, -3.0, 9.0}
 
     def test_every_cell_lies_on_the_greedy_route(self):
         world = striped_world()
         route = greedy_route(world)
         for seed in range(10):
-            trace = run_episode(world, fixed_policy("FAST"), seed=seed, explore=0.5)
+            trace = run_seeded(world, fixed_policy("FAST"), [seed], 0.5)[0]
             assert all(r.cell in route for r in trace.records)
 
     def test_success_advances_one_route_cell_and_failure_stays(self):
         world = striped_world()
         route = greedy_route(world)
         for seed in range(10):
-            records = run_episode(world, fixed_policy("FAST"), seed=seed).records
+            records = run_seeded(world, fixed_policy("FAST"), [seed])[0].records
             for rec, after in zip(records, records[1:]):
                 moved = route.index(after.cell) - route.index(rec.cell)
                 assert moved == (1 if rec.outcome == OUTCOME_SUCCESS else 0)
@@ -181,7 +181,7 @@ class TestStep:
         # the first step enters dune and is taken with CAREFUL; the step that
         # would enter the flat goal gets WALK from the policy default
         with pytest.raises(ConsistencyError) as err:
-            run_episode(tiny_world(), terrain_policy({"dune": "CAREFUL"}, "WALK"), seed=0)
+            run_seeded(tiny_world(), terrain_policy({"dune": "CAREFUL"}, "WALK"), [0])[0]
         assert err.value.code == "UnknownStrategy"
         assert "'WALK'" in str(err.value)
 
@@ -192,7 +192,7 @@ class TestStep:
         world = striped_world()
         route = greedy_route(world)
         for seed in range(10):
-            trace = run_episode(world, fixed_policy(strategy), seed=seed)
+            trace = run_seeded(world, fixed_policy(strategy), [seed])[0]
             shadow, at, expected = Random(seed), 0, []
             for _ in trace.records:
                 slipped = shadow.random() < world.hazard[(world.terrain_at(*route[at + 1]), strategy)]
@@ -204,20 +204,20 @@ class TestStep:
 class TestRunEpisode:
     def test_zero_hazard_reaches_goal_on_shortest_path(self):
         world = uniform_hazard_world(0.0)
-        trace = run_episode(world, fixed_policy("FAST"), seed=1)
+        trace = run_seeded(world, fixed_policy("FAST"), [1])[0]
         assert trace.reached_goal and len(trace.records) == 2
         assert [r.cell for r in trace.records] == [(0, 0), (1, 0)]
         assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (1, [-1.0 + 9.0])
 
     def test_adjacent_start_yields_single_record(self):
         world = uniform_hazard_world(0.0, start=(1, 0))
-        trace = run_episode(world, fixed_policy("FAST"), seed=1)
+        trace = run_seeded(world, fixed_policy("FAST"), [1])[0]
         assert trace.reached_goal and len(trace.records) == 1
         assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (1, [9.0])
 
     def test_certain_hazard_exhausts_step_budget(self):
         world = uniform_hazard_world(1.0)
-        trace = run_episode(world, fixed_policy("FAST"), seed=1)
+        trace = run_seeded(world, fixed_policy("FAST"), [1])[0]
         assert not trace.reached_goal
         assert len(trace.records) == world.max_steps
         assert all(r.outcome == OUTCOME_FAILURE for r in trace.records)
@@ -226,17 +226,17 @@ class TestRunEpisode:
     def test_same_seed_same_trace(self):
         world = striped_world()
         policy = fixed_policy("FAST")
-        assert run_episode(world, policy, seed=7) == run_episode(world, policy, seed=7)
+        assert run_seeded(world, policy, [7])[0] == run_seeded(world, policy, [7])[0]
 
     def test_different_seeds_differ_somewhere(self):
         world = striped_world()
         policy = fixed_policy("FAST")
-        traces = [run_episode(world, policy, seed=s) for s in range(6)]
+        traces = [run_seeded(world, policy, [s])[0] for s in range(6)]
         assert any(t != traces[0] for t in traces[1:])
 
     def test_observation_is_the_terrain_ahead(self):
         world = striped_world()
-        trace = run_episode(world, fixed_policy("CAREFUL"), seed=5)
+        trace = run_seeded(world, fixed_policy("CAREFUL"), [5])[0]
         for rec in trace.records:
             target = greedy_target(world, rec.cell)
             assert rec.observed == {"terrain": world.terrain_at(*target)}
@@ -254,7 +254,7 @@ class TestRunEpisode:
     def test_reaching_goal_implies_last_cell_adjacent(self):
         world = striped_world()
         for seed in range(25):
-            trace = run_episode(world, fixed_policy("CAREFUL"), seed=seed)
+            trace = run_seeded(world, fixed_policy("CAREFUL"), [seed])[0]
             if trace.reached_goal:
                 lx, ly = trace.records[-1].cell
                 assert abs(world.goal[0] - lx) + abs(world.goal[1] - ly) == 1
@@ -262,7 +262,7 @@ class TestRunEpisode:
     @given(st.integers(min_value=0, max_value=10_000))
     def test_reward_accounting_identity(self, seed):
         world = striped_world()
-        trace = run_episode(world, fixed_policy("FAST"), seed=seed)
+        trace = run_seeded(world, fixed_policy("FAST"), [seed])[0]
         failures = sum(r.outcome == OUTCOME_FAILURE for r in trace.records)
         expected = (-len(trace.records) * world.rewards.step_cost
                     - failures * world.rewards.failure_penalty
@@ -271,24 +271,24 @@ class TestRunEpisode:
 
     def test_policy_returning_unknown_strategy_is_an_error(self):
         with pytest.raises(ConsistencyError) as err:
-            run_episode(tiny_world(), fixed_policy("WALK"), seed=0)
+            run_seeded(tiny_world(), fixed_policy("WALK"), [0])[0]
         assert err.value.code == "UnknownStrategy"
 
     @pytest.mark.parametrize("explore", [-0.1, 1.0001])
     def test_exploration_rate_must_be_a_probability(self, explore):
         with pytest.raises(ConsistencyError):
-            run_episode(tiny_world(), fixed_policy("FAST"), seed=0, explore=explore)
+            run_seeded(tiny_world(), fixed_policy("FAST"), [0], explore)[0]
 
     def test_full_exploration_ignores_the_policy(self):
         world = uniform_hazard_world(0.0, max_steps=40, width=8, height=8,
                                      cells=tuple(("flat",) * 8 for _ in range(8)),
                                      start=(0, 0), goal=(7, 7))
-        traces = [run_episode(world, fixed_policy("FAST"), seed=s, explore=1.0) for s in range(4)]
+        traces = [run_seeded(world, fixed_policy("FAST"), [s], 1.0)[0] for s in range(4)]
         chosen = {r.strategy for t in traces for r in t.records}
         assert chosen == {"FAST", "CAREFUL"}
 
     def test_no_exploration_never_deviates(self):
-        trace = run_episode(striped_world(), fixed_policy("CAREFUL"), seed=9, explore=0.0)
+        trace = run_seeded(striped_world(), fixed_policy("CAREFUL"), [9], 0.0)[0]
         assert {r.strategy for r in trace.records} == {"CAREFUL"}
 
 
@@ -297,7 +297,7 @@ class TestRunners:
         world = striped_world()
         policy = terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL"}, "FAST")
         seeds = list(range(20))
-        assert run_seeded(world, policy, seeds) == [run_episode(world, policy, s) for s in seeds]
+        assert run_seeded(world, policy, seeds) == [run_seeded(world, policy, [s])[0] for s in seeds]
 
     def test_run_episodes_derives_distinct_seeds(self):
         world = striped_world()
@@ -459,6 +459,17 @@ class TestTraceFiles:
         save_traces(load_traces(paths["int"], schema), schema, again)
         assert again.read_bytes() == paths["int"].read_bytes() == paths["float"].read_bytes()
 
+    def test_records_missing_a_world_attribute_are_not_written(self, tmp_path):
+        world = striped_world()
+        base = world_schema(world)
+        weather = AttributeDef("weather", "categorical", "world", ("dry", "wet"))
+        schema = define_schema((base.attributes[0], weather) + base.attributes[1:], base.class_attribute)
+        path = tmp_path / "t.csv"
+        with pytest.raises(ConsistencyError) as err:
+            save_traces(run_episodes(world, fixed_policy("FAST"), 2, 0), schema, path)
+        assert err.value.code == "MissingObservation"
+        assert not path.exists()
+
     def test_header_is_stable_and_carries_world_attributes(self, tmp_path):
         world = striped_world()
         schema = world_schema(world)
@@ -492,7 +503,7 @@ class TestTraceFiles:
 
 
 def reference_episode(world, policy, seed, explore):
-    """run_episode as a plain step loop that asks the policy at every step
+    """One run_seeded episode as a plain step loop that asks the policy at every step
     and builds a fresh record for each one."""
     rng, route, at, records = Random(seed), greedy_route(world), 0, []
     last = len(route) - 1
