@@ -23,7 +23,7 @@ from .cycle import (
     run_experiment,
 )
 from .errors import InputFormatError, MetamineError
-from .introspection import LABEL_RULES, MetadataProvider, featurise, load_dataset, save_dataset
+from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_object, read_json, write_json
 from .knowledge import load_schema, save_schema
 from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
@@ -152,12 +152,8 @@ def _schema_from_args(args: argparse.Namespace):
 def cmd_collect(args: argparse.Namespace) -> int:
     schema = _schema_from_args(args)
     traces = load_traces(args.traces, schema)
-    if args.select:
-        selected = tuple(name.strip() for name in args.select.split(",") if name.strip())
-    else:
-        selected = tuple(a.name for a in schema.scoped("world")) + (schema.class_attribute,)
-    provider = MetadataProvider(selected, args.label_rule)
-    dataset = featurise(traces, provider, schema, args.bins)
+    selected = tuple(name.strip() for name in args.select.split(",") if name.strip()) if args.select else None
+    dataset = featurise(traces, schema, args.label_rule, args.bins, selected)
     save_dataset(dataset, args.out)
     print(f"wrote {len(dataset)} instances ({args.label_rule}) to {args.out}")
     return EXIT_OK

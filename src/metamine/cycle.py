@@ -19,9 +19,9 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from .errors import ConsistencyError, InputFormatError
-from .introspection import MetadataProvider, featurise
+from .introspection import featurise
 from .jsonio import decode, expect_field, expect_object
-from .knowledge import is_int, is_number
+from .knowledge import float_sum, is_int, is_number
 from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
 from .policy import (
     INTEGRATION_MODES,
@@ -137,7 +137,7 @@ class CycleReport:
 def goal_rate_and_mean_reward(goals: int, reward_sums: list[float]) -> tuple[float, float]:
     """Share of episodes that reached the goal, and the mean of their
     reward sums, from a rollout's output."""
-    total = sum(reward_sums)
+    total = float_sum(reward_sums)
     if not abs(total) <= sys.float_info.max:
         raise ConsistencyError("BadReward", f"the reward sum of {len(reward_sums)} episodes is not a finite number")
     return goals / len(reward_sums), total / len(reward_sums)
@@ -185,9 +185,9 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
               trace_sink: TraceSink | None = None) -> tuple[Policy, CycleReport]:
     """One augmented cycle; returns the next policy and a full report.
 
-    Unmineable training data (no rows, no successful rows, a single
-    outcome class, or fewer rows than CV folds) yields the
-    insufficient-data outcome with the incumbent unchanged, not an error.
+    Unmineable training data (no successful rows, a single outcome
+    class, or fewer rows than CV folds) yields the insufficient-data
+    outcome with the incumbent unchanged, not an error.
     """
     if not is_int(cycle_index) or cycle_index < 1:
         raise ConsistencyError("BadIndex", f"cycle_index must be >= 1, got {cycle_index!r}")
@@ -216,16 +216,10 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     found["dataset_sizes"] = sizes = {"performance": total_rows, "decision": decision_rows}
     completed(episodes=config.training_episodes, decision_records=total_rows,
               goal_rate=sum(t.reached_goal for t in traces) / len(traces))
-    if total_rows == 0:
-        return end("insufficient-data", "training produced no decision records")
 
     # data preparation: two labeled views of the same traces
-    world_attrs = tuple(a.name for a in schema.scoped("world"))
-    selected = world_attrs + (schema.class_attribute,)
-    perf_provider = MetadataProvider(selected, "outcome-as-class")
-    decision_provider = MetadataProvider(selected, "strategy-as-class")
-    perf_dataset = featurise(traces, perf_provider, schema, config.bins)
-    decision_dataset = featurise(traces, decision_provider, schema, config.bins) if decision_rows else None
+    perf_dataset = featurise(traces, schema, "outcome-as-class", config.bins)
+    decision_dataset = featurise(traces, schema, "strategy-as-class", config.bins) if decision_rows else None
     completed(**sizes)
     if decision_rows == 0:
         return end("insufficient-data", "no successful decisions to learn from")

@@ -1,10 +1,11 @@
 """From episode logs to mineable tables.
 
-A MetadataProvider picks which attributes a dataset shows and how each
-row is labeled. featurise projects every decision the rover took into one
-row and discretizes any numeric attributes, so the miners only ever see
-finite domains. The resulting Dataset remembers its bin boundaries, so
-the same discretization can be replayed at deployment time.
+featurise is the data-preparation step: given which attributes a dataset
+shows and how each row is labeled, it projects every decision the rover
+took into one row and discretizes any numeric attributes, so the miners
+only ever see finite domains. The resulting Dataset remembers its bin
+boundaries, so the same discretization can be replayed at deployment
+time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, InputFormatError, MiningError, SchemaError
 from .jsonio import ATOM, expect_field, expect_object, located, read_json, read_table, write_json
@@ -31,42 +32,6 @@ from .knowledge import (
 from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, DecisionRecord, EpisodeTrace
 
 LABEL_RULES = ("outcome-as-class", "strategy-as-class")
-
-
-@dataclass(frozen=True)
-class MetadataProvider:
-    """Chooses dataset columns and labeling.
-
-    outcome-as-class labels every step with its success/failure outcome
-    (performance monitoring data); strategy-as-class keeps only the
-    successful steps and labels them with the strategy that worked
-    (decision data the operationaliser can compile).
-    """
-
-    selected_attributes: tuple[str, ...]
-    label_rule: str
-
-    def __post_init__(self):
-        if self.label_rule not in LABEL_RULES:
-            raise SchemaError("BadLabelRule", f"label_rule must be one of {LABEL_RULES}, got {self.label_rule!r}")
-        if not self.selected_attributes:
-            raise SchemaError("EmptySelection", "provider must select at least one attribute")
-        if len(set(self.selected_attributes)) != len(self.selected_attributes):
-            raise SchemaError("DuplicateAttribute", "provider selects an attribute twice")
-
-    def label_attribute(self, schema: Schema) -> str:
-        if self.label_rule == "outcome-as-class":
-            return OUTCOME_ATTR
-        return schema.class_attribute
-
-    def validate_against(self, schema: Schema) -> None:
-        for name in self.selected_attributes:
-            schema.attribute(name)
-        if schema.class_attribute not in self.selected_attributes:
-            raise SchemaError("MissingClassAttribute", "provider must select the schema's class attribute")
-        if not any(schema.attribute(n).scope == "world" for n in self.selected_attributes):
-            raise SchemaError("NoWorldAttribute", "provider must select at least one world attribute")
-        schema.attribute(self.label_attribute(schema))
 
 
 @dataclass(frozen=True)
@@ -132,30 +97,49 @@ def equal_width_edges(lo: float, hi: float, bins: int) -> tuple[float, ...]:
     return tuple(lo / bins * (bins - i) + hi / bins * i for i in range(1, bins))
 
 
-def featurise(traces: Iterable[EpisodeTrace], provider: MetadataProvider, schema: Schema, bins: int) -> Dataset:
+def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, bins: int,
+              selected: Sequence[str] | None = None) -> Dataset:
     """Project every decision of every trace into one dataset row.
 
-    A row holds the provider's selected attributes in schema order, then
-    the label: outcome is the step's outcome, the class attribute its
-    strategy, and any other attribute what the rover observed.
-    strategy-as-class drops failed steps: only decisions that worked are
-    worth imitating. Numeric attributes are cut into `bins` equal-width
-    intervals over the observed [min, max]; a constant column maps
-    everything to bin_0. Rows keep their input order and their
-    duplicates; equal rows share one tuple, since a dataset repeats a few
-    patterns many times, and a record object the traces share is projected
-    once.
+    `selected` names the attributes the rows show; None is the default
+    view, the schema's world attributes and its class attribute. A view
+    shows the class attribute and at least one world attribute. The label
+    rule picks the label: outcome-as-class labels every step with its
+    success/failure outcome (performance monitoring data);
+    strategy-as-class keeps only the successful steps and labels them with
+    the strategy that worked (decision data the operationaliser can
+    compile).
+
+    A row holds the selected attributes in schema order, then the label:
+    outcome is the step's outcome, the class attribute its strategy, and
+    any other attribute what the rover observed. Numeric attributes are
+    cut into `bins` equal-width intervals over the observed [min, max]; a
+    constant column maps everything to bin_0. Rows keep their input order
+    and their duplicates; equal rows share one tuple, since a dataset
+    repeats a few patterns many times, and a record object the traces
+    share is projected once.
     """
-    provider.validate_against(schema)
+    if label_rule not in LABEL_RULES:
+        raise SchemaError("BadLabelRule", f"label_rule must be one of {LABEL_RULES}, got {label_rule!r}")
+    if selected is None:
+        selected = tuple(a.name for a in schema.scoped("world")) + (schema.class_attribute,)
+    if not selected:
+        raise SchemaError("EmptySelection", "the view must select at least one attribute")
+    if len(set(selected)) != len(selected):
+        raise SchemaError("DuplicateAttribute", "the view selects an attribute twice")
+    scopes = [schema.attribute(name).scope for name in selected]
+    class_attr = schema.class_attribute
+    if class_attr not in selected:
+        raise SchemaError("MissingClassAttribute", "the view must select the schema's class attribute")
+    if "world" not in scopes:
+        raise SchemaError("NoWorldAttribute", "the view must select at least one world attribute")
+    keep_failures = label_rule == "outcome-as-class"
+    label = OUTCOME_ATTR if keep_failures else class_attr
     if not is_int(bins) or bins < 1:
         raise MiningError("BadBins", f"bins must be a positive integer, got {bins!r}")
-    label = provider.label_attribute(schema)
     if not schema.attribute(label).is_finite:
         raise MiningError("NumericLabel", f"label attribute {label!r} must be categorical or boolean")
-    selected = set(provider.selected_attributes)
     column_names = [n for n in schema.names if n in selected and n != label] + [label]
-    class_attr = schema.class_attribute
-    keep_failures = provider.label_rule == "outcome-as-class"
     shared: dict[tuple, tuple] = {}
     # id(rec) -> (rec, its row); holding rec keeps its id unique
     projected: dict[int, tuple[DecisionRecord, tuple]] = {}

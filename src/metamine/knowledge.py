@@ -33,6 +33,15 @@ def is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def float_sum(values: Iterable[float]) -> float:
+    """The floats added left to right, as sum() did before Python 3.12;
+    since then sum() compensates its rounding and can end one bit apart."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def format_value(value: Any) -> str:
     """The text form of an attribute value: true/false for booleans, an
     empty string for None, str() for everything else."""

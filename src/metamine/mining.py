@@ -22,7 +22,7 @@ from typing import Any, Collection, Iterable, Mapping, Sequence, Union
 from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
 from .jsonio import ATOM, expect_field, expect_object, expect_pairs, read_json, write_json
-from .knowledge import AttributeDef, format_value, is_int, is_number
+from .knowledge import AttributeDef, float_sum, format_value, is_int, is_number
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def _partition_gain(patterns: Mapping[tuple, int], column: int) -> float:
         classes[row[-1]] += count
         groups.setdefault(row[column], Counter())[row[-1]] += count
     n = sum(classes.values())
-    remainder = sum(sum(g.values()) / n * _count_entropy(g.values()) for g in groups.values())
+    remainder = float_sum(sum(g.values()) / n * _count_entropy(g.values()) for g in groups.values())
     return _count_entropy(classes.values()) - remainder
 
 
@@ -325,7 +325,7 @@ class CvScores:
 
     @property
     def mean(self) -> float:
-        return sum(self.per_fold) / len(self.per_fold)
+        return float_sum(self.per_fold) / len(self.per_fold)
 
 
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:

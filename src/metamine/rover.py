@@ -267,8 +267,8 @@ def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], ex
 def rollout(world: GridWorld, table: RouteTable, seeds: Iterable[int]) -> tuple[int, list[float]]:
     """The goal count and the per-episode reward sums of the episodes that
     run_seeded traces for these seeds without exploration, keeping no
-    records. Each sum is sum() over the step rewards in step order, as over
-    a trace's records, so the floats are the same."""
+    records. Each sum adds the step rewards in step order, as float_sum
+    over a trace's records does, so the floats are the same."""
     hazards = table.hazards
     last = len(hazards)
     bad = hazards.index(None) if None in hazards else last
@@ -278,20 +278,20 @@ def rollout(world: GridWorld, table: RouteTable, seeds: Iterable[int]) -> tuple[
     sums: list[float] = []
     for seed in seeds:
         draw = Random(seed).random
-        at = 0
-        steps: list[float] = []
-        while at < bad and len(steps) < max_steps:
+        at = steps = 0
+        total = 0.0
+        while at < bad and steps < max_steps:
+            steps += 1
             if draw() < hazards[at]:
-                steps.append(slip)
+                total += slip
             else:
                 at += 1
-                steps.append(move)
+                total += arrive if at == last else move
         if at == last:
-            steps[-1] = arrive
             goals += 1
-        elif at == bad and len(steps) < max_steps:
+        elif at == bad and steps < max_steps:
             raise _unknown_strategy(table.actions[bad])
-        sums.append(sum(steps))
+        sums.append(total)
     return goals, sums
 
 

@@ -18,6 +18,7 @@ from metamine.cycle import (
     cycles_csv_from_json,
     evaluate_candidate,
     experiment_to_json,
+    goal_rate_and_mean_reward,
     run_cycle,
     run_experiment,
 )
@@ -111,6 +112,11 @@ class TestEvaluateCandidate:
         a = evaluate_candidate(world, fixed_policy("FAST"), fixed_policy("CAREFUL"), 50, seed=7)
         b = evaluate_candidate(world, fixed_policy("FAST"), fixed_policy("CAREFUL"), 50, seed=7)
         assert a == b
+
+    def test_mean_reward_adds_the_episodes_left_to_right(self):
+        """The same bytes on every Python: sum() compensates its rounding
+        since 3.12 and would give 0.1 here."""
+        assert goal_rate_and_mean_reward(4, [0.1] * 10) == (0.4, 0.09999999999999999)
 
     def test_count_must_be_positive(self):
         with pytest.raises(ConsistencyError):

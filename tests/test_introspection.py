@@ -10,7 +10,6 @@ from helpers import cat, fixed_policy, striped_world, uniform_hazard_world
 from metamine.errors import ConsistencyError, MiningError, SchemaError
 from metamine.introspection import (
     Dataset,
-    MetadataProvider,
     assign_bin,
     featurise,
     load_dataset,
@@ -37,37 +36,47 @@ def sample_trace(seed=3, explore=0.5):
 
 
 class TestMetadataProvider:
+    """featurise checks the view it is given: the selection and the label rule."""
+
     def test_label_attribute_per_rule(self):
-        schema = world_schema(striped_world())
-        assert MetadataProvider(SELECTED, "outcome-as-class").label_attribute(schema) == "outcome"
-        assert MetadataProvider(SELECTED, "strategy-as-class").label_attribute(schema) == "strategy"
+        trace, schema = sample_trace()
+        assert featurise([trace], schema, "outcome-as-class", 4, SELECTED).class_attribute == "outcome"
+        assert featurise([trace], schema, "strategy-as-class", 4, SELECTED).class_attribute == "strategy"
+
+    def test_default_view_is_the_world_attributes_and_the_class_attribute(self):
+        trace, schema = sample_trace()
+        for rule in ("outcome-as-class", "strategy-as-class"):
+            assert featurise([trace], schema, rule, 4) == featurise([trace], schema, rule, 4, SELECTED)
 
     def test_unknown_label_rule_rejected(self):
+        trace, schema = sample_trace()
         with pytest.raises(SchemaError) as err:
-            MetadataProvider(SELECTED, "reward-as-class")
+            featurise([trace], schema, "reward-as-class", 4, SELECTED)
         assert err.value.code == "BadLabelRule"
 
     def test_empty_or_duplicate_selection_rejected(self):
-        with pytest.raises(SchemaError):
-            MetadataProvider((), "outcome-as-class")
-        with pytest.raises(SchemaError):
-            MetadataProvider(("terrain", "terrain"), "outcome-as-class")
+        trace, schema = sample_trace()
+        for selected, code in (((), "EmptySelection"), (("terrain", "terrain"), "DuplicateAttribute")):
+            with pytest.raises(SchemaError) as err:
+                featurise([trace], schema, "outcome-as-class", 4, selected)
+            assert err.value.code == code
 
     def test_selection_must_exist_in_schema(self):
-        schema = world_schema(striped_world())
-        with pytest.raises(SchemaError):
-            MetadataProvider(("terrain", "altitude", "strategy"), "outcome-as-class").validate_against(schema)
+        trace, schema = sample_trace()
+        with pytest.raises(SchemaError) as err:
+            featurise([trace], schema, "outcome-as-class", 4, ("terrain", "altitude", "strategy"))
+        assert err.value.code == "UnknownAttribute"
 
     def test_selection_must_include_the_class_attribute(self):
-        schema = world_schema(striped_world())
+        trace, schema = sample_trace()
         with pytest.raises(SchemaError) as err:
-            MetadataProvider(("terrain",), "outcome-as-class").validate_against(schema)
+            featurise([trace], schema, "outcome-as-class", 4, ("terrain",))
         assert err.value.code == "MissingClassAttribute"
 
     def test_selection_needs_a_world_attribute(self):
-        schema = world_schema(striped_world())
+        trace, schema = sample_trace()
         with pytest.raises(SchemaError) as err:
-            MetadataProvider(("strategy", "outcome"), "outcome-as-class").validate_against(schema)
+            featurise([trace], schema, "outcome-as-class", 4, ("strategy", "outcome"))
         assert err.value.code == "NoWorldAttribute"
 
 
@@ -76,14 +85,14 @@ class TestCollectReport:
 
     def test_outcome_rows_cover_every_decision(self):
         trace, schema = sample_trace()
-        dataset = featurise([trace], MetadataProvider(SELECTED, "outcome-as-class"), schema, bins=4)
+        dataset = featurise([trace], schema, "outcome-as-class", 4, SELECTED)
         assert len(dataset) == len(trace.records)
         assert dataset.class_attribute == "outcome"
         assert dataset.rows == tuple((rec.observed["terrain"], rec.strategy, rec.outcome) for rec in trace.records)
 
     def test_strategy_rows_keep_only_successes(self):
         trace, schema = sample_trace()
-        dataset = featurise([trace], MetadataProvider(SELECTED, "strategy-as-class"), schema, bins=4)
+        dataset = featurise([trace], schema, "strategy-as-class", 4, SELECTED)
         successes = [r for r in trace.records if r.outcome == OUTCOME_SUCCESS]
         assert 0 < len(dataset) == len(successes) < len(trace.records)
         assert dataset.rows == tuple((rec.observed["terrain"], rec.strategy) for rec in successes)
@@ -91,7 +100,7 @@ class TestCollectReport:
     def test_rows_validate_against_the_schema_and_are_reflective(self):
         trace, schema = sample_trace()
         for rule in ("outcome-as-class", "strategy-as-class"):
-            dataset = featurise([trace], MetadataProvider(SELECTED, rule), schema, bins=4)
+            dataset = featurise([trace], schema, rule, 4, SELECTED)
             assert dataset.attributes == tuple(schema.attribute(a.name) for a in dataset.attributes)
             for row in dataset.rows:
                 assert all(a.contains(v) for a, v in zip(dataset.attributes, row))
@@ -101,7 +110,7 @@ class TestCollectReport:
         world = uniform_hazard_world(1.0)
         trace = run_seeded(world, fixed_policy("FAST"), [0])[0]
         with pytest.raises(MiningError) as err:
-            featurise([trace], MetadataProvider(SELECTED, "strategy-as-class"), world_schema(world), bins=4)
+            featurise([trace], world_schema(world), "strategy-as-class", 4, SELECTED)
         assert err.value.code == "EmptyDataset"
 
     def test_unprojectable_selection_is_an_error(self):
@@ -116,9 +125,8 @@ class TestCollectReport:
             "strategy",
         )
         trace = run_seeded(world, fixed_policy("FAST"), [1])[0]
-        provider = MetadataProvider(("terrain", "weather", "strategy"), "outcome-as-class")
         with pytest.raises(ConsistencyError) as err:
-            featurise([trace], provider, schema, bins=4)
+            featurise([trace], schema, "outcome-as-class", 4, ("terrain", "weather", "strategy"))
         assert err.value.code == "MissingObservation"
 
 
@@ -152,7 +160,6 @@ NUMERIC_SCHEMA = define_schema(
     ],
     "strategy",
 )
-NUMERIC_PROVIDER = MetadataProvider(("v", "strategy"), "strategy-as-class")
 
 
 def numeric_report(values, label="GO"):
@@ -162,7 +169,7 @@ def numeric_report(values, label="GO"):
 
 
 def featurise_numeric(values, bins):
-    return featurise([numeric_report(values)], NUMERIC_PROVIDER, NUMERIC_SCHEMA, bins)
+    return featurise([numeric_report(values)], NUMERIC_SCHEMA, "strategy-as-class", bins)
 
 
 def assert_equal_rows_are_shared(dataset):
@@ -191,18 +198,17 @@ class TestFeaturise:
     def test_traces_concatenate_in_order(self):
         trace_a, schema = sample_trace(seed=1)
         trace_b, _ = sample_trace(seed=2)
-        provider = MetadataProvider(SELECTED, "outcome-as-class")
-        dataset = featurise([trace_a, trace_b], provider, schema, bins=4)
+        dataset = featurise([trace_a, trace_b], schema, "outcome-as-class", 4, SELECTED)
         assert len(dataset) == len(trace_a.records) + len(trace_b.records)
         assert [a.name for a in dataset.attributes] == ["terrain", "strategy", "outcome"]
-        assert dataset.rows[: len(trace_a.records)] == featurise([trace_a], provider, schema, bins=4).rows
+        assert dataset.rows[: len(trace_a.records)] == featurise([trace_a], schema, "outcome-as-class", 4, SELECTED).rows
 
     def test_no_traces_or_no_rows_is_an_error(self):
         with pytest.raises(MiningError) as err:
-            featurise([], NUMERIC_PROVIDER, NUMERIC_SCHEMA, bins=2)
+            featurise([], NUMERIC_SCHEMA, "strategy-as-class", 2)
         assert err.value.code == "EmptyDataset"
         with pytest.raises(MiningError) as err:
-            featurise([numeric_report([]), numeric_report([])], NUMERIC_PROVIDER, NUMERIC_SCHEMA, bins=2)
+            featurise([numeric_report([]), numeric_report([])], NUMERIC_SCHEMA, "strategy-as-class", 2)
         assert err.value.code == "EmptyDataset"
 
     def test_bins_must_be_positive(self):
@@ -251,15 +257,15 @@ random_traces = st.lists(st.builds(EpisodeTrace, st.lists(records, max_size=8).m
                          max_size=5)
 
 
-def project_by_dict(traces, provider, schema, bins):
+def project_by_dict(traces, selected, rule, schema, bins):
     """The dataset rows featurise should build, one dict per decision,
     binned with the equal-width rule over each numeric column."""
-    label = provider.label_attribute(schema)
-    wanted = list(provider.selected_attributes) + [label] * (label not in provider.selected_attributes)
+    label = "outcome" if rule == "outcome-as-class" else schema.class_attribute
+    wanted = list(selected) + [label] * (label not in selected)
     dicts = []
     for trace in traces:
         for rec in trace.records:
-            if provider.label_rule == "strategy-as-class" and rec.outcome != OUTCOME_SUCCESS:
+            if rule == "strategy-as-class" and rec.outcome != OUTCOME_SUCCESS:
                 continue
             available = dict(rec.observed, strategy=rec.strategy, outcome=rec.outcome)
             dicts.append({name: available[name] for name in wanted})
@@ -280,14 +286,13 @@ class TestProjectionReference:
            st.integers(min_value=1, max_value=4))
     def test_featurise_matches_a_row_by_row_dict_projection(self, traces, rule, world_attrs, with_outcome, bins):
         selected = tuple(world_attrs) + ("strategy",) + ("outcome",) * with_outcome
-        provider = MetadataProvider(selected, rule)
-        columns, rows = project_by_dict(traces, provider, RANDOM_SCHEMA, bins)
+        columns, rows = project_by_dict(traces, selected, rule, RANDOM_SCHEMA, bins)
         if not rows:
             with pytest.raises(MiningError) as err:
-                featurise(traces, provider, RANDOM_SCHEMA, bins)
+                featurise(traces, RANDOM_SCHEMA, rule, bins, selected)
             assert err.value.code == "EmptyDataset"
             return
-        dataset = featurise(traces, provider, RANDOM_SCHEMA, bins)
+        dataset = featurise(traces, RANDOM_SCHEMA, rule, bins, selected)
         assert [a.name for a in dataset.attributes] == columns
         assert list(dataset.rows) == rows
         assert_equal_rows_are_shared(dataset)
@@ -298,7 +303,7 @@ class TestDatasetFiles:
         world = striped_world()
         schema = world_schema(world)
         traces = run_episodes(world, fixed_policy("FAST"), 6, master_seed=4, explore=0.5)
-        dataset = featurise(traces, MetadataProvider(SELECTED, "outcome-as-class"), schema, bins=4)
+        dataset = featurise(traces, schema, "outcome-as-class", 4, SELECTED)
         assert_equal_rows_are_shared(dataset)
         path = tmp_path / "data.csv"
         save_dataset(dataset, path)
@@ -344,8 +349,7 @@ class TestSharedRecordProjection:
 
         schema = world_schema(striped_world())
         for rule in ("outcome-as-class", "strategy-as-class"):
-            provider = MetadataProvider(SELECTED, rule)
-            assert featurise(traces(), provider, schema, 4) == featurise(list(traces()), provider, schema, 4)
+            assert featurise(traces(), schema, rule, 4) == featurise(list(traces()), schema, rule, 4)
 
     def test_shared_and_fresh_records_give_one_dataset(self):
         world = striped_world()
@@ -354,5 +358,4 @@ class TestSharedRecordProjection:
         fresh = [EpisodeTrace(tuple(DecisionRecord(r.cell, dict(r.observed), r.strategy, r.outcome, r.reward)
                                     for r in t.records), t.reached_goal) for t in traces]
         for rule in ("outcome-as-class", "strategy-as-class"):
-            provider = MetadataProvider(SELECTED, rule)
-            assert featurise(traces, provider, schema, 4) == featurise(fresh, provider, schema, 4)
+            assert featurise(traces, schema, rule, 4) == featurise(fresh, schema, rule, 4)

@@ -16,6 +16,7 @@ from metamine.introspection import Dataset
 from metamine.jsonio import canonical_dumps, decode
 from metamine.knowledge import AttributeDef
 from metamine.mining import (
+    CvScores,
     Leaf,
     MiningConfig,
     Split,
@@ -412,6 +413,11 @@ class TestCrossValidate:
         with pytest.raises(MiningError) as err:
             cross_validate(labeled("+-"), MiningConfig(cv_folds=5, seed=0))
         assert err.value.code == "TooFewInstances"
+
+    def test_mean_adds_the_folds_left_to_right(self):
+        """The same bytes on every Python: sum() compensates its rounding
+        since 3.12 and would give 0.1 here."""
+        assert CvScores((0.1,) * 10).mean == 0.09999999999999999
 
     @given(st.data())
     def test_counted_folds_match_a_row_wise_reference(self, data):

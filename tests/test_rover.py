@@ -22,7 +22,7 @@ from helpers import (
 from metamine.cycle import evaluate_candidate, run_experiment
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
-from metamine.knowledge import AttributeDef, define_schema
+from metamine.knowledge import AttributeDef, define_schema, float_sum
 from metamine.policy import Policy, Rule, RuleSet, initial_policy
 from metamine.rover import (
     OUTCOME_FAILURE,
@@ -370,7 +370,7 @@ class TestRollout:
     def test_matches_the_traced_episodes(self, world, rewards):
         """Goal count and per-episode reward sums equal run_seeded's traces
         at explore 0, float for float, also for rewards 0.1 cannot add up
-        exactly."""
+        exactly: each sum adds the step rewards left to right."""
         world = WORLDS[world]()
         if rewards is not None:
             world = dataclasses.replace(world, rewards=rewards)
@@ -378,7 +378,7 @@ class TestRollout:
         for policy in (fixed_policy("FAST"), fixed_policy("CAREFUL"),
                        terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL", "dune": "CAREFUL"}, "FAST")):
             traces = run_seeded(world, policy, seeds)
-            expected = (sum(t.reached_goal for t in traces), [sum(r.reward for r in t.records) for t in traces])
+            expected = (sum(t.reached_goal for t in traces), [float_sum(r.reward for r in t.records) for t in traces])
             assert rollout(world, route_table(world, policy), seeds) == expected
 
     @pytest.mark.parametrize("max_steps, reaches_bad_cell", [(4, False), (5, True)])
