@@ -25,7 +25,7 @@ from .cycle import (
 from .errors import InputFormatError, MetamineError
 from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_object, read_json, write_json
-from .knowledge import load_schema, save_schema
+from .knowledge import format_value, load_schema, save_schema
 from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
 from .policy import (
     compile_policy,
@@ -180,15 +180,16 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _typed_action(value: str, schema, control: str) -> Any:
-    if schema is None:
+def _typed_action(value: str, schema, control: str, model) -> Any:
+    if schema is None:  # the model's own values on the control carry its type
+        values = (model.tree.class_values if model.kind == "tree"
+                  else [r.consequent[1] for r in model.rules if r.consequent[0] == control])
+        return next((v for v in values if format_value(v) == value), value)
+    if schema.attribute(control).kind != "boolean":
         return value
-    attr = schema.attribute(control)
-    if attr.kind == "boolean":
-        if value in ("true", "false"):
-            return value == "true"
+    if value not in ("true", "false"):
         raise UsageError(f"--default for boolean control must be true or false, got {value!r}")
-    return value
+    return value == "true"
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -199,7 +200,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
         ruleset = tree_to_rules(model.tree, control)
     else:
         ruleset = rules_to_ruleset(model.rules, control, args.min_confidence)
-    default = _typed_action(args.default, schema, control)
+    default = _typed_action(args.default, schema, control, model)
     policy = compile_policy(ruleset, default, schema=schema,
                             provenance={"sources": [model.kind], "model_scope": model.scope})
     save_policy(policy, args.out)

@@ -210,20 +210,20 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     traces = run_seeded(world, incumbent, train_seeds, explore=config.exploration)
     if trace_sink is not None:
         trace_sink(cycle_index, traces)
-    total_rows = sum(len(t.records) for t in traces)
-    # every record is a performance row; the successful ones are decision rows
-    decision_rows = sum(rec.outcome == OUTCOME_SUCCESS for t in traces for rec in t.records)
-    found["dataset_sizes"] = sizes = {"performance": total_rows, "decision": decision_rows}
-    completed(episodes=config.training_episodes, decision_records=total_rows,
+    # every record is a performance row, labeled with its outcome; the successful ones are decision rows
+    perf_dataset = featurise(traces, schema, "outcome-as-class", config.bins)
+    perf_patterns = perf_dataset.patterns()
+    decision_rows = sum(count for row, count in perf_patterns.items() if row[-1] == OUTCOME_SUCCESS)
+    found["dataset_sizes"] = sizes = {"performance": len(perf_dataset), "decision": decision_rows}
+    completed(episodes=config.training_episodes, decision_records=len(perf_dataset),
               goal_rate=sum(t.reached_goal for t in traces) / len(traces))
 
-    # data preparation: two labeled views of the same traces
-    perf_dataset = featurise(traces, schema, "outcome-as-class", config.bins)
+    # data preparation: the strategy-labeled view of the same traces
     decision_dataset = featurise(traces, schema, "strategy-as-class", config.bins) if decision_rows else None
     completed(**sizes)
     if decision_rows == 0:
         return end("insufficient-data", "no successful decisions to learn from")
-    if len(set(perf_dataset.labels())) < 2:
+    if len({row[-1] for row in perf_patterns}) < 2:
         return end("insufficient-data", "every step had the same outcome; nothing to classify")
     if len(perf_dataset) < config.mining.cv_folds:
         return end("insufficient-data", "fewer rows than cross-validation folds")

@@ -36,20 +36,21 @@ LABEL_RULES = ("outcome-as-class", "strategy-as-class")
 
 @dataclass(frozen=True)
 class Dataset:
-    """Finite-domain training table; the class attribute is last.
+    """Non-empty finite-domain training table; the class attribute is last.
 
     rows holds one value tuple per instance, in attribute order. Values
     are checked where rows enter (the trace and dataset CSV readers), so
-    the dataset checks only its columns. bin_edges holds, per formerly
-    numeric attribute, the interior interval boundaries used to
-    discretize it (empty tuple when every value was identical and
-    everything went to bin_0).
+    the dataset checks its columns and that it has rows, then counts the
+    rows once for every learner (patterns()). bin_edges holds, per
+    formerly numeric attribute, the interior interval boundaries used to
+    discretize it (empty when every value was identical, so all went to bin_0).
     """
 
     attributes: tuple[AttributeDef, ...]
     class_attribute: str
     rows: tuple[tuple, ...]
     bin_edges: dict[str, tuple[float, ...]] = field(default_factory=dict)
+    _patterns: Counter = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         define_schema(self.attributes, self.class_attribute)
@@ -58,6 +59,9 @@ class Dataset:
         for a in self.attributes:
             if not a.is_finite:
                 raise SchemaError("NumericAttribute", f"dataset attribute {a.name!r} is numeric; discretize first")
+        if not self.rows:
+            raise MiningError("EmptyDataset", "a dataset needs at least one row to learn from")
+        object.__setattr__(self, "_patterns", Counter(self.rows))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -70,12 +74,10 @@ class Dataset:
     def class_def(self) -> AttributeDef:
         return self.attributes[-1]
 
-    def labels(self) -> list:
-        return [row[-1] for row in self.rows]
-
     def patterns(self) -> Counter:
-        """The distinct rows with their counts, in first-occurrence order."""
-        return Counter(self.rows)
+        """The distinct rows with their counts, in first-occurrence order;
+        a copy, so editing it leaves the dataset unchanged."""
+        return Counter(self._patterns)
 
 
 def bin_label(index: int) -> str:
@@ -190,7 +192,7 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([a.name for a in dataset.attributes])
-        text = {row: [format_value(v) for v in row] for row in set(dataset.rows)}
+        text = {row: [format_value(v) for v in row] for row in dataset.patterns()}
         writer.writerows(text[row] for row in dataset.rows)
     write_json(dataset_meta_path(csv_path), {
         "attributes": [attribute_to_json(a) for a in dataset.attributes],

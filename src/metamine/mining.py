@@ -79,8 +79,6 @@ def _partition_gain(patterns: Mapping[tuple, int], column: int) -> float:
 
 def info_gain(dataset: Dataset, attribute: str) -> float:
     """Information gain of splitting the dataset on one feature attribute."""
-    if not dataset.rows:
-        raise MiningError("EmptyDataset", "cannot compute gain on an empty dataset")
     names = [a.name for a in dataset.feature_attributes]
     if attribute not in names:
         raise MiningError("UnknownAttribute", f"{attribute!r} is not a feature attribute of the dataset")
@@ -149,8 +147,6 @@ def induce_tree(dataset: Dataset, config: MiningConfig) -> DecisionTree:
     values unseen in the partition get a support-0 leaf inheriting the
     node's majority label and fraction.
     """
-    if not dataset.rows:
-        raise MiningError("EmptyDataset", "cannot induce a tree from an empty dataset")
     return _grow_tree(dataset, dataset.patterns(), config)
 
 
@@ -361,10 +357,10 @@ def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
     n = len(dataset)
     if config.cv_folds > n:
         raise MiningError("TooFewInstances", f"cv_folds {config.cv_folds} exceeds dataset size {n}")
-    if len(set(dataset.labels())) < 2:
+    total = dataset.patterns()
+    if len({row[-1] for row in total}) < 2:
         raise MiningError("FewerThanTwoClasses", "cross-validation needs at least two classes")
     folds = stratified_folds(dataset, config.cv_folds, config.seed)
-    total = dataset.patterns()
     per_fold = []
     for fold in folds:
         test = Counter(dataset.rows[i] for i in fold)
@@ -415,7 +411,7 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     tree = induce_tree(dataset, config)
     evaluation = _base_evaluation(dataset, config)
     evaluation["training_accuracy"] = training_accuracy(tree, dataset)
-    if config.cv_folds <= len(dataset) and len(set(dataset.labels())) >= 2:
+    if config.cv_folds <= len(dataset) and len({row[-1] for row in dataset.patterns()}) >= 2:
         scores = cross_validate(dataset, config)
         evaluation["cv_mean"] = scores.mean
         evaluation["cv_per_fold"] = list(scores.per_fold)

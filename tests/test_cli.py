@@ -3,7 +3,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -70,6 +73,16 @@ class TestParsing:
     def test_subcommand_help_exits_cleanly(self, command, capsys):
         assert main([command, "--help"]) == EXIT_OK
         assert "exit codes" in capsys.readouterr().out.lower()
+
+    def test_the_package_runs_as_a_module(self):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = [sys.executable, "-m", "metamine"]
+        bare = subprocess.run(run, env=env, capture_output=True, text=True)
+        assert bare.returncode == EXIT_USAGE
+        assert "subcommand" in bare.stderr
+        helped = subprocess.run(run + ["--help"], env=env, capture_output=True, text=True)
+        assert helped.returncode == EXIT_OK
+        assert "exit codes" in helped.stdout
 
     def test_missing_required_flag_is_a_usage_error(self, capsys):
         assert main(["simulate", "--world", "w.json"]) == EXIT_USAGE
@@ -252,14 +265,19 @@ class TestPipeline:
         assert code == EXIT_SCHEMA
         capsys.readouterr()
 
-    def test_compile_types_the_default_of_a_boolean_control(self, workdir, capsys):
+    def boolean_model(self, workdir, algo):
+        """A model of a boolean `careful` control, and the schema that types it."""
         terrain, careful = cat("terrain", ("sand", "rock")), AttributeDef("careful", "boolean", "self")
         save_schema(define_schema((terrain, careful), "careful"), workdir / "bool.schema.json")
         save_dataset(Dataset((terrain, careful), "careful", (("sand", True), ("rock", False)) * 4),
                      workdir / "bool.csv")
         model = workdir / "bool.model.json"
-        assert main(["mine", "--data", str(workdir / "bool.csv"), "--algo", "tree", "--seed", "0",
+        assert main(["mine", "--data", str(workdir / "bool.csv"), "--algo", algo, "--seed", "0",
                      "--cv-folds", "2", "--min-leaf", "1", "--out", str(model)]) == EXIT_OK
+        return model
+
+    def test_compile_types_the_default_of_a_boolean_control(self, workdir, capsys):
+        model = self.boolean_model(workdir, "tree")
         base = ["compile", "--model", str(model), "--schema", str(workdir / "bool.schema.json")]
         for text, action in (("true", True), ("false", False)):
             policy = workdir / f"{text}.policy.json"
@@ -270,6 +288,30 @@ class TestPipeline:
         assert code == EXIT_USAGE
         assert "true or false" in capsys.readouterr().err
         assert not (workdir / "yes.policy.json").exists()
+
+    @pytest.mark.parametrize("algo", ["tree", "apriori"])
+    def test_compile_without_a_schema_types_the_default_from_the_model(self, workdir, capsys, algo):
+        model = self.boolean_model(workdir, algo)
+        for text, action in (("true", True), ("false", False)):
+            defaults = []
+            for schema in ([], ["--schema", str(workdir / "bool.schema.json")]):
+                policy = workdir / f"{text}{len(schema)}.policy.json"
+                assert main(["compile", "--model", str(model), "--default", text, *schema,
+                             "--out", str(policy)]) == EXIT_OK
+                defaults.append(json.loads(policy.read_text())["default_action"])
+            assert defaults == [action, action]
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("algo", ["tree", "apriori"])
+    def test_mining_a_header_only_dataset_is_a_schema_error(self, workdir, capsys, algo):
+        data = workdir / "empty.csv"
+        save_dataset(Dataset((cat("terrain", ("sand",)), cat("strategy", ("FAST",), scope="self")), "strategy",
+                             (("sand", "FAST"),)), data)
+        data.write_text(data.read_text().splitlines()[0] + "\n", encoding="utf-8")
+        code = main(["mine", "--data", str(data), "--algo", algo, "--seed", "0", "--out", str(workdir / "m.json")])
+        assert code == EXIT_SCHEMA
+        assert "EmptyDataset" in capsys.readouterr().err
+        assert not (workdir / "m.json").exists()
 
     @pytest.mark.parametrize("child", [5, "x"])
     def test_tree_children_that_are_not_pairs_are_an_input_error(self, workdir, capsys, child):
@@ -343,6 +385,15 @@ class TestCycleCommand:
         write_json(config, payload)
         assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_USAGE
         assert "master seed" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
+
+    def test_missing_cycle_count_everywhere_is_a_usage_error(self, workdir, capsys):
+        config = cycle_config(workdir)
+        payload = json.loads(config.read_text())
+        del payload["cycles"]
+        write_json(config, payload)
+        assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_USAGE
+        assert "cycle count" in capsys.readouterr().err
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("section, name, value", [

@@ -80,6 +80,15 @@ class TestMetadataProvider:
         assert err.value.code == "NoWorldAttribute"
 
 
+    def test_a_numeric_outcome_cannot_label_rows(self):
+        """load_traces rejects such a trace first; featurise checks the schema itself."""
+        trace, schema = sample_trace()
+        numeric = define_schema([AttributeDef("outcome", "numeric", "self", (0.0, 1.0)) if a.name == "outcome"
+                                 else a for a in schema.attributes], schema.class_attribute)
+        with pytest.raises(MiningError) as err:
+            featurise([trace], numeric, "outcome-as-class", 4)
+        assert err.value.code == "NumericLabel"
+
 class TestCollectReport:
     """featurise projects each decision record into one row."""
 
@@ -149,7 +158,21 @@ class TestDatasetInvariants:
         assert len(ds) == 3
         assert [a.name for a in ds.feature_attributes] == ["x"]
         assert ds.class_def.name == "label"
-        assert ds.labels() == ["b", "a", "b"]
+        assert [row[-1] for row in ds.rows] == ["b", "a", "b"]
+        assert list(ds.patterns().items()) == [(("v", "b"), 2), (("u", "a"), 1)]
+
+    def test_an_empty_dataset_is_an_error(self):
+        defs = (cat("x", ("u", "v")), cat("label", ("a", "b"), scope="self"))
+        with pytest.raises(MiningError) as err:
+            Dataset(defs, "label", ())
+        assert err.value.code == "EmptyDataset"
+
+    def test_editing_the_patterns_leaves_the_dataset_unchanged(self):
+        defs = (cat("x", ("u", "v")), cat("label", ("a", "b"), scope="self"))
+        ds = Dataset(defs, "label", (("v", "b"), ("u", "a"), ("v", "b")))
+        edited = ds.patterns()
+        edited[("v", "b")] += 5
+        del edited[("u", "a")]
         assert list(ds.patterns().items()) == [(("v", "b"), 2), (("u", "a"), 1)]
 
 
