@@ -196,10 +196,10 @@ def cmd_compile(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     schema = load_schema(args.schema) if args.schema else None
     control = schema.class_attribute if schema is not None else model.label_attribute
+    # checks --min-confidence for either kind; a tree model has no association rules
+    ruleset = rules_to_ruleset(model.rules, control, args.min_confidence)
     if model.kind == "tree":
         ruleset = tree_to_rules(model.tree, control)
-    else:
-        ruleset = rules_to_ruleset(model.rules, control, args.min_confidence)
     default = _typed_action(args.default, schema, control, model)
     policy = compile_policy(ruleset, default, schema=schema,
                             provenance={"sources": [model.kind], "model_scope": model.scope})

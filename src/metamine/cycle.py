@@ -245,8 +245,8 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     for model in decision_models:
         if model.kind == "tree":
             mined.extend(tree_to_rules(model.tree, schema.class_attribute).rules)
-        else:
-            mined.extend(rules_to_ruleset(model.rules, schema.class_attribute, config.mining.min_confidence).rules)
+        else:  # fit_rules_model kept only rules at or above min_confidence
+            mined.extend(rules_to_ruleset(model.rules, schema.class_attribute).rules)
     ruleset = RuleSet.canonical(mined, schema.class_attribute)
     candidate = compile_policy(ruleset, incumbent.default_action, schema=schema, provenance={
         "cycle": cycle_index,

@@ -22,7 +22,7 @@ from typing import Any, Collection, Iterable, Mapping, Sequence, Union
 from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
 from .jsonio import ATOM, expect_field, expect_object, expect_pairs, read_json, write_json
-from .knowledge import AttributeDef, float_sum, format_value, is_int, is_number
+from .knowledge import float_sum, format_value, is_int, is_number
 
 
 @dataclass(frozen=True)
@@ -246,16 +246,10 @@ def apriori(transactions: Sequence[Iterable], min_support: float) -> dict[frozen
         current = {c: cnt for c, cnt in counts.items() if cnt / n >= min_support}
         result.update(current)
         k += 1
-        seeds = sorted(current, key=_itemset_key)
-        unions = set()
-        for i in range(len(seeds)):
-            for j in range(i + 1, len(seeds)):
-                union = seeds[i] | seeds[j]
-                if len(union) == k:
-                    unions.add(union)
+        unions = {a | b for a, b in combinations(current, 2)}
         candidates = [
             c for c in sorted(unions, key=_itemset_key)
-            if all(frozenset(sub) in current for sub in combinations(c, k - 1))
+            if len(c) == k and all(frozenset(sub) in current for sub in combinations(c, k - 1))
         ]
     return result
 
@@ -327,9 +321,10 @@ class CvScores:
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     """Seeded stratified partition into k test folds of instance indices.
 
-    Indices are grouped by class (domain order), shuffled per group, and
-    dealt round-robin, so each fold's class counts are within one of any
-    other fold's.
+    Each class's indices (class domain order) are shuffled by one
+    Random(seed) and joined into one list; its j-th index goes to fold
+    j mod k, so each fold's class counts are within one of any other fold's.
+    More folds than rows is TooFewInstances.
     """
     n = len(dataset)
     if not is_int(k) or k < 2:
@@ -337,15 +332,12 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     if k > n:
         raise MiningError("TooFewInstances", f"cannot make {k} folds from {n} instances")
     rng = Random(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0
+    dealt: list[int] = []
     for value in dataset.class_def.values():
         idxs = [i for i, row in enumerate(dataset.rows) if row[-1] == value]
         rng.shuffle(idxs)
-        for idx in idxs:
-            folds[cursor % k].append(idx)
-            cursor += 1
-    return [sorted(f) for f in folds]
+        dealt += idxs
+    return [sorted(dealt[f::k]) for f in range(k)]
 
 
 def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
@@ -353,14 +345,13 @@ def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
 
     Each fold's tree grows from the dataset's row counts minus the fold's,
     and each distinct held-out row is scored once, weighted by its count.
+    Too few rows for the folds (TooFewInstances, from stratified_folds)
+    is reported before a single class (FewerThanTwoClasses).
     """
-    n = len(dataset)
-    if config.cv_folds > n:
-        raise MiningError("TooFewInstances", f"cv_folds {config.cv_folds} exceeds dataset size {n}")
+    folds = stratified_folds(dataset, config.cv_folds, config.seed)
     total = dataset.patterns()
     if len({row[-1] for row in total}) < 2:
         raise MiningError("FewerThanTwoClasses", "cross-validation needs at least two classes")
-    folds = stratified_folds(dataset, config.cv_folds, config.seed)
     per_fold = []
     for fold in folds:
         test = Counter(dataset.rows[i] for i in fold)
@@ -387,8 +378,9 @@ class MetaModel:
     n_transactions: int = 0
 
 
-def scope_of(defs: Iterable[AttributeDef]) -> str:
-    scopes = {d.scope for d in defs}
+def scope_of(dataset: Dataset, names: Collection[str]) -> str:
+    """The MetaModel scope of the named attributes of the dataset."""
+    scopes = {a.scope for a in dataset.attributes if a.name in names}
     if scopes == {"world"}:
         return "world"
     if scopes == {"self"}:
@@ -415,12 +407,10 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
         scores = cross_validate(dataset, config)
         evaluation["cv_mean"] = scores.mean
         evaluation["cv_per_fold"] = list(scores.per_fold)
-    by_name = {a.name: a for a in dataset.attributes}
-    used = [by_name[n] for n in sorted(tree.split_attributes())] + [dataset.class_def]
     return MetaModel(
         kind="tree",
         label_attribute=dataset.class_attribute,
-        scope=scope_of(used),
+        scope=scope_of(dataset, tree.split_attributes() | {dataset.class_attribute}),
         evaluation=evaluation,
         tree=tree,
     )
@@ -436,15 +426,11 @@ def fit_rules_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     evaluation = _base_evaluation(dataset, config)
     evaluation["n_frequent"] = len(frequent)
     evaluation["n_rules"] = len(rules)
-    by_name = {a.name: a for a in dataset.attributes}
-    used_names = sorted(
-        {item[0] for rule in rules for item in rule.antecedent}
-        | {rule.consequent[0] for rule in rules}
-    ) or [dataset.class_attribute]
+    used = {item[0] for rule in rules for item in rule.antecedent | {rule.consequent}}
     return MetaModel(
         kind="rules",
         label_attribute=dataset.class_attribute,
-        scope=scope_of(by_name[n] for n in used_names),
+        scope=scope_of(dataset, used or {dataset.class_attribute}),
         evaluation=evaluation,
         rules=rules,
         frequent=tuple((itemset, count) for itemset, count in frequent.items()),

@@ -89,8 +89,8 @@ class GridWorld:
     master_seed: int | None = None
 
     def __post_init__(self):
-        if not is_number(self.width) or not is_number(self.height) or self.width < 1 or self.height < 1:
-            raise SchemaError("BadGrid", f"grid width and height must be numbers >= 1, got {self.width!r}, {self.height!r}")
+        if not is_int(self.width) or not is_int(self.height) or self.width < 1 or self.height < 1:
+            raise SchemaError("BadGrid", f"grid width and height must be integers >= 1, got {self.width!r}, {self.height!r}")
         for group, label in ((self.terrains, "terrains"), (self.strategies, "strategies")):
             if not group or not all(isinstance(v, str) and v for v in group) or len(set(group)) != len(group):
                 raise SchemaError("BadNameList", f"{label} must be distinct non-empty strings")
@@ -431,10 +431,6 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
             episode, epoch = int(row[0]), int(row[1])
             if rec is None:
                 cell = (int(row[2]), int(row[3]))
-        except ValueError as exc:
-            raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
-        try:
-            if rec is None:
                 observed = {a.name: a.parse(row[4 + k]) for k, a in enumerate(world_defs)}
                 rec = shared[key] = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
                                                    outcome_def.parse(row[base + 1]), REWARD_DEF.parse(row[base + 2]))
@@ -445,6 +441,8 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
             if epoch != len(records):
                 raise InputFormatError("BadTrace", f"episode {episode} has epoch {epoch} where "
                                                    f"{len(records)} comes next")
+        except ValueError as exc:
+            raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
         except (InputFormatError, SchemaError) as exc:
             raise located(exc, path, line) from exc
         records.append(rec)

@@ -303,6 +303,17 @@ class TestPipeline:
         capsys.readouterr()
 
     @pytest.mark.parametrize("algo", ["tree", "apriori"])
+    @pytest.mark.parametrize("confidence", ["7", "nan", "-0.1"])
+    def test_compile_rejects_an_out_of_range_min_confidence_for_every_model(self, workdir, capsys, algo, confidence):
+        model = self.boolean_model(workdir, algo)
+        policy = workdir / "p.policy.json"
+        code = main(["compile", "--model", str(model), "--default", "true", "--min-confidence", confidence,
+                     "--out", str(policy)])
+        assert code == EXIT_SCHEMA
+        assert "BadConfidence" in capsys.readouterr().err
+        assert not policy.exists()
+
+    @pytest.mark.parametrize("algo", ["tree", "apriori"])
     def test_mining_a_header_only_dataset_is_a_schema_error(self, workdir, capsys, algo):
         data = workdir / "empty.csv"
         save_dataset(Dataset((cat("terrain", ("sand",)), cat("strategy", ("FAST",), scope="self")), "strategy",

@@ -5,6 +5,7 @@ import math
 import sys
 from dataclasses import asdict
 from itertools import combinations, product
+from random import Random
 
 import pytest
 from hypothesis import assume, given
@@ -393,6 +394,26 @@ class TestStratifiedFolds:
             counts = [sum(1 for i in f if ds.rows[i][-1] == value) for f in folds]
             assert max(counts) - min(counts) <= 1
 
+    @given(st.data())
+    def test_deal_matches_a_cursor_reference(self, data):
+        """Shuffling each class in domain order with one Random and dealing
+        round-robin, the cursor running on across classes."""
+        domain = data.draw(st.permutations("abc"[: data.draw(st.integers(2, 3))]))
+        labels = data.draw(st.lists(st.sampled_from(domain), min_size=2, max_size=40))
+        k, seed = data.draw(st.integers(2, 6)), data.draw(st.integers(0, 99))
+        assume(k <= len(labels))
+        ds = make_dataset({"c": ("k",)}, tuple(domain), [{"c": "k", "label": l} for l in labels])
+        rng = Random(seed)
+        folds: list[list[int]] = [[] for _ in range(k)]
+        cursor = 0
+        for value in domain:
+            idxs = [i for i, label in enumerate(labels) if label == value]
+            rng.shuffle(idxs)
+            for idx in idxs:
+                folds[cursor % k].append(idx)
+                cursor += 1
+        assert stratified_folds(ds, k, seed) == [sorted(f) for f in folds]
+
 
 class TestCrossValidate:
     def test_leave_one_out_majority_paradox(self):
@@ -472,6 +493,11 @@ class TestModels:
         assert model.scope == "mixed"
         texts = [r.text for r in model.rules]
         assert "terrain=rock => strategy=FAST" in texts
+
+    def test_rules_model_without_rules_takes_the_class_scope(self):
+        model = fit_rules_model(self.strategy_dataset(), MiningConfig(min_support=1.0))
+        assert model.rules == ()
+        assert model.scope == "self"  # the class alone, not the world-scoped terrain
 
     def test_model_files_round_trip_byte_identically(self, tmp_path):
         config = MiningConfig(cv_folds=3, seed=2, min_support=0.2, min_confidence=0.6)

@@ -73,8 +73,10 @@ class TestWorldValidation:
         assert err.value.code == "UnknownTerrain"
 
     def test_cells_shape_must_match_grid(self):
-        with pytest.raises(SchemaError):
-            tiny_world(cells=(("flat", "dune"),))
+        for overrides in ({"cells": (("flat", "dune"),)}, {"width": 2.0, "height": 2.0}):
+            with pytest.raises(SchemaError) as err:
+                tiny_world(**overrides)
+            assert err.value.code == "BadGrid"
 
     def test_positions_must_be_in_bounds(self):
         with pytest.raises(SchemaError) as err:
