@@ -105,8 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="model JSON from `mine`")
     p.add_argument("--default", required=True, help="default action when no rule matches")
     p.add_argument("--schema", help="schema JSON for domain validation and typed values")
-    p.add_argument("--min-confidence", type=float, default=0.0,
-                   help="drop association rules below this confidence (default: keep all)")
     p.add_argument("--out", required=True, help="policy JSON to write")
 
     p = command("cycle", help="run a full gated multi-cycle experiment")
@@ -196,10 +194,7 @@ def cmd_compile(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     schema = load_schema(args.schema) if args.schema else None
     control = schema.class_attribute if schema is not None else model.label_attribute
-    # checks --min-confidence for either kind; a tree model has no association rules
-    ruleset = rules_to_ruleset(model.rules, control, args.min_confidence)
-    if model.kind == "tree":
-        ruleset = tree_to_rules(model.tree, control)
+    ruleset = tree_to_rules(model.tree, control) if model.kind == "tree" else rules_to_ruleset(model.rules, control)
     default = _typed_action(args.default, schema, control, model)
     policy = compile_policy(ruleset, default, schema=schema,
                             provenance={"sources": [model.kind], "model_scope": model.scope})

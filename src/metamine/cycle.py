@@ -212,8 +212,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         trace_sink(cycle_index, traces)
     # every record is a performance row, labeled with its outcome; the successful ones are decision rows
     perf_dataset = featurise(traces, schema, "outcome-as-class", config.bins)
-    perf_patterns = perf_dataset.patterns()
-    decision_rows = sum(count for row, count in perf_patterns.items() if row[-1] == OUTCOME_SUCCESS)
+    decision_rows = sum(count for row, count in perf_dataset.patterns().items() if row[-1] == OUTCOME_SUCCESS)
     found["dataset_sizes"] = sizes = {"performance": len(perf_dataset), "decision": decision_rows}
     completed(episodes=config.training_episodes, decision_records=len(perf_dataset),
               goal_rate=sum(t.reached_goal for t in traces) / len(traces))
@@ -223,7 +222,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     completed(**sizes)
     if decision_rows == 0:
         return end("insufficient-data", "no successful decisions to learn from")
-    if len({row[-1] for row in perf_patterns}) < 2:
+    if decision_rows == len(perf_dataset):  # some rows succeeded, so one outcome means all did
         return end("insufficient-data", "every step had the same outcome; nothing to classify")
     if len(perf_dataset) < config.mining.cv_folds:
         return end("insufficient-data", "fewer rows than cross-validation folds")
@@ -332,7 +331,7 @@ def cycles_csv_from_json(experiment_json: Any) -> str:
     out.write(",".join(CSV_COLUMNS) + "\n")
     for cycle in expect_field(expect_object(experiment_json, "experiment"), "cycles", "experiment", list):
         cycle = expect_object(cycle, "experiment cycle")
-        heldout = expect_object(cycle.get("heldout") or {}, "cycle heldout")
+        heldout = {} if cycle.get("heldout") is None else expect_object(cycle["heldout"], "cycle heldout")
         cells = [
             str(expect_field(cycle, "index", "cycle", int)),
             str(expect_field(expect_field(cycle, "dataset_sizes", "cycle", dict), "performance", "dataset sizes", int)),
@@ -342,6 +341,8 @@ def cycles_csv_from_json(experiment_json: Any) -> str:
             _csv_number(heldout.get("delta")),
             expect_field(cycle, "decision", "cycle", str),
         ]
+        if cells[-1] not in DECISIONS:  # a free string could carry a comma or a line break into the CSV
+            raise InputFormatError("BadField", f"cycle decision must be one of {DECISIONS}, got {cells[-1]!r}")
         out.write(",".join(cells) + "\n")
     return out.getvalue()
 

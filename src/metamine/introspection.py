@@ -3,9 +3,10 @@
 featurise is the data-preparation step: given which attributes a dataset
 shows and how each row is labeled, it projects every decision the rover
 took into one row and discretizes any numeric attributes, so the miners
-only ever see finite domains. The resulting Dataset remembers its bin
-boundaries, so the same discretization can be replayed at deployment
-time.
+only ever see finite domains. The resulting Dataset records its bin
+boundaries, which say what range each bin_k label stands for. Nothing
+maps a raw value to its bin later, so rules over a binned attribute
+never match a numeric observation.
 """
 
 from __future__ import annotations

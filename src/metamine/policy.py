@@ -137,21 +137,19 @@ def tree_to_rules(tree: DecisionTree, control_attribute: str | None = None) -> R
     return RuleSet.canonical([Rule(path, leaf.label, leaf.confidence, "tree") for path, leaf in tree.paths()], control)
 
 
-def rules_to_ruleset(rules: Iterable[AssociationRule], control_attribute: str, min_confidence: float = 0.0) -> RuleSet:
-    """Keep association rules that decide the control attribute with at
-    least min_confidence; convert antecedents to conditions.
+def rules_to_ruleset(rules: Iterable[AssociationRule], control_attribute: str) -> RuleSet:
+    """Keep association rules that decide the control attribute and convert
+    antecedents to conditions; derive_rules already applied the confidence threshold.
 
     Rules over (attribute, value) items only. Empty antecedents and rules
     whose consequent sets anything else are dropped.
     """
-    if not 0.0 <= min_confidence <= 1.0:
-        raise PolicyError("BadConfidence", f"min_confidence must be in [0, 1], got {min_confidence!r}")
     kept = []
     for rule in rules:
         consequent = rule.consequent
         if not (isinstance(consequent, tuple) and len(consequent) == 2):
             raise ConsistencyError("BadItem", f"rule items must be (attribute, value) pairs, got {consequent!r}")
-        if consequent[0] != control_attribute or rule.confidence < min_confidence:
+        if consequent[0] != control_attribute:
             continue
         if not rule.antecedent:
             continue

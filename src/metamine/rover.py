@@ -420,8 +420,7 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     strategy_def = schema.class_def
     outcome_def = schema.attribute(OUTCOME_ATTR) if OUTCOME_ATTR in schema else OUTCOME_DEF
     base = 4 + len(world_defs)
-    grouped: dict[int, list[DecisionRecord]] = {}
-    goal_flags: dict[int, bool] = {}
+    episodes: dict[int, tuple[list[DecisionRecord], bool]] = {}
     # the cell texts from x to reward -> their record; equal text parses to an equal value
     shared: dict[tuple[str, ...], DecisionRecord] = {}
     for line, row in read_table(path, _trace_header(schema)):
@@ -435,9 +434,9 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
                 rec = shared[key] = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
                                                    outcome_def.parse(row[base + 1]), REWARD_DEF.parse(row[base + 2]))
             reached = REACHED_DEF.parse(row[base + 3])
-            if goal_flags.setdefault(episode, reached) != reached:
+            records, first_reached = episodes.setdefault(episode, ([], reached))
+            if first_reached != reached:
                 raise InputFormatError("BadTrace", f"reached_goal changes within episode {episode}")
-            records = grouped.setdefault(episode, [])
             if epoch != len(records):
                 raise InputFormatError("BadTrace", f"episode {episode} has epoch {epoch} where "
                                                    f"{len(records)} comes next")
@@ -446,4 +445,4 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
         except (InputFormatError, SchemaError) as exc:
             raise located(exc, path, line) from exc
         records.append(rec)
-    return [EpisodeTrace(tuple(grouped[e]), goal_flags[e]) for e in sorted(grouped)]
+    return [EpisodeTrace(tuple(records), reached) for _, (records, reached) in sorted(episodes.items())]

@@ -183,8 +183,7 @@ class TestPipeline:
 
         rules_policy = workdir / "rules.policy.json"
         assert main(["compile", "--model", str(rules_model), "--default", "FAST",
-                     "--schema", str(workdir / "schema.json"), "--min-confidence", "0.55",
-                     "--out", str(rules_policy)]) == EXIT_OK
+                     "--schema", str(workdir / "schema.json"), "--out", str(rules_policy)]) == EXIT_OK
         assert load_policy(rules_policy).decide({"terrain": "sand"}) == "CAREFUL"
         capsys.readouterr()
 
@@ -302,15 +301,14 @@ class TestPipeline:
             assert defaults == [action, action]
         capsys.readouterr()
 
-    @pytest.mark.parametrize("algo", ["tree", "apriori"])
-    @pytest.mark.parametrize("confidence", ["7", "nan", "-0.1"])
-    def test_compile_rejects_an_out_of_range_min_confidence_for_every_model(self, workdir, capsys, algo, confidence):
-        model = self.boolean_model(workdir, algo)
+    def test_compile_takes_no_confidence_threshold(self, workdir, capsys):
+        """The threshold is the one the model was mined with (mine --min-confidence)."""
+        model = self.boolean_model(workdir, "apriori")
         policy = workdir / "p.policy.json"
-        code = main(["compile", "--model", str(model), "--default", "true", "--min-confidence", confidence,
+        code = main(["compile", "--model", str(model), "--default", "true", "--min-confidence", "0.5",
                      "--out", str(policy)])
-        assert code == EXIT_SCHEMA
-        assert "BadConfidence" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert "--min-confidence" in capsys.readouterr().err
         assert not policy.exists()
 
     @pytest.mark.parametrize("algo", ["tree", "apriori"])
@@ -489,11 +487,17 @@ class TestReportCommand:
         [{"index": 1, "dataset_sizes": {"performance": 9}, "cv_accuracy": "high", "decision": "deployed"}],
         [{"index": True, "dataset_sizes": {"performance": 9}, "decision": "deployed"}],
         [{"index": 1, "dataset_sizes": {"performance": False}, "decision": "deployed"}],
-    ], ids=["not-a-list", "not-an-object", "text-accuracy", "boolean-index", "boolean-size"])
+        [{"index": 1, "dataset_sizes": {"performance": 3}, "decision": "x,y\nz"}],
+        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": False, "decision": "deployed"}],
+        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": 0, "decision": "deployed"}],
+        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": [], "decision": "deployed"}],
+    ], ids=["not-a-list", "not-an-object", "text-accuracy", "boolean-index", "boolean-size", "unknown-decision",
+            "false-heldout", "zero-heldout", "list-heldout"])
     def test_malformed_cycles_are_input_errors(self, workdir, capsys, cycles):
-        bad = workdir / "exp.json"
+        bad, report = workdir / "exp.json", workdir / "r.csv"
         write_json(bad, {"cycles": cycles})
-        assert main(["report", "--experiment", str(bad), "--out", str(workdir / "r.csv")]) == EXIT_INPUT
+        assert main(["report", "--experiment", str(bad), "--out", str(report)]) == EXIT_INPUT
+        assert not report.exists()
         capsys.readouterr()
 
 

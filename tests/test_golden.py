@@ -115,7 +115,7 @@ def test_file_stage_chain_outputs(tmp_path):
     run("mine", "--data", out / "decision.csv", "--algo", "apriori", "--min-support", "0.05",
         "--out", out / "decision.rules.json")
     for model in ("tree", "rules"):
-        run("compile", "--model", out / f"decision.{model}.json", "--default", "FAST", "--min-confidence", "0.55",
+        run("compile", "--model", out / f"decision.{model}.json", "--default", "FAST",
             "--out", out / f"{model}.policy.json")
     check(out, CHAIN_DIGESTS)
 

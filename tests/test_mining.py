@@ -17,8 +17,10 @@ from metamine.introspection import Dataset
 from metamine.jsonio import canonical_dumps, decode
 from metamine.knowledge import AttributeDef
 from metamine.mining import (
+    AssociationRule,
     CvScores,
     Leaf,
+    MetaModel,
     MiningConfig,
     Split,
     apriori,
@@ -352,6 +354,18 @@ class TestDeriveRules:
             derive_rules({frozenset({"a", "b"}): 2}, 0.1, 3)
         assert err.value.code == "MissingSubset"
 
+    @pytest.mark.parametrize("confidence, n, code", [
+        (0.0, 3, "BadConfig"),
+        (1.5, 3, "BadConfig"),
+        (math.nan, 3, "BadConfig"),
+        (0.5, 0, "BadCount"),
+    ])
+    def test_bad_threshold_or_transaction_count_is_an_error(self, confidence, n, code):
+        frequent = {frozenset({"a"}): 2, frozenset({"b"}): 2, frozenset({"a", "b"}): 2}
+        with pytest.raises((MiningError, ConsistencyError)) as err:
+            derive_rules(frequent, confidence, n)
+        assert err.value.code == code
+
     @given(st.lists(st.sets(st.sampled_from("abcd")), min_size=1, max_size=12))
     def test_confidence_and_support_identities(self, transactions):
         n = len(transactions)
@@ -379,6 +393,12 @@ class TestStratifiedFolds:
         with pytest.raises(MiningError) as err:
             stratified_folds(labeled("++"), 3, seed=0)
         assert err.value.code == "TooFewInstances"
+
+    @pytest.mark.parametrize("k", [1, 0, -2])
+    def test_fewer_than_two_folds_is_an_error(self, k):
+        with pytest.raises(MiningError) as err:
+            stratified_folds(labeled("++--"), k, seed=0)
+        assert err.value.code == "BadConfig"
 
     @given(st.lists(st.sampled_from("+-"), min_size=2, max_size=40),
            st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=99))
@@ -484,6 +504,13 @@ class TestModels:
         assert model.evaluation["cv_mean"] is None
         assert model.evaluation["cv_per_fold"] is None
 
+    def test_tree_model_on_world_attributes_has_world_scope(self):
+        defs = (cat("row", ("top", "bottom")), cat("terrain", ("sand", "rock")))
+        ds = Dataset(defs, "terrain", (("top", "sand"), ("bottom", "rock")) * 3)
+        model = fit_tree_model(ds, MiningConfig(cv_folds=2, seed=0))
+        assert model.tree.split_attributes() == {"row"}
+        assert model.scope == "world"
+
     def test_rules_model_counts_and_scope(self):
         model = fit_rules_model(self.strategy_dataset(), MiningConfig(min_support=0.2, min_confidence=0.6))
         assert model.kind == "rules"
@@ -518,6 +545,13 @@ class TestModels:
         loaded = load_model(tmp_path / "m.json")
         for a, b in product((False, True), repeat=2):
             assert classify(loaded.tree, {"a": a, "b": b}) == classify(model.tree, {"a": a, "b": b})
+
+    def test_a_rule_item_that_is_no_attribute_value_pair_cannot_be_written(self):
+        rule = AssociationRule(frozenset({"raw"}), ("strategy", "FAST"), 0.5, 0.9)
+        model = MetaModel("rules", "strategy", "self", {}, rules=(rule,), n_transactions=2)
+        with pytest.raises(ConsistencyError) as err:
+            model_to_json(model)
+        assert err.value.code == "BadItem"
 
     def test_model_json_rejects_garbage(self):
         with pytest.raises(InputFormatError):

@@ -185,26 +185,24 @@ class TestAssociationFilter:
         return derive_rules(apriori(tx, 0.25), 0.5, len(tx))
 
     def test_only_control_consequents_survive(self):
-        rs = rules_to_ruleset(self.make_rules(), "strategy", 0.0)
+        # a rule whose antecedent tests the control attribute is skipped, not compiled into a self-reference
+        self_test = AssociationRule(frozenset({("strategy", "CAREFUL")}), ("strategy", "FAST"), 0.5, 0.9)
+        rs = rules_to_ruleset(self.make_rules() + (self_test,), "strategy")
         assert rs.rules
         for r in rs.rules:
             assert r.origin == "association"
             assert all(a != "strategy" for a, _ in r.conditions)
 
-    def test_confidence_threshold_applies(self):
-        loose = rules_to_ruleset(self.make_rules(), "strategy", 0.0)
-        tight = rules_to_ruleset(self.make_rules(), "strategy", 0.95)
-        assert len(tight.rules) < len(loose.rules)
-        assert all(r.confidence >= 0.95 for r in tight.rules)
-
     def test_empty_antecedent_rules_are_dropped(self):
         fake = AssociationRule(frozenset(), ("strategy", "FAST"), 0.5, 0.9)
-        assert rules_to_ruleset([fake], "strategy", 0.0).rules == ()
+        assert rules_to_ruleset([fake], "strategy").rules == ()
 
     def test_non_pair_items_are_an_error(self):
-        fake = AssociationRule(frozenset({"raw"}), ("strategy", "FAST"), 0.5, 0.9)
-        with pytest.raises(ConsistencyError):
-            rules_to_ruleset([fake], "strategy", 0.0)
+        for fake in (AssociationRule(frozenset({"raw"}), ("strategy", "FAST"), 0.5, 0.9),
+                     AssociationRule(frozenset({("terrain", "sand")}), "raw", 0.5, 0.9)):
+            with pytest.raises(ConsistencyError) as err:
+                rules_to_ruleset([fake], "strategy")
+            assert err.value.code == "BadItem"
 
 
 class TestCompilePolicy:
