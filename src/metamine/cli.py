@@ -26,7 +26,7 @@ from .errors import InputFormatError, MetamineError
 from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_object, read_json, write_json
 from .knowledge import format_value, load_schema, save_schema
-from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
+from .mining import MAX_TREE_DEPTH, MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
 from .policy import (
     compile_policy,
     initial_policy,
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV from `collect`")
     p.add_argument("--algo", required=True, choices=("tree", "apriori"), help="model family")
     p.add_argument("--config", help="mining config JSON (flag values override it)")
-    p.add_argument("--max-depth", type=int, help="tree depth limit")
+    p.add_argument("--max-depth", type=int, help=f"tree depth limit, at most {MAX_TREE_DEPTH}")
     p.add_argument("--min-leaf", type=int, dest="min_leaf_instances", metavar="N",
                    help="minimum rows to keep splitting")
     p.add_argument("--min-support", type=float, help="apriori support threshold")

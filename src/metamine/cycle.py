@@ -36,7 +36,7 @@ from .policy import (
     tree_to_rules,
 )
 from .rover import OUTCOME_SUCCESS, EpisodeTrace, GridWorld, rollout, route_table, run_seeded, world_schema
-from .seeds import derive_seed
+from .seeds import derive_seed, derive_seeds
 
 PHASES = ("data_understanding", "data_preparation", "modelling", "operationalisation", "evaluation", "deployment")
 DECISIONS = ("deployed", "rejected-accuracy", "rejected-heldout", "insufficient-data")
@@ -152,7 +152,7 @@ def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n
     it."""
     if not is_int(n) or n < 1:
         raise ConsistencyError("BadCount", f"evaluation episode count must be >= 1, got {n!r}")
-    seeds = [derive_seed(seed, i) for i in range(n)]
+    seeds = derive_seeds(seed, n=n)
     inc_table = route_table(world, incumbent)
     inc_outcome = rollout(world, inc_table, seeds)
     cand_table = route_table(world, candidate)
@@ -205,8 +205,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         return post, CycleReport(cycle_index, tuple(phases), decision, reason, pre_id, post_id, **found)
 
     # data understanding: run the system and look at what came back
-    train_seeds = [derive_seed(config.master_seed, "cycle", cycle_index, "train", i)
-                   for i in range(config.training_episodes)]
+    train_seeds = derive_seeds(config.master_seed, "cycle", cycle_index, "train", n=config.training_episodes)
     traces = run_seeded(world, incumbent, train_seeds, explore=config.exploration)
     if trace_sink is not None:
         trace_sink(cycle_index, traces)
@@ -296,7 +295,7 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
         raise ConsistencyError("BadCount", f"n_cycles must be >= 0, got {n_cycles!r}")
     schema = world_schema(world)
     policy = initial_policy(schema)
-    base_seeds = [derive_seed(config.master_seed, "baseline", i) for i in range(config.evaluation_episodes)]
+    base_seeds = derive_seeds(config.master_seed, "baseline", n=config.evaluation_episodes)
     success_rate, mean_reward = goal_rate_and_mean_reward(*rollout(world, route_table(world, policy), base_seeds))
     baseline = {
         "policy": policy_id(policy),

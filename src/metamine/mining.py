@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from pathlib import Path
 from random import Random
 from typing import Any, Collection, Iterable, Mapping, Sequence, Union
@@ -23,6 +23,12 @@ from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
 from .jsonio import ATOM, expect_field, expect_object, expect_pairs, read_json, write_json
 from .knowledge import float_sum, format_value, is_int, is_number
+
+
+# The deepest tree a config may ask for: a tree this deep writes as model
+# JSON and reads back on every supported Python (3.10's to 3.12's indenting
+# JSON writer recurses in Python and fails a little beyond 325 levels).
+MAX_TREE_DEPTH = 256
 
 
 @dataclass(frozen=True)
@@ -35,8 +41,8 @@ class MiningConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_int(self.max_depth) or self.max_depth < 1:
-            raise MiningError("BadConfig", f"max_depth must be >= 1, got {self.max_depth!r}")
+        if not is_int(self.max_depth) or not 1 <= self.max_depth <= MAX_TREE_DEPTH:
+            raise MiningError("BadConfig", f"max_depth must be in [1, {MAX_TREE_DEPTH}], got {self.max_depth!r}")
         if not is_int(self.min_leaf_instances) or self.min_leaf_instances < 1:
             raise MiningError("BadConfig", f"min_leaf_instances must be >= 1, got {self.min_leaf_instances!r}")
         if not is_number(self.min_support) or not 0.0 < self.min_support <= 1.0:
@@ -235,9 +241,14 @@ def apriori(transactions: Sequence[Iterable], min_support: float) -> dict[frozen
     if not 0.0 < min_support <= 1.0:
         raise MiningError("BadConfig", f"min_support must be in (0, 1], got {min_support!r}")
     tx = Counter(frozenset(t) for t in transactions)
-    n = sum(tx.values())
-    if n == 0:
+    if not tx:
         raise MiningError("EmptyDataset", "apriori needs at least one transaction")
+    return _apriori_counted(tx, min_support)
+
+
+def _apriori_counted(tx: Mapping[frozenset, int], min_support: float) -> dict[frozenset, int]:
+    """apriori over distinct transactions with their counts (at least one)."""
+    n = sum(tx.values())
     result: dict[frozenset, int] = {}
     candidates = [frozenset([item]) for item in sorted({item for t in tx for item in t}, key=repr)]
     k = 1
@@ -318,6 +329,27 @@ class CvScores:
         return float_sum(self.per_fold) / len(self.per_fold)
 
 
+def _deal(dataset: Dataset, k: int, seed: int, items: Sequence) -> list:
+    """items, one per dataset row (its index or the row itself), in the
+    order stratified k-fold dealing hands them out: each class's items,
+    in class domain order, shuffled by one Random(seed) and joined. The
+    j-th goes to fold j mod k. More folds than rows is TooFewInstances."""
+    n = len(dataset)
+    if not is_int(k) or k < 2:
+        raise MiningError("BadConfig", f"fold count must be >= 2, got {k!r}")
+    if k > n:
+        raise MiningError("TooFewInstances", f"cannot make {k} folds from {n} instances")
+    rng = Random(seed)
+    patterns = dataset.patterns()
+    dealt: list = []
+    for value in dataset.class_def.values():
+        of_class = {row for row in patterns if row[-1] == value}
+        part = list(compress(items, map(of_class.__contains__, dataset.rows)))
+        rng.shuffle(part)
+        dealt += part
+    return dealt
+
+
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     """Seeded stratified partition into k test folds of instance indices.
 
@@ -326,37 +358,30 @@ def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     j mod k, so each fold's class counts are within one of any other fold's.
     More folds than rows is TooFewInstances.
     """
-    n = len(dataset)
-    if not is_int(k) or k < 2:
-        raise MiningError("BadConfig", f"fold count must be >= 2, got {k!r}")
-    if k > n:
-        raise MiningError("TooFewInstances", f"cannot make {k} folds from {n} instances")
-    rng = Random(seed)
-    dealt: list[int] = []
-    for value in dataset.class_def.values():
-        idxs = [i for i, row in enumerate(dataset.rows) if row[-1] == value]
-        rng.shuffle(idxs)
-        dealt += idxs
+    dealt = _deal(dataset, k, seed, range(len(dataset)))
     return [sorted(dealt[f::k]) for f in range(k)]
 
 
 def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
     """Stratified k-fold accuracy of the tree inducer on the dataset.
 
-    Each fold's tree grows from the dataset's row counts minus the fold's,
-    and each distinct held-out row is scored once, weighted by its count.
-    Too few rows for the folds (TooFewInstances, from stratified_folds)
-    is reported before a single class (FewerThanTwoClasses).
+    The rows are dealt as stratified_folds deals their indices, so fold f
+    holds the rows whose indices its fold f holds. Each fold's tree grows
+    from the dataset's row counts minus the fold's, and each distinct
+    held-out row is scored once, weighted by its count. Too few rows for
+    the folds (TooFewInstances) is reported before a single class
+    (FewerThanTwoClasses).
     """
-    folds = stratified_folds(dataset, config.cv_folds, config.seed)
+    k = config.cv_folds
+    dealt = _deal(dataset, k, config.seed, dataset.rows)
     total = dataset.patterns()
     if len({row[-1] for row in total}) < 2:
         raise MiningError("FewerThanTwoClasses", "cross-validation needs at least two classes")
     per_fold = []
-    for fold in folds:
-        test = Counter(dataset.rows[i] for i in fold)
+    for f in range(k):
+        test = Counter(dealt[f::k])
         tree = _grow_tree(dataset, total - test, config)
-        per_fold.append(_hits(tree, dataset, test) / len(fold))
+        per_fold.append(_hits(tree, dataset, test) / sum(test.values()))
     return CvScores(tuple(per_fold))
 
 
@@ -419,9 +444,11 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
 def fit_rules_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     """Mine frequent itemsets and derive association rules from the
     dataset's rows, each a transaction of (attribute, value) items
-    including the class attribute."""
+    including the class attribute; each distinct row is mined once,
+    weighted by its count."""
     names = [a.name for a in dataset.attributes]
-    frequent = apriori([zip(names, row) for row in dataset.rows], config.min_support)
+    tx = {frozenset(zip(names, row)): count for row, count in dataset.patterns().items()}
+    frequent = _apriori_counted(tx, config.min_support)
     rules = derive_rules(frequent, config.min_confidence, len(dataset))
     evaluation = _base_evaluation(dataset, config)
     evaluation["n_frequent"] = len(frequent)
@@ -449,7 +476,11 @@ def _node_to_json(node: Node) -> dict:
     }
 
 
-def _node_from_json(obj: Any) -> Node:
+def _node_from_json(obj: Any, depth: int = 0) -> Node:
+    """The node at depth splits below the root; no tree mined under
+    MAX_TREE_DEPTH reaches deeper."""
+    if depth > MAX_TREE_DEPTH:
+        raise InputFormatError("BadField", f"the tree nests deeper than {MAX_TREE_DEPTH} levels")
     obj = expect_object(obj, "tree node")
     kind = expect_field(obj, "type", "tree node")
     if kind == "leaf":
@@ -460,7 +491,7 @@ def _node_from_json(obj: Any) -> Node:
     children = expect_pairs(expect_field(obj, "children", "split"), "split children", "[value, node]", dict)
     return Split(
         expect_field(obj, "attribute", "split", ATOM),
-        tuple((value, _node_from_json(child)) for value, child in children),
+        tuple((value, _node_from_json(child, depth + 1)) for value, child in children),
         expect_field(obj, "majority_label", "split", ATOM),
     )
 

@@ -22,6 +22,7 @@ produce byte-identical traces.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -32,7 +33,7 @@ from typing import Any, Iterable, Mapping, Protocol, Sequence
 from .errors import ConsistencyError, InputFormatError, SchemaError
 from .jsonio import expect_field, expect_object, expect_pairs, located, read_json, read_table, write_json
 from .knowledge import AttributeDef, Schema, define_schema, format_value, is_int, is_number
-from .seeds import derive_seed
+from .seeds import derive_seeds
 
 Coord = tuple[int, int]
 
@@ -298,7 +299,7 @@ def rollout(world: GridWorld, table: RouteTable, seeds: Iterable[int]) -> tuple[
 def run_episodes(world: GridWorld, policy: DecisionMaker, count: int, master_seed: int,
                  explore: float = 0.0) -> list[EpisodeTrace]:
     """count episodes with per-episode seeds derived from master_seed."""
-    return run_seeded(world, policy, [derive_seed(master_seed, i) for i in range(count)], explore)
+    return run_seeded(world, policy, derive_seeds(master_seed, n=count), explore)
 
 
 def world_schema(world: GridWorld) -> Schema:
@@ -387,27 +388,33 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
     in schema order, so the file is self-describing alongside its schema.
     Every record must have observed each of them; otherwise nothing is
     written.
+
+    The csv writer renders each distinct record's cells from x to reward
+    once; the episode, epoch and reached_goal cells never need quoting,
+    so each row is that text with them joined on.
     """
     world_attrs = [a.name for a in schema.scoped("world")]
     traces = list(traces)
-    # id(rec) -> (rec, its cells from x to reward); holding rec keeps its id unique
-    cells: dict[int, tuple[DecisionRecord, list]] = {}
+    buffer = io.StringIO()
+    fragment = csv.writer(buffer)
+    # id(rec) -> (rec, its CSV text from x to reward); holding rec keeps its id unique
+    texts: dict[int, tuple[DecisionRecord, str]] = {}
     for trace in traces:
         for rec in trace.records:
-            if id(rec) not in cells:
+            if id(rec) not in texts:
                 missing = [name for name in world_attrs if name not in rec.observed]
                 if missing:
                     raise ConsistencyError("MissingObservation", f"trace records carry no value for {missing[0]!r}")
-                cells[id(rec)] = (rec, [rec.cell[0], rec.cell[1],
-                                        *(format_value(rec.observed[name]) for name in world_attrs),
-                                        rec.strategy, rec.outcome, repr(rec.reward)])
+                fragment.writerow([rec.cell[0], rec.cell[1], *(format_value(rec.observed[name]) for name in world_attrs),
+                                   rec.strategy, rec.outcome, repr(rec.reward)])
+                texts[id(rec)] = (rec, buffer.getvalue()[:-2])
+                buffer.seek(0)
+                buffer.truncate()
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_trace_header(schema))
+        csv.writer(fh).writerow(_trace_header(schema))
         for i, trace in enumerate(traces):
             reached = format_value(trace.reached_goal)
-            for epoch, rec in enumerate(trace.records):
-                writer.writerow([i, epoch, *cells[id(rec)][1], reached])
+            fh.writelines(f"{i},{epoch},{texts[id(rec)][1]},{reached}\r\n" for epoch, rec in enumerate(trace.records))
 
 
 def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:

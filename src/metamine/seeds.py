@@ -16,3 +16,14 @@ def derive_seed(*parts: object) -> int:
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
 
+
+def derive_seeds(*parts: object, n: int) -> list[int]:
+    """[derive_seed(*parts, i) for i in range(n)], hashing the shared
+    prefix once."""
+    prefix = hashlib.sha256("".join(f"{p}/" for p in parts).encode("utf-8"))
+    seeds = []
+    for i in range(n):
+        h = prefix.copy()
+        h.update(str(i).encode("utf-8"))
+        seeds.append(int.from_bytes(h.digest()[:8], "big"))
+    return seeds

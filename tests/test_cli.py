@@ -16,6 +16,7 @@ from metamine.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_U
 from metamine.introspection import Dataset, save_dataset
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef, define_schema, save_schema
+from metamine.mining import MAX_TREE_DEPTH, load_model
 from metamine.policy import load_policy
 from metamine.rover import DecisionRecord, EpisodeTrace, save_traces, save_world, world_schema
 
@@ -334,23 +335,27 @@ class TestPipeline:
         assert "[value, node] pairs" in capsys.readouterr().err
 
     def test_a_tree_too_deep_to_write_is_a_schema_error(self, workdir, capsys):
-        """Up to Python 3.12 the indenting JSON writer recurses in Python and
-        a 400-level tree is too deep for it; since 3.13 the C encoder writes
-        it, and the model loads back and compiles."""
+        """A depth beyond MAX_TREE_DEPTH is refused when the config is built,
+        before any mining, on every Python."""
+        data = workdir / "d.csv"
+        save_dataset(make_dataset({"a": ("x", "y")}, ("+", "-"), [{"a": "x", "label": l} for l in "+-+-"]), data)
+        model = workdir / "deep.model.json"
+        code = main(["mine", "--data", str(data), "--algo", "tree", "--max-depth", str(MAX_TREE_DEPTH + 1),
+                     "--cv-folds", "2", "--seed", "1", "--out", str(model)])
+        assert code == EXIT_SCHEMA
+        assert f"BadConfig: max_depth must be in [1, {MAX_TREE_DEPTH}]" in capsys.readouterr().err
+        assert not model.exists()
+
+    def test_a_tree_of_the_deepest_allowed_depth_writes_and_compiles(self, workdir):
         # constant features tie at zero gain, so every level splits on the next one
-        features = {f"a{i}": ("x", "y") for i in range(400)}
-        rows = [dict(dict.fromkeys(features, "x"), label=label) for label in ("+", "-") * 4]
+        features = {f"a{i}": ("x", "y") for i in range(MAX_TREE_DEPTH)}
+        rows = [dict(dict.fromkeys(features, "x"), label=label) for label in "+-+-"]
         data = workdir / "deep.csv"
         save_dataset(make_dataset(features, ("+", "-"), rows), data)
         model = workdir / "deep.model.json"
-        code = main(["mine", "--data", str(data), "--algo", "tree", "--max-depth", "400", "--cv-folds", "2",
-                     "--seed", "1", "--out", str(model)])
-        if sys.version_info < (3, 13):
-            assert code == EXIT_SCHEMA
-            assert "TreeTooDeep" in capsys.readouterr().err
-            assert not model.exists()
-            return
-        assert code == EXIT_OK
+        assert main(["mine", "--data", str(data), "--algo", "tree", "--max-depth", str(MAX_TREE_DEPTH),
+                     "--cv-folds", "2", "--seed", "1", "--out", str(model)]) == EXIT_OK
+        assert load_model(model).tree.depth() == MAX_TREE_DEPTH
         policy = workdir / "deep.policy.json"
         assert main(["compile", "--model", str(model), "--default", "+", "--out", str(policy)]) == EXIT_OK
         assert load_policy(policy).default_action == "+"

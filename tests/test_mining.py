@@ -3,6 +3,7 @@
 import inspect
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict
 from itertools import combinations, product
 from random import Random
@@ -11,14 +12,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import cat, make_dataset
+from helpers import cat, make_dataset, striped_world
 from metamine.errors import ConsistencyError, InputFormatError, MiningError
-from metamine.introspection import Dataset
+from metamine.introspection import Dataset, featurise
 from metamine.jsonio import canonical_dumps, decode
 from metamine.knowledge import AttributeDef
 from metamine.mining import (
+    MAX_TREE_DEPTH,
     AssociationRule,
     CvScores,
+    DecisionTree,
     Leaf,
     MetaModel,
     MiningConfig,
@@ -39,6 +42,9 @@ from metamine.mining import (
     stratified_folds,
     training_accuracy,
 )
+from metamine.mining import _apriori_counted, _deal, _grow_tree, _hits
+from metamine.policy import initial_policy
+from metamine.rover import run_seeded, world_schema
 
 TOL = 1e-6
 
@@ -70,6 +76,7 @@ class TestMiningConfig:
             dict(min_confidence=1.5),
             dict(cv_folds=1),
             dict(seed="x"),
+            dict(max_depth=MAX_TREE_DEPTH + 1),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -312,6 +319,21 @@ class TestApriori:
     def test_matches_brute_force(self, transactions, min_support):
         assert apriori(transactions, min_support) == brute_force_frequent(transactions, min_support)
 
+    @given(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("uv"), st.sampled_from("+-")),
+                    min_size=1, max_size=40),
+           st.floats(min_value=0.05, max_value=1.0))
+    def test_counted_core_on_row_patterns_matches_apriori_on_the_rows(self, triples, min_support):
+        """What fit_rules_model mines from a dataset's distinct rows, weighted
+        by their counts, equals apriori over one transaction per row, in
+        the same order, and the brute-force count over those rows."""
+        names = ("a", "b", "label")
+        ds = make_dataset({"a": ("x", "y", "z"), "b": ("u", "v")}, ("+", "-"),
+                          [dict(zip(names, t)) for t in triples])
+        weighted = {frozenset(zip(names, row)): count for row, count in ds.patterns().items()}
+        counted = _apriori_counted(weighted, min_support)
+        assert list(counted.items()) == list(apriori([zip(names, row) for row in ds.rows], min_support).items())
+        assert counted == brute_force_frequent([set(zip(names, row)) for row in ds.rows], min_support)
+
     @given(st.lists(st.sets(st.sampled_from("abcd")), min_size=1, max_size=10))
     def test_anti_monotonicity(self, transactions):
         frequent = apriori(transactions, 0.3)
@@ -483,6 +505,32 @@ class TestCrossValidate:
         assert cross_validate(ds, config).per_fold == tuple(expected)
 
 
+class TestCountedFolds:
+    """cross_validate deals the rows themselves; its folds and scores are
+    those of the row indices stratified_folds deals."""
+
+    @pytest.fixture(scope="class")
+    def loop_dataset(self):
+        world = striped_world()
+        schema = world_schema(world)
+        traces = run_seeded(world, initial_policy(schema), range(60), 0.8)
+        return featurise(traces, schema, "outcome-as-class", 4)
+
+    @pytest.mark.parametrize("k, seed", [(2, 0), (3, 7), (5, 0), (5, 1), (10, 42)])
+    def test_fold_multisets_and_scores_match_the_index_folds(self, loop_dataset, k, seed):
+        ds = loop_dataset
+        folds = stratified_folds(ds, k, seed)
+        dealt = _deal(ds, k, seed, ds.rows)
+        assert [Counter(dealt[f::k]) for f in range(k)] == [Counter(ds.rows[i] for i in fold) for fold in folds]
+        config = MiningConfig(max_depth=4, min_leaf_instances=5, cv_folds=k, seed=seed)
+        total = ds.patterns()
+        expected = []
+        for fold in folds:
+            test = Counter(ds.rows[i] for i in fold)
+            expected.append(_hits(_grow_tree(ds, total - test, config), ds, test) / len(fold))
+        assert cross_validate(ds, config) == CvScores(tuple(expected))
+
+
 class TestModels:
     def strategy_dataset(self):
         rows = [("sand", "CAREFUL")] * 8 + [("rock", "FAST")] * 8 + [("sand", "FAST")] * 2
@@ -556,3 +604,34 @@ class TestModels:
     def test_model_json_rejects_garbage(self):
         with pytest.raises(InputFormatError):
             model_from_json({"kind": "net"})
+        # with every other field present, the kind itself is refused
+        with pytest.raises(InputFormatError) as err:
+            model_from_json({"kind": "net", "label_attribute": "strategy", "scope": "self", "evaluation": {}})
+        assert "unknown model kind 'net'" in err.value.message
+
+    def test_a_tree_nested_deeper_than_the_depth_cap_is_an_input_error(self):
+        node = {"type": "leaf", "label": "+", "support": 1, "confidence": 1.0}
+        for depth in range(MAX_TREE_DEPTH + 1):
+            node = {"type": "split", "attribute": f"a{depth}", "majority_label": "+", "children": [["x", node]]}
+        obj = {"kind": "tree", "label_attribute": "label", "scope": "world", "evaluation": {},
+               "tree": {"class_attribute": "label", "class_values": ["+", "-"], "root": node}}
+        with pytest.raises(InputFormatError) as err:
+            model_from_json(obj)
+        assert f"deeper than {MAX_TREE_DEPTH} levels" in err.value.message
+        obj["tree"]["root"] = node["children"][0][1]  # exactly MAX_TREE_DEPTH splits deep
+        assert model_from_json(obj).tree.depth() == MAX_TREE_DEPTH
+
+    def test_a_tree_too_deep_to_write_is_a_mining_error(self, tmp_path):
+        node = Leaf("+", 1, 1.0)
+        for depth in range(150):
+            node = Split(f"a{depth}", (("x", node),), "+")
+        model = MetaModel("tree", "label", "world", {}, tree=DecisionTree("label", ("+", "-"), node))
+        limit = sys.getrecursionlimit()
+        # fewer free frames than the tree has levels: the stack overflows while it is written
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            with pytest.raises(MiningError) as err:
+                save_model(model, tmp_path / "m.json")
+        finally:
+            sys.setrecursionlimit(limit)
+        assert err.value.code == "TreeTooDeep"

@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import io
 import math
+import tempfile
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -22,7 +25,7 @@ from helpers import (
 from metamine.cycle import evaluate_candidate, run_experiment
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
-from metamine.knowledge import AttributeDef, define_schema, float_sum
+from metamine.knowledge import AttributeDef, define_schema, float_sum, format_value
 from metamine.policy import Policy, Rule, RuleSet, initial_policy
 from metamine.rover import (
     OUTCOME_FAILURE,
@@ -471,6 +474,55 @@ class TestTraceFiles:
             save_traces(run_episodes(world, fixed_policy("FAST"), 2, 0), schema, path)
         assert err.value.code == "MissingObservation"
         assert not path.exists()
+
+    @staticmethod
+    def row_wise_trace_csv(traces, schema) -> str:
+        """The trace file as one csv.writer row per record, cell by cell."""
+        out = io.StringIO()
+        writer = csv.writer(out)
+        world_attrs = [a.name for a in schema.scoped("world")]
+        writer.writerow(["episode", "epoch", "x", "y", *world_attrs, "strategy", "outcome", "reward", "reached_goal"])
+        for i, trace in enumerate(traces):
+            for epoch, rec in enumerate(trace.records):
+                writer.writerow([i, epoch, rec.cell[0], rec.cell[1], *(format_value(rec.observed[n]) for n in world_attrs),
+                                 rec.strategy, rec.outcome, repr(rec.reward), format_value(trace.reached_goal)])
+        return out.getvalue()
+
+    def test_save_traces_matches_a_row_wise_csv_writer_on_simulated_traces(self, tmp_path):
+        world = striped_world()
+        schema = world_schema(world)
+        traces = run_seeded(world, fixed_policy("FAST"), range(300), 0.8)
+        path = tmp_path / "t.csv"
+        save_traces(traces, schema, path)
+        assert path.read_bytes() == self.row_wise_trace_csv(traces, schema).encode("utf-8")
+
+    @given(st.data())
+    def test_save_traces_matches_a_row_wise_csv_writer_where_cells_need_quoting(self, data):
+        """Values with a comma, a quote or a line break are quoted; a numeric
+        world attribute is written as its value's text; shared and fresh
+        records alike."""
+        terrains = ("sand, wet", 'say "rock"', "line\nbreak", "plain")
+        strategies = ("FA,ST", 'CARE"FUL', "SLOW")
+        schema = define_schema((AttributeDef("terrain", "categorical", "world", terrains),
+                                AttributeDef("slope", "numeric", "world", (-8.0, 8.0)),
+                                AttributeDef("strategy", "categorical", "self", strategies),
+                                AttributeDef("outcome", "categorical", "self", (OUTCOME_SUCCESS, OUTCOME_FAILURE))),
+                               "strategy")
+        record = st.builds(
+            DecisionRecord,
+            st.tuples(st.integers(0, 99), st.integers(0, 99)),
+            st.fixed_dictionaries({"terrain": st.sampled_from(terrains),
+                                   "slope": st.one_of(st.integers(-8, 8), st.floats(-8.0, 8.0))}),
+            st.sampled_from(strategies), st.sampled_from((OUTCOME_SUCCESS, OUTCOME_FAILURE)),
+            st.floats(allow_nan=False, allow_infinity=False))
+        pool = data.draw(st.lists(record, min_size=1, max_size=6))
+        traces = data.draw(st.lists(st.builds(EpisodeTrace, st.lists(st.sampled_from(pool), max_size=8).map(tuple),
+                                              st.booleans()), max_size=5))
+        traces.append(EpisodeTrace(tuple(dataclasses.replace(r) for r in pool), True))  # fresh equal records
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            save_traces(traces, schema, path)
+            assert path.read_bytes() == self.row_wise_trace_csv(traces, schema).encode("utf-8")
 
     def test_header_is_stable_and_carries_world_attributes(self, tmp_path):
         world = striped_world()
