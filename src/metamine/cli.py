@@ -24,7 +24,7 @@ from .cycle import (
 )
 from .errors import InputFormatError, MetamineError
 from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
-from .jsonio import decode, expect_object, read_json, write_json
+from .jsonio import decode, expect_field, expect_object, read_json, write_json
 from .knowledge import format_value, load_schema, save_schema
 from .mining import MAX_TREE_DEPTH, MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
 from .policy import (
@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--world", required=True, help="world definition JSON")
     p.add_argument("--policy", help="policy JSON (default: the world's naive default policy)")
     p.add_argument("--episodes", type=int, default=100, help="episode count (default 100)")
-    p.add_argument("--seed", type=int, help="master seed (falls back to the world file's master_seed)")
+    p.add_argument("--seed", type=int, required=True, help="master seed of the per-episode seeds")
     p.add_argument("--explore", type=float, default=0.0, help="exploration rate in [0,1] (default 0)")
     p.add_argument("--out", required=True, help="trace CSV to write")
 
@@ -109,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("cycle", help="run a full gated multi-cycle experiment")
     p.add_argument("--config", required=True, help="experiment config JSON (see README)")
-    p.add_argument("--world", help="world definition JSON (overrides the config's world path)")
     p.add_argument("--seed", type=int, help="master seed (overrides the config's master_seed)")
-    p.add_argument("--cycles", type=int, help="cycle count (overrides the config's cycles)")
     p.add_argument("--out", required=True, help="output directory")
 
     p = command("report", help="flatten an experiment JSON into a per-cycle CSV")
@@ -125,12 +123,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     world = load_world(args.world)
     schema = world_schema(world)
     policy = load_policy(args.policy) if args.policy else initial_policy(schema)
-    seed = args.seed if args.seed is not None else world.master_seed
-    if seed is None:
-        raise UsageError("simulate needs --seed (or a master_seed in the world file)")
     if args.episodes < 1:
         raise UsageError("--episodes must be >= 1")
-    traces = run_episodes(world, policy, args.episodes, seed, explore=args.explore)
+    traces = run_episodes(world, policy, args.episodes, args.seed, explore=args.explore)
     save_traces(traces, schema, args.out)
     reached = sum(t.reached_goal for t in traces)
     print(f"wrote {len(traces)} episodes ({reached}/{len(traces)} reached the goal) to {args.out}")
@@ -205,19 +200,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
 
 def cmd_cycle(args: argparse.Namespace) -> int:
     raw = dict(expect_object(read_json(args.config), "cycle config"))
-    world_path, n_cycles = raw.pop("world", None), raw.pop("cycles", None)
-    if args.world:
-        world_path = args.world
-    elif world_path is None:
-        raise UsageError("cycle needs a world: --world or a \"world\" path in the config file")
-    elif not isinstance(world_path, str):
-        raise InputFormatError("BadField", "cycle config field 'world' must be a string path")
-    else:
-        world_path = Path(args.config).parent / world_path
-    if args.cycles is not None:
-        n_cycles = args.cycles
-    if n_cycles is None:
-        raise UsageError("cycle needs a cycle count: --cycles or \"cycles\" in the config file")
+    world_path = Path(args.config).parent / expect_field(raw, "world", "cycle config", str)
+    n_cycles = expect_field(raw, "cycles", "cycle config")
+    del raw["world"], raw["cycles"]
     if args.seed is not None:
         raw["master_seed"] = args.seed
     if "master_seed" not in raw:

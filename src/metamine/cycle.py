@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from .errors import ConsistencyError, InputFormatError
-from .introspection import featurise
+from .introspection import MAX_BINS, featurise
 from .jsonio import decode, expect_field, expect_object
 from .knowledge import float_sum, is_int, is_number
 from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
@@ -85,8 +85,8 @@ class CycleConfig:
             raise ConsistencyError("BadConfig", f"master_seed must be an integer, got {self.master_seed!r}")
         if not is_number(self.exploration) or not 0.0 <= self.exploration <= 1.0:
             raise ConsistencyError("BadConfig", f"exploration must be in [0, 1], got {self.exploration!r}")
-        if not is_int(self.bins) or self.bins < 1:
-            raise ConsistencyError("BadConfig", f"bins must be >= 1, got {self.bins!r}")
+        if not is_int(self.bins) or not 1 <= self.bins <= MAX_BINS:
+            raise ConsistencyError("BadConfig", f"bins must be from 1 to {MAX_BINS}, got {self.bins!r}")
 
 
 def cycle_config_from_json(obj: Any) -> CycleConfig:
@@ -349,8 +349,8 @@ def cycles_csv_from_json(experiment_json: Any) -> str:
 def _csv_number(value: Any) -> str:
     if value is None:
         return ""
-    if not is_number(value):
-        raise InputFormatError("BadField", f"experiment rates and accuracies must be numbers or null, got {value!r}")
+    if not is_number(value) or not abs(value) <= sys.float_info.max:
+        raise InputFormatError("BadField", f"experiment rates and accuracies must be finite numbers or null, got {value!r}")
     return repr(float(value))
 
 

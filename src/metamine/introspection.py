@@ -33,6 +33,9 @@ from .knowledge import (
 from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, DecisionRecord, EpisodeTrace
 
 LABEL_RULES = ("outcome-as-class", "strategy-as-class")
+# The most equal-width bins a numeric attribute may be cut into; each bin
+# is a domain value that the dataset and its sidecar list.
+MAX_BINS = 1000
 
 
 @dataclass(frozen=True)
@@ -116,14 +119,16 @@ def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, b
     A row holds the selected attributes in schema order, then the label:
     outcome is the step's outcome, the class attribute its strategy, and
     any other attribute what the rover observed. Numeric attributes are
-    cut into `bins` equal-width intervals over the observed [min, max]; a
-    constant column maps everything to bin_0. Rows keep their input order
-    and their duplicates; equal rows share one tuple, since a dataset
-    repeats a few patterns many times, and a record object the traces
-    share is projected once.
+    cut into `bins` (1 to MAX_BINS) equal-width intervals over the
+    observed [min, max]; a constant column maps everything to bin_0.
+    Rows keep their input order and their duplicates; equal rows share
+    one tuple, since a dataset repeats a few patterns many times, and a
+    record object the traces share is projected once.
     """
     if label_rule not in LABEL_RULES:
         raise SchemaError("BadLabelRule", f"label_rule must be one of {LABEL_RULES}, got {label_rule!r}")
+    if not is_int(bins) or not 1 <= bins <= MAX_BINS:
+        raise MiningError("BadBins", f"bins must be an integer from 1 to {MAX_BINS}, got {bins!r}")
     if selected is None:
         selected = tuple(a.name for a in schema.scoped("world")) + (schema.class_attribute,)
     if not selected:
@@ -138,8 +143,6 @@ def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, b
         raise SchemaError("NoWorldAttribute", "the view must select at least one world attribute")
     keep_failures = label_rule == "outcome-as-class"
     label = OUTCOME_ATTR if keep_failures else class_attr
-    if not is_int(bins) or bins < 1:
-        raise MiningError("BadBins", f"bins must be a positive integer, got {bins!r}")
     if not schema.attribute(label).is_finite:
         raise MiningError("NumericLabel", f"label attribute {label!r} must be categorical or boolean")
     column_names = [n for n in schema.names if n in selected and n != label] + [label]

@@ -231,29 +231,24 @@ def _itemset_key(itemset: Iterable) -> tuple:
     return tuple(sorted(repr(item) for item in itemset))
 
 
-def apriori(transactions: Sequence[Iterable], min_support: float) -> dict[frozenset, int]:
+def apriori(transactions: Mapping[frozenset, int], min_support: float) -> dict[frozenset, int]:
     """Level-wise frequent itemset mining with subset pruning.
 
-    Returns every itemset whose support count / n_transactions is at least
-    min_support, mapped to its absolute count, in a deterministic order.
-    Identical transactions are collapsed and counted by their multiplicity.
+    transactions maps each distinct transaction to its count (at least
+    one transaction). Returns every itemset whose support count /
+    n_transactions is at least min_support, mapped to its absolute count,
+    in a deterministic order.
     """
     if not 0.0 < min_support <= 1.0:
         raise MiningError("BadConfig", f"min_support must be in (0, 1], got {min_support!r}")
-    tx = Counter(frozenset(t) for t in transactions)
-    if not tx:
+    if not transactions:
         raise MiningError("EmptyDataset", "apriori needs at least one transaction")
-    return _apriori_counted(tx, min_support)
-
-
-def _apriori_counted(tx: Mapping[frozenset, int], min_support: float) -> dict[frozenset, int]:
-    """apriori over distinct transactions with their counts (at least one)."""
-    n = sum(tx.values())
+    n = sum(transactions.values())
     result: dict[frozenset, int] = {}
-    candidates = [frozenset([item]) for item in sorted({item for t in tx for item in t}, key=repr)]
+    candidates = [frozenset([item]) for item in sorted({item for t in transactions for item in t}, key=repr)]
     k = 1
     while candidates:
-        counts = {c: sum(weight for t, weight in tx.items() if c <= t) for c in candidates}
+        counts = {c: sum(weight for t, weight in transactions.items() if c <= t) for c in candidates}
         current = {c: cnt for c, cnt in counts.items() if cnt / n >= min_support}
         result.update(current)
         k += 1
@@ -448,7 +443,7 @@ def fit_rules_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     weighted by its count."""
     names = [a.name for a in dataset.attributes]
     tx = {frozenset(zip(names, row)): count for row, count in dataset.patterns().items()}
-    frequent = _apriori_counted(tx, config.min_support)
+    frequent = apriori(tx, config.min_support)
     rules = derive_rules(frequent, config.min_confidence, len(dataset))
     evaluation = _base_evaluation(dataset, config)
     evaluation["n_frequent"] = len(frequent)

@@ -87,7 +87,6 @@ class GridWorld:
     hazard: dict[tuple[str, str], float]
     rewards: Rewards = Rewards()
     max_steps: int = 50
-    master_seed: int | None = None
 
     def __post_init__(self):
         if not is_int(self.width) or not is_int(self.height) or self.width < 1 or self.height < 1:
@@ -112,13 +111,12 @@ class GridWorld:
         for pair, p in self.hazard.items():
             if not is_number(p) or not 0.0 <= p <= 1.0:
                 raise SchemaError("BadHazard", f"hazard{pair} must be a probability, got {p!r}")
-        if not is_int(self.max_steps) or self.max_steps < 1:
-            raise SchemaError("BadMaxSteps", f"max_steps must be a positive integer, got {self.max_steps!r}")
+        # within float range, so that the reward check below can multiply by it
+        if not is_int(self.max_steps) or not 1 <= self.max_steps <= sys.float_info.max:
+            raise SchemaError("BadMaxSteps", f"max_steps must be a positive integer in float range, got {self.max_steps!r}")
         r = self.rewards
         if not self.max_steps * (r.step_cost + r.failure_penalty) + r.goal_reward <= sys.float_info.max:
             raise SchemaError("BadReward", f"rewards over {self.max_steps} steps must sum to a finite number")
-        if self.master_seed is not None and not is_int(self.master_seed):
-            raise SchemaError("BadSeed", f"master_seed must be an integer, got {self.master_seed!r}")
 
     def in_bounds(self, x: int, y: int) -> bool:
         return 0 <= x < self.width and 0 <= y < self.height
@@ -326,7 +324,6 @@ def world_to_json(world: GridWorld) -> dict:
         "hazard": {t: {s: world.hazard[(t, s)] for s in world.strategies} for t in world.terrains},
         "rewards": asdict(world.rewards),
         "max_steps": world.max_steps,
-        "master_seed": world.master_seed,
     }
 
 
@@ -357,7 +354,6 @@ def world_from_json(obj: Any) -> GridWorld:
             goal_reward=expect_field(rewards_json, "goal_reward", "rewards"),
         ),
         max_steps=expect_field(obj, "max_steps", "world"),
-        master_seed=obj.get("master_seed"),
     )
 
 

@@ -48,7 +48,6 @@ def tiny_world(**overrides):
                 ("dune", "FAST"): 0.5, ("dune", "CAREFUL"): 0.05},
         rewards=Rewards(1.0, 2.0, 10.0),
         max_steps=12,
-        master_seed=None,
     )
     fields.update(overrides)
     return GridWorld(**fields)

@@ -7,6 +7,7 @@ asserting, so a piped test run still shows the per-criterion outcome.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from random import Random
 from time import perf_counter
 
@@ -67,7 +68,7 @@ def test_criterion_1_apriori_matches_exhaustive_enumeration():
             min_support = rng.randint(1, n_trans) / n_trans
         else:
             min_support = rng.uniform(0.05, 1.0)
-        if apriori(transactions, min_support) != brute_force_frequent(transactions, min_support):
+        if apriori(Counter(transactions), min_support) != brute_force_frequent(transactions, min_support):
             mismatches += 1
     elapsed = perf_counter() - start
     ok = mismatches == 0 and elapsed < 10.0

@@ -29,7 +29,7 @@ WORLD = {
     "start": [0, 0], "goal": [2, 1], "strategies": ["FAST", "CAREFUL"],
     "hazard": {"flat": {"FAST": 0.05, "CAREFUL": 0.05}, "dune": {"FAST": 0.6, "CAREFUL": 0.1}},
     "rewards": {"step_cost": 1.0, "failure_penalty": 2.0, "goal_reward": 10.0},
-    "max_steps": 12, "master_seed": 3,
+    "max_steps": 12,
 }
 # Gates that always pass, so the final policy carries mined rules.
 CONFIG = {
@@ -47,8 +47,7 @@ BAD_CELLS = ["", "x", "-1", "1.5", "nan", "inf", "true", "yes", "999", "CAREFUL"
 # Keys a command-line flag can stand in for: without them the run is a
 # usage error (exit 2), as documented, not a malformed file.
 FLAG_BACKED = {
-    "world": {("master_seed",)},
-    "cycle": {(), ("world",), ("cycles",), ("master_seed",)},
+    "cycle": {("master_seed",)},
     "mining": {(), ("seed",)},
 }
 
@@ -95,7 +94,7 @@ def invocations(kind, v, f):
     traces = v / "run/traces/cycle_01.csv"
     if kind == "world":
         dump(w / "world-cycle.json", dict(CONFIG, world=str(f)))
-        return [("simulate", "--world", f, "--episodes", "3", "--out", w / "t.csv"),
+        return [("simulate", "--world", f, "--episodes", "3", "--seed", "1", "--out", w / "t.csv"),
                 ("collect", "--traces", traces, "--world", f, "--label-rule", "outcome-as-class",
                  "--out", w / "d.csv"),
                 ("cycle", "--config", w / "world-cycle.json", "--out", w / "run")]
@@ -110,7 +109,8 @@ def invocations(kind, v, f):
                  "--out", w / "d.csv"),
                 ("compile", "--model", v / "tree.json", "--default", "FAST", "--schema", f, "--out", w / "p.json")]
     if kind == "policy":
-        return [("simulate", "--world", v / "world.json", "--policy", f, "--episodes", "3", "--out", w / "t.csv")]
+        return [("simulate", "--world", v / "world.json", "--policy", f, "--episodes", "3", "--seed", "1",
+                 "--out", w / "t.csv")]
     if kind in ("tree", "rules"):
         return [("compile", "--model", f, "--default", "FAST", "--out", w / "p.json"),
                 ("compile", "--model", f, "--default", "FAST", "--schema", v / "run/schema.json",
@@ -212,7 +212,7 @@ def test_bad_cells_on_a_failure_row_are_rejected_under_both_label_rules(valid, c
 BOOL_COUNTS = (
     [("cycle", (name,)) for name in ("training_episodes", "evaluation_episodes", "bins", "master_seed", "cycles")]
     + [("mining", (name,)) for name in ("max_depth", "min_leaf_instances", "cv_folds", "seed")]
-    + [("world", ("max_steps",)), ("world", ("start", 0)), ("world", ("goal", 1)), ("world", ("master_seed",))]
+    + [("world", ("max_steps",)), ("world", ("start", 0)), ("world", ("goal", 1))]
 )
 
 

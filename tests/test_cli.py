@@ -1,6 +1,5 @@
 """Command-line surface: pipeline flow, exit codes, determinism."""
 
-import dataclasses
 import json
 import math
 import os
@@ -13,7 +12,7 @@ import pytest
 import metamine.cli as cli
 from helpers import cat, make_dataset, striped_world
 from metamine.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
-from metamine.introspection import Dataset, save_dataset
+from metamine.introspection import MAX_BINS, Dataset, save_dataset
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef, define_schema, save_schema
 from metamine.mining import MAX_TREE_DEPTH, load_model
@@ -28,8 +27,7 @@ GATES = {"min_cv_accuracy": 0.65, "min_heldout_delta": 0.0}
 @pytest.fixture()
 def workdir(tmp_path):
     world = striped_world()
-    save_world(dataclasses.replace(world, master_seed=21), tmp_path / "world.json")
-    save_world(world, tmp_path / "unseeded.json")
+    save_world(world, tmp_path / "world.json")
     save_schema(world_schema(world), tmp_path / "schema.json")
     return tmp_path
 
@@ -99,17 +97,21 @@ class TestSimulate:
         assert out.exists()
         assert "20 episodes" in capsys.readouterr().out
 
-    def test_seed_falls_back_to_the_world_file(self, workdir, capsys):
-        out = workdir / "traces.csv"
-        assert main(["simulate", "--world", str(workdir / "world.json"), "--episodes", "5",
-                     "--out", str(out)]) == EXIT_OK
-        capsys.readouterr()
-
     def test_no_seed_anywhere_is_a_usage_error(self, workdir, capsys):
-        code = main(["simulate", "--world", str(workdir / "unseeded.json"), "--episodes", "5",
+        code = main(["simulate", "--world", str(workdir / "world.json"), "--episodes", "5",
                      "--out", str(workdir / "t.csv")])
         assert code == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
+        assert not (workdir / "t.csv").exists()
+
+    def test_a_step_budget_beyond_float_range_is_a_schema_error(self, workdir, capsys):
+        payload = json.loads((workdir / "world.json").read_text())
+        payload["max_steps"] = 10**400
+        write_json(workdir / "long.json", payload)
+        code = main(["simulate", "--world", str(workdir / "long.json"), "--seed", "1", "--out", str(workdir / "t.csv")])
+        assert code == EXIT_SCHEMA
+        assert "BadMaxSteps" in capsys.readouterr().err
+        assert not (workdir / "t.csv").exists()
 
     def test_no_episodes_is_a_usage_error(self, workdir, capsys):
         out = workdir / "t.csv"
@@ -226,6 +228,15 @@ class TestPipeline:
         assert len(edges) == 2 and all(math.isfinite(e) for e in edges) and edges == sorted(edges)
         assert [line.split(",")[1] for line in data.read_text().splitlines()[1:]] == ["bin_0", "bin_1", "bin_2"]
         capsys.readouterr()
+
+    @pytest.mark.parametrize("bins", [MAX_BINS + 1, 10**400], ids=["cap+1", "10**400"])
+    def test_collect_refuses_more_bins_than_the_cap(self, workdir, capsys, bins):
+        traces = self.simulate(workdir)
+        data = workdir / "d.csv"
+        assert main(["collect", "--traces", str(traces), "--world", str(workdir / "world.json"),
+                     "--label-rule", "outcome-as-class", "--bins", str(bins), "--out", str(data)]) == EXIT_SCHEMA
+        assert "BadBins" in capsys.readouterr().err
+        assert not data.exists()
 
     def test_mine_tree_without_a_seed_is_a_usage_error(self, workdir, capsys):
         traces = self.simulate(workdir)
@@ -375,22 +386,22 @@ class TestCycleCommand:
         experiment = json.loads((out / "experiment.json").read_text())
         assert [c["index"] for c in experiment["cycles"]] == [1, 2]
 
-    def test_flag_overrides_win_over_the_config_file(self, workdir, capsys):
-        out = workdir / "short"
-        code = main(["cycle", "--config", str(cycle_config(workdir)), "--cycles", "1",
-                     "--out", str(out)])
-        assert code == EXIT_OK
-        experiment = json.loads((out / "experiment.json").read_text())
-        assert len(experiment["cycles"]) == 1
-        capsys.readouterr()
+    @pytest.mark.parametrize("flag", ["--world", "--cycles"])
+    def test_world_and_cycle_count_come_only_from_the_config(self, workdir, capsys, flag):
+        code = main(["cycle", "--config", str(cycle_config(workdir)), flag, "1", "--out", str(workdir / "x")])
+        assert code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
 
-    def test_missing_world_everywhere_is_a_usage_error(self, workdir, capsys):
+    @pytest.mark.parametrize("field", ["world", "cycles"])
+    def test_missing_world_or_cycle_count_is_an_input_error(self, workdir, capsys, field):
         config = cycle_config(workdir)
         payload = json.loads(config.read_text())
-        del payload["world"]
+        del payload[field]
         write_json(config, payload)
-        assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_USAGE
-        capsys.readouterr()
+        assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_INPUT
+        assert f"MissingField: cycle config is missing required field {field!r}" in capsys.readouterr().err
+        assert not (workdir / "x").exists()
 
     def test_missing_master_seed_everywhere_is_a_usage_error(self, workdir, capsys):
         config = cycle_config(workdir)
@@ -399,15 +410,6 @@ class TestCycleCommand:
         write_json(config, payload)
         assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_USAGE
         assert "master seed" in capsys.readouterr().err
-        assert not (workdir / "x").exists()
-
-    def test_missing_cycle_count_everywhere_is_a_usage_error(self, workdir, capsys):
-        config = cycle_config(workdir)
-        payload = json.loads(config.read_text())
-        del payload["cycles"]
-        write_json(config, payload)
-        assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_USAGE
-        assert "cycle count" in capsys.readouterr().err
         assert not (workdir / "x").exists()
 
     @pytest.mark.parametrize("section, name, value", [
@@ -438,13 +440,6 @@ class TestCycleCommand:
         write_json(workdir / "world.json", payload)
         assert main(["cycle", "--config", str(config), "--out", str(workdir / "x")]) == EXIT_SCHEMA
         assert "BadReward" in capsys.readouterr().err
-
-    def test_world_flag_overrides_the_config_world(self, workdir, capsys):
-        config = cycle_config(workdir, world="absent.json")
-        code = main(["cycle", "--config", str(config), "--world", str(workdir / "world.json"),
-                     "--cycles", "1", "--out", str(workdir / "x")])
-        assert code == EXIT_OK
-        capsys.readouterr()
 
     def test_unknown_config_fields_are_an_input_error(self, workdir, capsys):
         config = cycle_config(workdir, pruning=True)
@@ -496,8 +491,10 @@ class TestReportCommand:
         [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": False, "decision": "deployed"}],
         [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": 0, "decision": "deployed"}],
         [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": [], "decision": "deployed"}],
+        [{"index": 1, "dataset_sizes": {"performance": 3}, "cv_accuracy": 10**400, "decision": "deployed"}],
+        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": {"delta": -10**400}, "decision": "deployed"}],
     ], ids=["not-a-list", "not-an-object", "text-accuracy", "boolean-index", "boolean-size", "unknown-decision",
-            "false-heldout", "zero-heldout", "list-heldout"])
+            "false-heldout", "zero-heldout", "list-heldout", "huge-accuracy", "huge-delta"])
     def test_malformed_cycles_are_input_errors(self, workdir, capsys, cycles):
         bad, report = workdir / "exp.json", workdir / "r.csv"
         write_json(bad, {"cycles": cycles})

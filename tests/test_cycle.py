@@ -23,6 +23,7 @@ from metamine.cycle import (
     run_experiment,
 )
 from metamine.errors import ConsistencyError, InputFormatError
+from metamine.introspection import MAX_BINS
 from metamine.jsonio import canonical_dumps
 from metamine.mining import MiningConfig
 from metamine.policy import initial_policy, policy_id, policy_to_json
@@ -47,6 +48,8 @@ class TestConfigValidation:
             loop_config(1, exploration=1.5)
         with pytest.raises(ConsistencyError):
             loop_config(1, bins=0)
+        with pytest.raises(ConsistencyError):
+            loop_config(1, bins=MAX_BINS + 1)
         with pytest.raises(ConsistencyError):
             AcceptanceGates(1.2, 0.0)
         with pytest.raises(ConsistencyError):

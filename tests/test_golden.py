@@ -96,9 +96,9 @@ def check(out: Path, expected: dict) -> None:
 @pytest.mark.parametrize("mode", sorted(LOOP_DIGESTS))
 def test_three_cycle_loop_outputs(tmp_path, mode):
     save_world(striped_world(), tmp_path / "world.json")
-    config = dict(dataclasses.asdict(loop_config(1, integration_mode=mode)), cycles=3)
+    config = dict(dataclasses.asdict(loop_config(1, integration_mode=mode)), world="world.json", cycles=3)
     write_json(tmp_path / "config.json", config)
-    run("cycle", "--config", tmp_path / "config.json", "--world", tmp_path / "world.json", "--out", tmp_path / "out")
+    run("cycle", "--config", tmp_path / "config.json", "--out", tmp_path / "out")
     check(tmp_path / "out", LOOP_DIGESTS[mode])
 
 

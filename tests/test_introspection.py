@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import cat, fixed_policy, striped_world, uniform_hazard_world
 from metamine.errors import ConsistencyError, MiningError, SchemaError
 from metamine.introspection import (
+    MAX_BINS,
     Dataset,
     assign_bin,
     featurise,
@@ -237,6 +238,12 @@ class TestFeaturise:
     def test_bins_must_be_positive(self):
         with pytest.raises(MiningError):
             featurise_numeric([1.0], bins=0)
+
+    def test_bins_are_capped_before_any_row_is_projected(self):
+        assert featurise_numeric([1.0, 2.0], bins=MAX_BINS).attributes[0].domain[-1] == f"bin_{MAX_BINS - 1}"
+        with pytest.raises(MiningError) as err:
+            featurise([], NUMERIC_SCHEMA, "strategy-as-class", MAX_BINS + 1)
+        assert err.value.code == "BadBins"
 
     @given(st.lists(st.floats(min_value=-1000, max_value=1000), min_size=1, max_size=30),
            st.integers(min_value=1, max_value=8))

@@ -42,7 +42,7 @@ from metamine.mining import (
     stratified_folds,
     training_accuracy,
 )
-from metamine.mining import _apriori_counted, _deal, _grow_tree, _hits
+from metamine.mining import _deal, _grow_tree, _hits
 from metamine.policy import initial_policy
 from metamine.rover import run_seeded, world_schema
 
@@ -284,9 +284,14 @@ def brute_force_frequent(transactions, min_support):
     return out
 
 
+def counted(transactions):
+    """The transactions as apriori takes them: each distinct one with its count."""
+    return Counter(frozenset(t) for t in transactions)
+
+
 class TestApriori:
     def test_worked_example(self):
-        frequent = apriori([{"a", "b"}, {"a", "c"}, {"a", "b", "c"}], 2 / 3)
+        frequent = apriori(counted([{"a", "b"}, {"a", "c"}, {"a", "b", "c"}]), 2 / 3)
         assert frequent == {
             frozenset({"a"}): 3,
             frozenset({"b"}): 2,
@@ -296,10 +301,10 @@ class TestApriori:
         }
 
     def test_nothing_frequent_gives_empty_result(self):
-        assert apriori([{"a"}, {"b"}], 1.0) == {}
+        assert apriori(counted([{"a"}, {"b"}]), 1.0) == {}
 
     def test_single_transaction(self):
-        assert apriori([{"a", "b"}], 1.0) == {
+        assert apriori(counted([{"a", "b"}]), 1.0) == {
             frozenset({"a"}): 1,
             frozenset({"b"}): 1,
             frozenset({"a", "b"}): 1,
@@ -307,36 +312,21 @@ class TestApriori:
 
     def test_empty_transaction_list_is_an_error(self):
         with pytest.raises(MiningError):
-            apriori([], 0.5)
+            apriori(Counter(), 0.5)
 
     @pytest.mark.parametrize("support", [0.0, -0.2, 1.01])
     def test_support_threshold_must_be_in_unit_interval(self, support):
         with pytest.raises(MiningError):
-            apriori([{"a"}], support)
+            apriori(counted([{"a"}]), support)
 
     @given(st.lists(st.sets(st.sampled_from("abcde")), min_size=1, max_size=10),
            st.floats(min_value=0.05, max_value=1.0))
     def test_matches_brute_force(self, transactions, min_support):
-        assert apriori(transactions, min_support) == brute_force_frequent(transactions, min_support)
-
-    @given(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("uv"), st.sampled_from("+-")),
-                    min_size=1, max_size=40),
-           st.floats(min_value=0.05, max_value=1.0))
-    def test_counted_core_on_row_patterns_matches_apriori_on_the_rows(self, triples, min_support):
-        """What fit_rules_model mines from a dataset's distinct rows, weighted
-        by their counts, equals apriori over one transaction per row, in
-        the same order, and the brute-force count over those rows."""
-        names = ("a", "b", "label")
-        ds = make_dataset({"a": ("x", "y", "z"), "b": ("u", "v")}, ("+", "-"),
-                          [dict(zip(names, t)) for t in triples])
-        weighted = {frozenset(zip(names, row)): count for row, count in ds.patterns().items()}
-        counted = _apriori_counted(weighted, min_support)
-        assert list(counted.items()) == list(apriori([zip(names, row) for row in ds.rows], min_support).items())
-        assert counted == brute_force_frequent([set(zip(names, row)) for row in ds.rows], min_support)
+        assert apriori(counted(transactions), min_support) == brute_force_frequent(transactions, min_support)
 
     @given(st.lists(st.sets(st.sampled_from("abcd")), min_size=1, max_size=10))
     def test_anti_monotonicity(self, transactions):
-        frequent = apriori(transactions, 0.3)
+        frequent = apriori(counted(transactions), 0.3)
         for itemset in frequent:
             for item in itemset:
                 if len(itemset) > 1:
@@ -348,7 +338,7 @@ class TestApriori:
 class TestDeriveRules:
     def test_worked_example_confidences(self):
         tx = [{"a", "b"}, {"a", "c"}, {"a", "b", "c"}]
-        frequent = apriori(tx, 2 / 3)
+        frequent = apriori(counted(tx), 2 / 3)
         rules = derive_rules(frequent, 0.6, len(tx))
         by_text = {r.text: r for r in rules}
         assert by_text["b => a"].confidence == pytest.approx(1.0)
@@ -357,14 +347,14 @@ class TestDeriveRules:
 
     def test_confidence_threshold_filters(self):
         tx = [{"a", "b"}, {"a", "c"}, {"a", "b", "c"}]
-        rules = derive_rules(apriori(tx, 2 / 3), 1.0, len(tx))
+        rules = derive_rules(apriori(counted(tx), 2 / 3), 1.0, len(tx))
         texts = [r.text for r in rules]
         assert "b => a" in texts and "c => a" in texts
         assert "a => b" not in texts
 
     def test_rules_come_sorted(self):
         tx = [{"a", "b"}, {"a", "c"}, {"a", "b", "c"}, {"b"}]
-        rules = derive_rules(apriori(tx, 0.25), 0.3, len(tx))
+        rules = derive_rules(apriori(counted(tx), 0.25), 0.3, len(tx))
         keys = [(-r.confidence, -r.support, r.text) for r in rules]
         assert keys == sorted(keys)
 
@@ -391,7 +381,7 @@ class TestDeriveRules:
     @given(st.lists(st.sets(st.sampled_from("abcd")), min_size=1, max_size=12))
     def test_confidence_and_support_identities(self, transactions):
         n = len(transactions)
-        frequent = apriori(transactions, 0.05)
+        frequent = apriori(counted(transactions), 0.05)
         counts = {s: sum(1 for t in transactions if s <= t)
                   for s in brute_force_frequent(transactions, 0.0001)}
         for rule in derive_rules(frequent, 0.0001, n):

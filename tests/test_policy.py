@@ -1,5 +1,6 @@
 """Rule engine: ordering, compilation, integration, serialization."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -182,7 +183,7 @@ class TestAssociationFilter:
             frozenset({("terrain", "rock"), ("strategy", "FAST")}),
             frozenset({("terrain", "rock"), ("strategy", "CAREFUL")}),
         ]
-        return derive_rules(apriori(tx, 0.25), 0.5, len(tx))
+        return derive_rules(apriori(Counter(tx), 0.25), 0.5, len(tx))
 
     def test_only_control_consequents_survive(self):
         # a rule whose antecedent tests the control attribute is skipped, not compiled into a self-reference
