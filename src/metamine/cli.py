@@ -11,7 +11,6 @@ default).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from pathlib import Path
 from typing import Any
@@ -26,7 +25,7 @@ from .errors import InputFormatError, MetamineError
 from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_field, expect_object, read_json, write_json
 from .knowledge import format_value, load_schema, save_schema
-from .mining import MAX_TREE_DEPTH, MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
+from .mining import MiningConfig, fit_rules_model, fit_tree_model, load_model, save_model
 from .policy import (
     compile_policy,
     initial_policy,
@@ -91,14 +90,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("mine", help="mine a model from a dataset CSV")
     p.add_argument("--data", required=True, help="dataset CSV from `collect`")
     p.add_argument("--algo", required=True, choices=("tree", "apriori"), help="model family")
-    p.add_argument("--config", help="mining config JSON (flag values override it)")
-    p.add_argument("--max-depth", type=int, help=f"tree depth limit, at most {MAX_TREE_DEPTH}")
-    p.add_argument("--min-leaf", type=int, dest="min_leaf_instances", metavar="N",
-                   help="minimum rows to keep splitting")
-    p.add_argument("--min-support", type=float, help="apriori support threshold")
-    p.add_argument("--min-confidence", type=float, help="rule confidence threshold")
-    p.add_argument("--cv-folds", type=int, help="cross-validation folds")
-    p.add_argument("--seed", type=int, help="fold shuffle seed (required for --algo tree)")
+    p.add_argument("--config", help="mining config JSON (see README; default: the field defaults)")
+    p.add_argument("--seed", type=int, help="fold shuffle seed (overrides the config's; needed for --algo tree)")
     p.add_argument("--out", required=True, help="model JSON to write")
 
     p = command("compile", help="compile a model file into a policy file")
@@ -153,13 +146,11 @@ def cmd_collect(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    raw = read_json(args.config) if args.config else {}
+    raw = dict(expect_object(read_json(args.config), "mining config")) if args.config else {}
+    if args.seed is not None:
+        raw["seed"] = args.seed
     config = decode(MiningConfig, raw, "mining config")
-    overrides = {f.name: getattr(args, f.name) for f in dataclasses.fields(MiningConfig)
-                 if getattr(args, f.name) is not None}
-    if overrides:
-        config = dataclasses.replace(config, **overrides)
-    if args.algo == "tree" and args.seed is None and "seed" not in raw:
+    if args.algo == "tree" and "seed" not in raw:
         raise UsageError("mine --algo tree shuffles cross-validation folds; give --seed "
                          "(or a seed in the config file)")
     dataset = load_dataset(args.data)
@@ -189,12 +180,12 @@ def cmd_compile(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     schema = load_schema(args.schema) if args.schema else None
     control = schema.class_attribute if schema is not None else model.label_attribute
-    ruleset = tree_to_rules(model.tree, control) if model.kind == "tree" else rules_to_ruleset(model.rules, control)
+    rules = tree_to_rules(model.tree, control) if model.kind == "tree" else rules_to_ruleset(model.rules, control)
     default = _typed_action(args.default, schema, control, model)
-    policy = compile_policy(ruleset, default, schema=schema,
+    policy = compile_policy(rules, control, default, schema=schema,
                             provenance={"sources": [model.kind], "model_scope": model.scope})
     save_policy(policy, args.out)
-    print(f"wrote policy {policy_id(policy)} ({len(ruleset.rules)} rules, default {args.default}) to {args.out}")
+    print(f"wrote policy {policy_id(policy)} ({len(policy.ruleset.rules)} rules, default {args.default}) to {args.out}")
     return EXIT_OK
 
 

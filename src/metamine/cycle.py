@@ -26,7 +26,6 @@ from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
 from .policy import (
     INTEGRATION_MODES,
     Policy,
-    RuleSet,
     compile_policy,
     initial_policy,
     integrate_policies,
@@ -242,16 +241,15 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     mined = []
     for model in decision_models:
         if model.kind == "tree":
-            mined.extend(tree_to_rules(model.tree, schema.class_attribute).rules)
+            mined.extend(tree_to_rules(model.tree, schema.class_attribute))
         else:  # fit_rules_model kept only rules at or above min_confidence
-            mined.extend(rules_to_ruleset(model.rules, schema.class_attribute).rules)
-    ruleset = RuleSet.canonical(mined, schema.class_attribute)
-    candidate = compile_policy(ruleset, incumbent.default_action, schema=schema, provenance={
+            mined.extend(rules_to_ruleset(model.rules, schema.class_attribute))
+    candidate = compile_policy(mined, schema.class_attribute, incumbent.default_action, schema=schema, provenance={
         "cycle": cycle_index,
         "sources": [m.kind for m in decision_models],
     })
     found["candidate_policy_id"] = candidate_id = policy_id(candidate)
-    completed(rules=len(ruleset.rules), candidate_policy=candidate_id)
+    completed(rules=len(candidate.ruleset.rules), candidate_policy=candidate_id)
 
     # evaluation: CV gate first, held-out comparison second
     if cv_mean < config.acceptance.min_cv_accuracy:

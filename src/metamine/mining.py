@@ -491,14 +491,8 @@ def _node_from_json(obj: Any, depth: int = 0) -> Node:
     )
 
 
-def _item_to_json(item: Any) -> list:
-    if not (isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str)):
-        raise ConsistencyError("BadItem", f"serializable items must be (attribute, value) pairs, got {item!r}")
-    return [item[0], item[1]]
-
-
 def _itemset_to_json(itemset: frozenset) -> list:
-    return [_item_to_json(i) for i in sorted(itemset, key=repr)]
+    return [list(item) for item in sorted(itemset, key=repr)]
 
 
 def model_to_json(model: MetaModel) -> dict:
@@ -524,7 +518,7 @@ def model_to_json(model: MetaModel) -> dict:
         out["rules"] = [
             {
                 "antecedent": _itemset_to_json(rule.antecedent),
-                "consequent": _item_to_json(rule.consequent),
+                "consequent": list(rule.consequent),
                 "support": rule.support,
                 "confidence": rule.confidence,
             }

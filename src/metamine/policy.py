@@ -2,11 +2,12 @@
 
 A Rule is a conjunction of (attribute = value) literals choosing one
 value for the control attribute. A RuleSet is an ordered rule list; a
-Policy adds a default action, making decisions total. Mined rulesets are
-born in canonical priority order (confidence desc, specificity desc,
-rule text asc); integration concatenates rule blocks whose relative
-order encodes precedence, so integrated sets keep their block order and
-decide() simply takes the first match.
+Policy adds a default action, making decisions total. compile_policy is
+the one place mined rules become a policy: it puts them in priority
+order (confidence desc, specificity desc, rule text asc) and drops
+lower-ranked duplicates. Integration concatenates rule blocks whose
+relative order encodes precedence, so integrated sets keep their block
+order, and decide() simply takes the first match.
 """
 
 from __future__ import annotations
@@ -79,8 +80,9 @@ def _dedup(rules: Iterable[Rule]) -> list[Rule]:
 class RuleSet:
     """Ordered rules over one control attribute; earlier rules win.
 
-    Construct with RuleSet.canonical for mined rules; direct construction
-    is for explicitly ordered lists (policy integration, file loading).
+    Mined rules reach a RuleSet through compile_policy; direct
+    construction is for explicitly ordered lists (policy integration,
+    file loading).
     """
 
     rules: tuple[Rule, ...]
@@ -97,15 +99,6 @@ class RuleSet:
             if key in keys:
                 raise PolicyError("DuplicateRule", f"duplicate rule: {rule.text}")
             keys.add(key)
-
-    @classmethod
-    def canonical(cls, rules: Iterable[Rule], control_attribute: str) -> "RuleSet":
-        ordered = sorted(rules, key=rule_priority)
-        return cls(tuple(_dedup(ordered)), control_attribute)
-
-    def is_canonical(self) -> bool:
-        keys = [rule_priority(r) for r in self.rules]
-        return all(keys[i] <= keys[i + 1] for i in range(len(keys) - 1))
 
 
 @dataclass(frozen=True)
@@ -127,57 +120,42 @@ class Policy:
         return self.default_action
 
 
-def tree_to_rules(tree: DecisionTree, control_attribute: str | None = None) -> RuleSet:
-    """One rule per leaf: path literals => leaf label, confidence = the
-    leaf's majority fraction. The tree must classify the control attribute."""
+def tree_to_rules(tree: DecisionTree, control_attribute: str | None = None) -> list[Rule]:
+    """One rule per leaf, in path order: path literals => leaf label,
+    confidence = the leaf's majority fraction. The tree must classify the
+    control attribute."""
     control = control_attribute if control_attribute is not None else tree.class_attribute
     if tree.class_attribute != control:
         raise PolicyError("NotControlAttribute",
                           f"tree classifies {tree.class_attribute!r}, not the control attribute {control!r}")
-    return RuleSet.canonical([Rule(path, leaf.label, leaf.confidence, "tree") for path, leaf in tree.paths()], control)
+    return [Rule(path, leaf.label, leaf.confidence, "tree") for path, leaf in tree.paths()]
 
 
-def rules_to_ruleset(rules: Iterable[AssociationRule], control_attribute: str) -> RuleSet:
-    """Keep association rules that decide the control attribute and convert
-    antecedents to conditions; derive_rules already applied the confidence threshold.
-
-    Rules over (attribute, value) items only. Empty antecedents and rules
-    whose consequent sets anything else are dropped.
+def rules_to_ruleset(rules: Iterable[AssociationRule], control_attribute: str) -> list[Rule]:
+    """The association rules that decide the control attribute, in model
+    order, with antecedents as conditions; derive_rules already applied
+    the confidence threshold. Empty antecedents restate the class prior,
+    which the default action covers, so they are dropped.
     """
-    kept = []
-    for rule in rules:
-        consequent = rule.consequent
-        if not (isinstance(consequent, tuple) and len(consequent) == 2):
-            raise ConsistencyError("BadItem", f"rule items must be (attribute, value) pairs, got {consequent!r}")
-        if consequent[0] != control_attribute:
-            continue
-        if not rule.antecedent:
-            continue
-        conditions = []
-        for item in rule.antecedent:
-            if not (isinstance(item, tuple) and len(item) == 2):
-                raise ConsistencyError("BadItem", f"rule items must be (attribute, value) pairs, got {item!r}")
-            conditions.append((item[0], item[1]))
-        if any(a == control_attribute for a, _ in conditions):
-            continue
-        kept.append(Rule(tuple(conditions), consequent[1], rule.confidence, "association"))
-    return RuleSet.canonical(kept, control_attribute)
+    return [Rule(tuple(rule.antecedent), rule.consequent[1], rule.confidence, "association")
+            for rule in rules if rule.consequent[0] == control_attribute and rule.antecedent]
 
 
-def compile_policy(ruleset: RuleSet, default_action: Any, schema: Schema | None = None,
-                   provenance: dict | None = None) -> Policy:
-    """Wrap a canonically ordered ruleset into a total policy.
+def compile_policy(rules: Iterable[Rule], control_attribute: str, default_action: Any,
+                   schema: Schema | None = None, provenance: dict | None = None) -> Policy:
+    """Turn mined rules into a total policy: rules in priority order, each
+    (conditions, action) pair once, its highest-ranked copy kept (the
+    first given among equal-priority copies).
 
     With a schema, also checks that the control attribute is the schema's
     class attribute and that the default, every action, and every
     condition value lie in their domains.
     """
-    if not ruleset.is_canonical():
-        raise PolicyError("RuleOrder", "ruleset is not in canonical priority order")
+    ruleset = RuleSet(tuple(_dedup(sorted(rules, key=rule_priority))), control_attribute)
     if schema is not None:
-        if ruleset.control_attribute != schema.class_attribute:
+        if control_attribute != schema.class_attribute:
             raise ConsistencyError("ControlMismatch",
-                                   f"ruleset controls {ruleset.control_attribute!r}, schema designates {schema.class_attribute!r}")
+                                   f"ruleset controls {control_attribute!r}, schema designates {schema.class_attribute!r}")
         domain = schema.class_def
         if not domain.contains(default_action):
             raise PolicyError("BadDefault", f"default action {default_action!r} not in the control domain")

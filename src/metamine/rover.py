@@ -46,6 +46,12 @@ STRATEGY_ATTR = "strategy"
 OUTCOME_ATTR = "outcome"
 OUTCOME_DEF = AttributeDef(OUTCOME_ATTR, "categorical", "self", OUTCOMES)
 
+# The longest episode a world may ask for. Every step is a trace record,
+# and an episode on a route that every strategy slips on runs its whole
+# budget, so a larger one lets a world file keep `simulate` or `cycle`
+# running, and its records growing, for hours.
+MAX_STEPS = 10_000
+
 
 class DecisionMaker(Protocol):
     def decide(self, values: Mapping[str, Any]) -> Any: ...
@@ -111,9 +117,8 @@ class GridWorld:
         for pair, p in self.hazard.items():
             if not is_number(p) or not 0.0 <= p <= 1.0:
                 raise SchemaError("BadHazard", f"hazard{pair} must be a probability, got {p!r}")
-        # within float range, so that the reward check below can multiply by it
-        if not is_int(self.max_steps) or not 1 <= self.max_steps <= sys.float_info.max:
-            raise SchemaError("BadMaxSteps", f"max_steps must be a positive integer in float range, got {self.max_steps!r}")
+        if not is_int(self.max_steps) or not 1 <= self.max_steps <= MAX_STEPS:
+            raise SchemaError("BadMaxSteps", f"max_steps must be an integer from 1 to {MAX_STEPS}, got {self.max_steps!r}")
         r = self.rewards
         if not self.max_steps * (r.step_cost + r.failure_penalty) + r.goal_reward <= sys.float_info.max:
             raise SchemaError("BadReward", f"rewards over {self.max_steps} steps must sum to a finite number")

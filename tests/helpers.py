@@ -8,7 +8,7 @@ from metamine.cycle import AcceptanceGates, CycleConfig
 from metamine.introspection import Dataset
 from metamine.knowledge import AttributeDef
 from metamine.mining import MiningConfig
-from metamine.policy import Policy, Rule, RuleSet
+from metamine.policy import Policy, Rule, RuleSet, compile_policy
 from metamine.rover import GridWorld, Rewards
 
 
@@ -31,9 +31,8 @@ def fixed_policy(action, control="strategy"):
 
 def terrain_policy(mapping, default, control="strategy"):
     """Policy with one terrain=value rule per mapping entry."""
-    rules = RuleSet.canonical(
-        [Rule((("terrain", t),), a, 1.0, "manual") for t, a in mapping.items()], control)
-    return Policy(rules, default, {"sources": ["manual"]})
+    rules = [Rule((("terrain", t),), a, 1.0, "manual") for t, a in mapping.items()]
+    return compile_policy(rules, control, default, provenance={"sources": ["manual"]})
 
 
 def tiny_world(**overrides):

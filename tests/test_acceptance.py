@@ -94,7 +94,7 @@ def test_criterion_2_compiled_policy_replays_its_tree():
                               min_leaf_instances=rng.choice([1, 2, 5]),
                               min_support=0.05, min_confidence=0.55, cv_folds=2, seed=0)
         tree = induce_tree(dataset, config)
-        policy = compile_policy(tree_to_rules(tree), class_domain[0])
+        policy = compile_policy(tree_to_rules(tree), tree.class_attribute, class_domain[0])
         for point in itertools.product(*features.values()):
             state = dict(zip(features, point))
             if classify(tree, state) != policy.decide(state):

@@ -32,6 +32,12 @@ def workdir(tmp_path):
     return tmp_path
 
 
+def mining_config(workdir, **fields):
+    path = workdir / "mining.json"
+    write_json(path, fields)
+    return str(path)
+
+
 def cycle_config(workdir, **overrides):
     payload = {
         "world": "world.json",
@@ -113,6 +119,18 @@ class TestSimulate:
         assert "BadMaxSteps" in capsys.readouterr().err
         assert not (workdir / "t.csv").exists()
 
+    def test_a_step_budget_beyond_the_cap_is_a_schema_error(self, workdir, capsys):
+        """Every strategy slips everywhere, so each episode would run its whole budget."""
+        payload = json.loads((workdir / "world.json").read_text())
+        payload["hazard"] = {t: dict.fromkeys(payload["strategies"], 1.0) for t in payload["terrains"]}
+        payload["max_steps"] = 10_001
+        write_json(workdir / "slippery.json", payload)
+        code = main(["simulate", "--world", str(workdir / "slippery.json"), "--episodes", "1", "--seed", "1",
+                     "--out", str(workdir / "t.csv")])
+        assert code == EXIT_SCHEMA
+        assert "max_steps must be an integer from 1 to 10000" in capsys.readouterr().err
+        assert not (workdir / "t.csv").exists()
+
     def test_no_episodes_is_a_usage_error(self, workdir, capsys):
         out = workdir / "t.csv"
         code = main(["simulate", "--world", str(workdir / "world.json"), "--episodes", "0", "--seed", "1",
@@ -173,7 +191,7 @@ class TestPipeline:
 
         rules_model = workdir / "rules.model.json"
         assert main(["mine", "--data", str(decision_data), "--algo", "apriori",
-                     "--min-support", "0.05", "--min-confidence", "0.55",
+                     "--config", mining_config(workdir, min_support=0.05, min_confidence=0.55),
                      "--out", str(rules_model)]) == EXIT_OK
 
         tree_policy = workdir / "tree.policy.json"
@@ -247,20 +265,36 @@ class TestPipeline:
         assert code == EXIT_USAGE
         assert "--seed" in capsys.readouterr().err
 
-    def test_mining_flags_override_their_config_fields(self, workdir, capsys):
+    def test_mine_takes_its_settings_from_the_config_and_its_seed_flag(self, workdir, capsys):
         traces = self.simulate(workdir)
         data = workdir / "d.csv"
         assert main(["collect", "--traces", str(traces), "--world", str(workdir / "world.json"),
                      "--label-rule", "outcome-as-class", "--out", str(data)]) == EXIT_OK
-        write_json(workdir / "mining.json", MINING)
-        flags = {"max_depth": 2, "min_leaf_instances": 3, "min_support": 0.2, "min_confidence": 0.7,
-                 "cv_folds": 3, "seed": 9}
-        argv = ["--max-depth", "2", "--min-leaf", "3", "--min-support", "0.2", "--min-confidence", "0.7",
-                "--cv-folds", "3", "--seed", "9"]
+        settings = {"max_depth": 2, "min_leaf_instances": 3, "min_support": 0.2, "min_confidence": 0.7,
+                    "cv_folds": 3, "seed": 4}
+        base = ["mine", "--data", str(data), "--algo", "tree", "--config", mining_config(workdir, **settings)]
         model = workdir / "m.json"
-        assert main(["mine", "--data", str(data), "--algo", "tree", "--config", str(workdir / "mining.json"),
-                     *argv, "--out", str(model)]) == EXIT_OK
-        assert json.loads(model.read_text())["evaluation"]["config"] == flags
+        assert main(base + ["--seed", "9", "--out", str(model)]) == EXIT_OK
+        assert json.loads(model.read_text())["evaluation"]["config"] == dict(settings, seed=9)
+        capsys.readouterr()
+        for flag, value in (("--max-depth", "2"), ("--min-leaf", "3"), ("--min-support", "0.2"),
+                            ("--min-confidence", "0.7"), ("--cv-folds", "3")):
+            other = workdir / "other.json"
+            assert main(base + [flag, value, "--out", str(other)]) == EXIT_USAGE
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not other.exists()
+
+    def test_mine_config_errors_come_before_the_missing_seed(self, workdir, capsys):
+        traces = self.simulate(workdir)
+        data = workdir / "d.csv"
+        assert main(["collect", "--traces", str(traces), "--world", str(workdir / "world.json"),
+                     "--label-rule", "outcome-as-class", "--out", str(data)]) == EXIT_OK
+        base = ["mine", "--data", str(data), "--algo", "tree", "--out", str(workdir / "m.json")]
+        assert main(base + ["--config", str(workdir / "missing.json")]) == EXIT_INPUT
+        assert main(base + ["--config", mining_config(workdir, depth=2)]) == EXIT_INPUT
+        assert main(base + ["--config", mining_config(workdir, cv_folds=1)]) == EXIT_SCHEMA
+        assert main(base + ["--config", mining_config(workdir, cv_folds=3)]) == EXIT_USAGE
+        assert not (workdir / "m.json").exists()
         capsys.readouterr()
 
     def test_compiling_a_non_control_model_is_a_schema_error(self, workdir, capsys):
@@ -284,7 +318,7 @@ class TestPipeline:
                      workdir / "bool.csv")
         model = workdir / "bool.model.json"
         assert main(["mine", "--data", str(workdir / "bool.csv"), "--algo", algo, "--seed", "0",
-                     "--cv-folds", "2", "--min-leaf", "1", "--out", str(model)]) == EXIT_OK
+                     "--config", mining_config(workdir, cv_folds=2), "--out", str(model)]) == EXIT_OK
         return model
 
     def test_compile_types_the_default_of_a_boolean_control(self, workdir, capsys):
@@ -323,6 +357,19 @@ class TestPipeline:
         assert "--min-confidence" in capsys.readouterr().err
         assert not policy.exists()
 
+    def test_a_rule_that_tests_the_control_attribute_is_a_schema_error(self, workdir, capsys):
+        """No miner writes one; a hand-edited model used to compile with the rule dropped."""
+        rule = {"antecedent": [["strategy", "CAREFUL"]], "consequent": ["strategy", "FAST"],
+                "support": 0.5, "confidence": 0.9}
+        model = workdir / "self.model.json"
+        write_json(model, {"kind": "rules", "label_attribute": "strategy", "scope": "self", "evaluation": {},
+                           "frequent": [], "n_transactions": 2, "rules": [rule]})
+        policy = workdir / "p.json"
+        code = main(["compile", "--model", str(model), "--default", "FAST", "--out", str(policy)])
+        assert code == EXIT_SCHEMA
+        assert "SelfReference" in capsys.readouterr().err
+        assert not policy.exists()
+
     @pytest.mark.parametrize("algo", ["tree", "apriori"])
     def test_mining_a_header_only_dataset_is_a_schema_error(self, workdir, capsys, algo):
         data = workdir / "empty.csv"
@@ -351,8 +398,8 @@ class TestPipeline:
         data = workdir / "d.csv"
         save_dataset(make_dataset({"a": ("x", "y")}, ("+", "-"), [{"a": "x", "label": l} for l in "+-+-"]), data)
         model = workdir / "deep.model.json"
-        code = main(["mine", "--data", str(data), "--algo", "tree", "--max-depth", str(MAX_TREE_DEPTH + 1),
-                     "--cv-folds", "2", "--seed", "1", "--out", str(model)])
+        code = main(["mine", "--data", str(data), "--algo", "tree", "--seed", "1", "--out", str(model),
+                     "--config", mining_config(workdir, max_depth=MAX_TREE_DEPTH + 1, cv_folds=2)])
         assert code == EXIT_SCHEMA
         assert f"BadConfig: max_depth must be in [1, {MAX_TREE_DEPTH}]" in capsys.readouterr().err
         assert not model.exists()
@@ -364,8 +411,8 @@ class TestPipeline:
         data = workdir / "deep.csv"
         save_dataset(make_dataset(features, ("+", "-"), rows), data)
         model = workdir / "deep.model.json"
-        assert main(["mine", "--data", str(data), "--algo", "tree", "--max-depth", str(MAX_TREE_DEPTH),
-                     "--cv-folds", "2", "--seed", "1", "--out", str(model)]) == EXIT_OK
+        assert main(["mine", "--data", str(data), "--algo", "tree", "--seed", "1", "--out", str(model),
+                     "--config", mining_config(workdir, max_depth=MAX_TREE_DEPTH, cv_folds=2)]) == EXIT_OK
         assert load_model(model).tree.depth() == MAX_TREE_DEPTH
         policy = workdir / "deep.policy.json"
         assert main(["compile", "--model", str(model), "--default", "+", "--out", str(policy)]) == EXIT_OK

@@ -112,7 +112,8 @@ def test_file_stage_chain_outputs(tmp_path):
         run("collect", "--traces", out / "traces.csv", "--world", world, "--label-rule", rule,
             "--out", out / f"{name}.csv")
         run("mine", "--data", out / f"{name}.csv", "--algo", "tree", "--seed", "3", "--out", out / f"{name}.tree.json")
-    run("mine", "--data", out / "decision.csv", "--algo", "apriori", "--min-support", "0.05",
+    write_json(tmp_path / "mining.json", {"min_support": 0.05})
+    run("mine", "--data", out / "decision.csv", "--algo", "apriori", "--config", tmp_path / "mining.json",
         "--out", out / "decision.rules.json")
     for model in ("tree", "rules"):
         run("compile", "--model", out / f"decision.{model}.json", "--default", "FAST",

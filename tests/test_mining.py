@@ -19,7 +19,6 @@ from metamine.jsonio import canonical_dumps, decode
 from metamine.knowledge import AttributeDef
 from metamine.mining import (
     MAX_TREE_DEPTH,
-    AssociationRule,
     CvScores,
     DecisionTree,
     Leaf,
@@ -583,13 +582,6 @@ class TestModels:
         loaded = load_model(tmp_path / "m.json")
         for a, b in product((False, True), repeat=2):
             assert classify(loaded.tree, {"a": a, "b": b}) == classify(model.tree, {"a": a, "b": b})
-
-    def test_a_rule_item_that_is_no_attribute_value_pair_cannot_be_written(self):
-        rule = AssociationRule(frozenset({"raw"}), ("strategy", "FAST"), 0.5, 0.9)
-        model = MetaModel("rules", "strategy", "self", {}, rules=(rule,), n_transactions=2)
-        with pytest.raises(ConsistencyError) as err:
-            model_to_json(model)
-        assert err.value.code == "BadItem"
 
     def test_model_json_rejects_garbage(self):
         with pytest.raises(InputFormatError):

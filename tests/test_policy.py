@@ -45,6 +45,26 @@ def rule(conditions, action="FAST", confidence=1.0, origin="manual"):
     return Rule(tuple(conditions), action, confidence, origin)
 
 
+def canonical_reference(rules):
+    """Rules sorted by priority, each (conditions, action) pair's first copy kept."""
+    seen, kept = set(), []
+    for r in sorted(rules, key=rule_priority):
+        if (r.conditions, r.action) not in seen:
+            seen.add((r.conditions, r.action))
+            kept.append(r)
+    return kept
+
+
+# One source's mined rules, drawn from small pools so that sources share
+# rules and priorities tie; wet=true and wet="true" render alike, so
+# distinct rules can tie on the whole priority key.
+MINED = st.lists(st.tuples(
+    st.dictionaries(st.sampled_from(["terrain", "wet"]), st.sampled_from(["sand", "rock", True, "true"]))
+    .map(lambda d: list(d.items())),
+    st.sampled_from(["FAST", "CAREFUL"]),
+    st.sampled_from([0.5, 0.75, 1.0])), max_size=8)
+
+
 class TestRule:
     def test_conditions_are_sorted_by_attribute(self):
         r = rule([("b", "2"), ("a", "1")])
@@ -126,29 +146,20 @@ class TestRuleSet:
             RuleSet((a, b), "strategy")
         assert err.value.code == "DuplicateRule"
 
-    def test_canonical_sorts_and_keeps_the_higher_ranked_duplicate(self):
-        weak = rule([("terrain", "sand")], action="FAST", confidence=0.4)
-        strong = rule([("terrain", "sand")], action="FAST", confidence=0.9)
-        other = rule([("terrain", "ice")], action="CAREFUL", confidence=0.6)
-        rs = RuleSet.canonical([weak, other, strong], "strategy")
-        assert [r.confidence for r in rs.rules] == [0.9, 0.6]
-        assert rs.is_canonical()
-
-    def test_explicit_order_can_be_non_canonical(self):
+    def test_explicit_order_is_kept(self):
         lo = rule([("terrain", "sand")], action="FAST", confidence=0.4)
         hi = rule([("terrain", "ice")], action="CAREFUL", confidence=0.9)
-        rs = RuleSet((lo, hi), "strategy")
-        assert not rs.is_canonical()
+        assert RuleSet((lo, hi), "strategy").rules == (lo, hi)
 
 
 class TestTreeToRules:
     def test_single_leaf_tree_gives_one_unconditional_rule(self):
         ds = make_dataset({"terrain": ("sand", "rock")}, ("FAST", "CAREFUL"),
                           [{"terrain": "sand", "label": "FAST"}], class_name="label")
-        rs = tree_to_rules(induce_tree(ds, MiningConfig()))
-        assert len(rs.rules) == 1
-        assert rs.rules[0].conditions == () and rs.rules[0].action == "FAST"
-        assert rs.rules[0].origin == "tree" and rs.rules[0].confidence == 1.0
+        rules = tree_to_rules(induce_tree(ds, MiningConfig()))
+        assert len(rules) == 1
+        assert rules[0].conditions == () and rules[0].action == "FAST"
+        assert rules[0].origin == "tree" and rules[0].confidence == 1.0
 
     def test_one_rule_per_leaf_with_leaf_confidence(self):
         rows = (
@@ -158,9 +169,9 @@ class TestTreeToRules:
         )
         ds = make_dataset({"terrain": ("sand", "rock")}, ("FAST", "CAREFUL"), rows, class_name="strategy")
         tree = induce_tree(ds, MiningConfig())
-        rs = tree_to_rules(tree)
-        assert len(rs.rules) == len(tree.paths()) == 2
-        by_terrain = {r.conditions[0][1]: r for r in rs.rules}
+        rules = tree_to_rules(tree)
+        assert [r.conditions for r in rules] == [path for path, _ in tree.paths()]  # model order
+        by_terrain = {r.conditions[0][1]: r for r in rules}
         assert by_terrain["sand"].action == "CAREFUL"
         assert by_terrain["sand"].confidence == pytest.approx(0.75)
         assert by_terrain["rock"].action == "FAST"
@@ -186,63 +197,74 @@ class TestAssociationFilter:
         return derive_rules(apriori(Counter(tx), 0.25), 0.5, len(tx))
 
     def test_only_control_consequents_survive(self):
-        # a rule whose antecedent tests the control attribute is skipped, not compiled into a self-reference
-        self_test = AssociationRule(frozenset({("strategy", "CAREFUL")}), ("strategy", "FAST"), 0.5, 0.9)
-        rs = rules_to_ruleset(self.make_rules() + (self_test,), "strategy")
-        assert rs.rules
-        for r in rs.rules:
+        mined = self.make_rules()
+        rules = rules_to_ruleset(mined, "strategy")
+        assert [(r.conditions, r.action) for r in rules] == [  # model order
+            (tuple(sorted(m.antecedent)), m.consequent[1]) for m in mined if m.consequent[0] == "strategy"]
+        for r in rules:
             assert r.origin == "association"
             assert all(a != "strategy" for a, _ in r.conditions)
 
     def test_empty_antecedent_rules_are_dropped(self):
         fake = AssociationRule(frozenset(), ("strategy", "FAST"), 0.5, 0.9)
-        assert rules_to_ruleset([fake], "strategy").rules == ()
+        assert rules_to_ruleset([fake], "strategy") == []
 
-    def test_non_pair_items_are_an_error(self):
-        for fake in (AssociationRule(frozenset({"raw"}), ("strategy", "FAST"), 0.5, 0.9),
-                     AssociationRule(frozenset({("terrain", "sand")}), "raw", 0.5, 0.9)):
-            with pytest.raises(ConsistencyError) as err:
-                rules_to_ruleset([fake], "strategy")
-            assert err.value.code == "BadItem"
+    def test_a_rule_that_tests_the_control_attribute_is_refused_at_compile(self):
+        """No mined rule does (a transaction holds one item per attribute), so
+        only a malformed model file can carry one."""
+        self_test = AssociationRule(frozenset({("strategy", "CAREFUL")}), ("strategy", "FAST"), 0.5, 0.9)
+        with pytest.raises(PolicyError) as err:
+            compile_policy(rules_to_ruleset([self_test], "strategy"), "strategy", "FAST")
+        assert err.value.code == "SelfReference"
 
 
 class TestCompilePolicy:
     def test_empty_ruleset_always_defaults(self):
-        policy = compile_policy(RuleSet((), "strategy"), "FAST", schema=control_schema())
+        policy = compile_policy([], "strategy", "FAST", schema=control_schema())
         assert policy.decide({"terrain": "sand"}) == "FAST"
         assert policy.decide({}) == "FAST"
 
     def test_first_match_wins(self):
-        rs = RuleSet.canonical([
-            rule([("terrain", "sand")], action="CAREFUL", confidence=0.9),
+        policy = compile_policy([
             rule([], action="FAST", confidence=0.5),
-        ], "strategy")
-        policy = compile_policy(rs, "FAST", schema=control_schema())
+            rule([("terrain", "sand")], action="CAREFUL", confidence=0.9),
+        ], "strategy", "FAST", schema=control_schema())
         assert policy.decide({"terrain": "sand"}) == "CAREFUL"
         assert policy.decide({"terrain": "rock"}) == "FAST"
 
-    def test_non_canonical_order_is_rejected(self):
-        rs = RuleSet((
-            rule([("terrain", "sand")], action="FAST", confidence=0.4),
-            rule([("terrain", "ice")], action="CAREFUL", confidence=0.9),
-        ), "strategy")
-        with pytest.raises(PolicyError) as err:
-            compile_policy(rs, "FAST")
-        assert err.value.code == "RuleOrder"
+    def test_sorts_and_keeps_the_higher_ranked_duplicate(self):
+        weak = rule([("terrain", "sand")], action="FAST", confidence=0.4)
+        strong = rule([("terrain", "sand")], action="FAST", confidence=0.9)
+        other = rule([("terrain", "ice")], action="CAREFUL", confidence=0.6)
+        policy = compile_policy([weak, other, strong], "strategy", "FAST")
+        assert policy.ruleset.rules == (strong, other)
+
+    def test_an_equal_priority_duplicate_keeps_the_first_copy_given(self):
+        tree = rule([("terrain", "sand")], action="FAST", confidence=0.9, origin="tree")
+        association = rule([("terrain", "sand")], action="FAST", confidence=0.9, origin="association")
+        assert compile_policy([tree, association], "strategy", "FAST").ruleset.rules == (tree,)
+        assert compile_policy([association, tree], "strategy", "FAST").ruleset.rules == (association,)
+
+    @given(MINED, MINED)
+    def test_matches_sorting_each_source_then_the_union(self, tree_raw, association_raw):
+        tree_rules = [rule(c, a, conf, "tree") for c, a, conf in tree_raw]
+        association_rules = [rule(c, a, conf, "association") for c, a, conf in association_raw]
+        compiled = compile_policy(tree_rules + association_rules, "strategy", "FAST").ruleset.rules
+        expected = canonical_reference(canonical_reference(tree_rules) + canonical_reference(association_rules))
+        assert list(compiled) == expected
+        assert [r.origin for r in compiled] == [r.origin for r in expected]
 
     def test_schema_validation_catches_mismatches(self):
         schema = control_schema()
         with pytest.raises(ConsistencyError):
-            compile_policy(RuleSet((), "speed"), "FAST", schema=schema)
+            compile_policy([], "speed", "FAST", schema=schema)
         with pytest.raises(PolicyError) as err:
-            compile_policy(RuleSet((), "strategy"), "WALK", schema=schema)
+            compile_policy([], "strategy", "WALK", schema=schema)
         assert err.value.code == "BadDefault"
-        bad_action = RuleSet.canonical([rule([("terrain", "sand")], action="WALK")], "strategy")
         with pytest.raises(PolicyError):
-            compile_policy(bad_action, "FAST", schema=schema)
-        bad_value = RuleSet.canonical([rule([("terrain", "mud")], action="FAST")], "strategy")
+            compile_policy([rule([("terrain", "sand")], action="WALK")], "strategy", "FAST", schema=schema)
         with pytest.raises(ConsistencyError):
-            compile_policy(bad_value, "FAST", schema=schema)
+            compile_policy([rule([("terrain", "mud")], action="FAST")], "strategy", "FAST", schema=schema)
 
     def test_tree_and_compiled_policy_agree_on_the_full_grid(self):
         rows = [
@@ -256,7 +278,7 @@ class TestCompilePolicy:
 
         ds = Dataset(defs, "strategy", tuple(rows))
         tree = induce_tree(ds, MiningConfig())
-        policy = compile_policy(tree_to_rules(tree), "FAST", schema=control_schema())
+        policy = compile_policy(tree_to_rules(tree), "strategy", "FAST", schema=control_schema())
         for t, w in product(("sand", "rock", "ice"), (False, True)):
             inst = {"terrain": t, "wet": w}
             assert policy.decide(inst) == classify(tree, inst)
@@ -264,17 +286,15 @@ class TestCompilePolicy:
 
 class TestIntegratePolicies:
     def incumbent(self):
-        rs = RuleSet.canonical([
+        return compile_policy([
             rule([("terrain", "sand")], action="FAST", confidence=0.8),
             rule([("terrain", "rock")], action="FAST", confidence=0.7),
-        ], "strategy")
-        return Policy(rs, "FAST", {"cycle": 1, "sources": ["tree"]})
+        ], "strategy", "FAST", provenance={"cycle": 1, "sources": ["tree"]})
 
     def candidate(self):
-        rs = RuleSet.canonical([
+        return compile_policy([
             rule([("terrain", "sand")], action="CAREFUL", confidence=0.9),
-        ], "strategy")
-        return Policy(rs, "CAREFUL", {"cycle": 2, "sources": ["rules"]})
+        ], "strategy", "CAREFUL", provenance={"cycle": 2, "sources": ["rules"]})
 
     def test_replace_returns_the_candidate_untouched(self):
         candidate = self.candidate()
@@ -298,9 +318,8 @@ class TestIntegratePolicies:
 
     def test_duplicate_pairs_keep_the_leading_block_copy(self):
         incumbent = self.incumbent()
-        dup = Policy(RuleSet.canonical([
-            rule([("terrain", "sand")], action="FAST", confidence=0.3),
-        ], "strategy"), "FAST", {"cycle": 2, "sources": []})
+        dup = compile_policy([rule([("terrain", "sand")], action="FAST", confidence=0.3)], "strategy", "FAST",
+                             provenance={"cycle": 2, "sources": []})
         merged = integrate_policies(incumbent, dup, "override")
         sand_rules = [r for r in merged.ruleset.rules if r.conditions == (("terrain", "sand"),)]
         assert len(sand_rules) == 1
@@ -327,11 +346,10 @@ class TestInitialPolicy:
 
 class TestPolicySerialization:
     def sample(self):
-        rs = RuleSet.canonical([
+        return compile_policy([
             rule([("terrain", "sand")], action="CAREFUL", confidence=0.9, origin="tree"),
             rule([("wet", True)], action="CAREFUL", confidence=0.7, origin="association"),
-        ], "strategy")
-        return compile_policy(rs, "FAST", schema=control_schema(), provenance={"cycle": 3, "sources": ["tree"]})
+        ], "strategy", "FAST", schema=control_schema(), provenance={"cycle": 3, "sources": ["tree"]})
 
     def test_round_trip_is_byte_identical(self, tmp_path):
         policy = self.sample()
@@ -351,7 +369,7 @@ class TestPolicySerialization:
 
     def test_policy_id_tracks_content(self):
         a = self.sample()
-        b = compile_policy(a.ruleset, "CAREFUL", schema=control_schema(), provenance=a.provenance)
+        b = compile_policy(a.ruleset.rules, "strategy", "CAREFUL", schema=control_schema(), provenance=a.provenance)
         assert policy_id(a) != policy_id(b)
         assert canonical_dumps(policy_to_json(a)) != canonical_dumps(policy_to_json(b))
 

@@ -26,8 +26,9 @@ from metamine.cycle import evaluate_candidate, run_experiment
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
 from metamine.knowledge import AttributeDef, define_schema, float_sum, format_value
-from metamine.policy import Policy, Rule, RuleSet, initial_policy
+from metamine.policy import Rule, compile_policy, initial_policy
 from metamine.rover import (
+    MAX_STEPS,
     OUTCOME_FAILURE,
     OUTCOME_SUCCESS,
     DecisionRecord,
@@ -86,7 +87,7 @@ class TestWorldValidation:
             tiny_world(goal=(5, 5))
         assert err.value.code == "OutOfGrid"
 
-    @pytest.mark.parametrize("max_steps", [0, -1, 1.5])
+    @pytest.mark.parametrize("max_steps", [0, -1, 1.5, MAX_STEPS + 1])
     def test_step_budget_must_be_positive(self, max_steps):
         with pytest.raises(SchemaError):
             tiny_world(max_steps=max_steps)
@@ -366,7 +367,7 @@ class TestRouteTable:
     @settings(max_examples=250, deadline=None)
     @given(RULES, ACTIONS, st.sampled_from(sorted(WORLDS)))
     def test_random_rule_lists_match_decide(self, rules, default, world):
-        check_table(WORLDS[world](), Policy(RuleSet.canonical(rules, "strategy"), default))
+        check_table(WORLDS[world](), compile_policy(rules, "strategy", default))
 
 
 class TestRollout:
