@@ -9,7 +9,7 @@ compiled back into the agent's control policy.
 Modules
 -------
 errors         the error classes, each carrying a machine-readable code
-jsonio         canonical JSON, the JSON shape checks and the CSV table reader
+jsonio         canonical JSON, the JSON shape checks, the CSV table reader and record writer
 seeds          sha256-derived seeds for named random sub-streams
 knowledge      attribute schemas and the attribute value codec
 rover          gridworld, strategies, episode simulation, trace files

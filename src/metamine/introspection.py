@@ -11,7 +11,6 @@ never match a numeric observation.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from collections import Counter
@@ -20,7 +19,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, InputFormatError, MiningError, SchemaError
-from .jsonio import ATOM, expect_field, expect_object, located, read_json, read_table, write_json
+from .jsonio import ATOM, csv_record, expect_field, expect_object, located, open_table, read_json, write_json
 from .knowledge import (
     AttributeDef,
     Schema,
@@ -192,12 +191,12 @@ def dataset_meta_path(csv_path: str | Path) -> Path:
 
 def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
     """Write rows as CSV plus a sidecar with attribute definitions
-    and bin boundaries (<csv_path>.meta.json)."""
+    and bin boundaries (<csv_path>.meta.json). Each distinct row's line
+    is rendered once."""
+    text = {row: csv_record(map(format_value, row)) for row in dataset.patterns()}
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([a.name for a in dataset.attributes])
-        text = {row: [format_value(v) for v in row] for row in dataset.patterns()}
-        writer.writerows(text[row] for row in dataset.rows)
+        fh.write(csv_record([a.name for a in dataset.attributes]))
+        fh.writelines(map(text.__getitem__, dataset.rows))
     write_json(dataset_meta_path(csv_path), {
         "attributes": [attribute_to_json(a) for a in dataset.attributes],
         "class_attribute": dataset.class_attribute,
@@ -210,15 +209,23 @@ def load_dataset(csv_path: str | Path) -> Dataset:
     defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
     edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
+    # a record's cells -> its row, and a one-line record's text -> its row: equal rows share one tuple
     parsed: dict[tuple, tuple] = {}
+    known: dict[str, tuple] = {}
     rows = []
-    for line, cells in read_table(csv_path, [a.name for a in defs]):
-        key = tuple(cells)
-        row = parsed.get(key)
-        if row is None:
-            try:
-                row = parsed[key] = tuple(a.parse(cell) for a, cell in zip(defs, cells))
-            except (InputFormatError, SchemaError) as exc:
-                raise located(exc, csv_path, line) from exc
-        rows.append(row)
+    with open_table(csv_path, [a.name for a in defs]) as (lines, cells):
+        for line, text in lines:
+            row = known.get(text)
+            if row is None:
+                values, whole = cells(line, text)
+                key = tuple(values)
+                row = parsed.get(key)
+                if row is None:
+                    try:
+                        row = parsed[key] = tuple(a.parse(cell) for a, cell in zip(defs, values))
+                    except (InputFormatError, SchemaError) as exc:
+                        raise located(exc, csv_path, line) from exc
+                if whole:
+                    known[text] = row
+            rows.append(row)
     return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(rows), edges)

@@ -1,13 +1,14 @@
 """Canonical JSON reading and writing, the shape rules for reading it back,
-and the CSV table reader.
+and the CSV table reader and record writer.
 
 All JSON the package emits goes through canonical_dumps so that equal
 objects serialize to identical bytes: sorted keys, two-space indent,
 UTF-8 text, no NaN/Infinity, one trailing newline.
 
-CSV files (traces, datasets) are read through read_table, which checks
-the file, its header and the width of every row; the cells themselves
-are parsed by the attribute codec in knowledge.
+CSV files (traces, datasets) are read through open_table, which checks
+the file and its header and hands out each record's text, for the
+readers to parse with csv (and check its width) once per distinct line;
+the cells themselves are parsed by the attribute codec in knowledge.
 
 Every reader checks shape here: objects are objects, lists are lists and
 names, values and labels are JSON atoms. Types and ranges of the values
@@ -20,10 +21,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterator
+from types import SimpleNamespace
+from typing import Any, Callable, Iterable, Iterator
 
 from .errors import InputFormatError, MetamineError
 
@@ -64,22 +68,41 @@ def read_json(path: str | Path) -> Any:
         raise InputFormatError("MalformedJson", f"{p} nests its JSON values too deeply to read") from None
 
 
-def read_table(path: str | Path, header: list[str]) -> Iterator[tuple[int, list[str]]]:
-    """Stream the data rows of a UTF-8 CSV file whose first row is header,
-    each with one cell per column, as (line, row): line is the row's line
-    number, for located() to put in an error message."""
+# csv_record(cells) is one CSV record as csv.writer writes it, quoted and
+# ended with \r\n: writerow returns what its file's write returns.
+csv_record: Callable[[Iterable], str] = csv.writer(SimpleNamespace(write=str)).writerow
+
+Cells = Callable[[int, str], tuple[list[str], bool]]
+
+
+@contextmanager
+def open_table(path: str | Path, header: list[str]) -> Iterator[tuple[Iterator[tuple[int, str]], Cells]]:
+    """Open a UTF-8 CSV file whose first record is header, as (rows, cells).
+
+    rows yields (line, text) per data record: line is its record number,
+    for located() to put in an error message, and text its first physical
+    line. cells(line, text) parses the record, taking the further lines of
+    a quoted cell that spans lines from the file, checks its cell count
+    and returns (its cells, whether text was the whole record): equal
+    whole-record texts parse alike. The file closes when the block ends;
+    one that cannot be read or decoded is an UnreadableFile.
+    """
     name = str(path)
     width = len(header)
+
+    def cells(line: int, text: str) -> tuple[list[str], bool]:
+        reader = csv.reader(itertools.chain((text,), fh))
+        row = next(reader)
+        if len(row) != width:
+            raise InputFormatError("BadRow", f"{name} line {line}: expected {width} cells, got {len(row)}")
+        return row, reader.line_num == 1
+
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
+            first = next(csv.reader(fh), None)
             if first != header:
                 raise InputFormatError("BadHeader", f"{name}: expected columns {header}, got {first or 'nothing'}")
-            for line, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise InputFormatError("BadRow", f"{name} line {line}: expected {width} cells, got {len(row)}")
-                yield line, row
+            yield zip(itertools.count(2), fh), cells
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputFormatError("UnreadableFile", f"cannot read {name}: {exc}") from exc
 

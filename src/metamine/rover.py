@@ -21,8 +21,6 @@ produce byte-identical traces.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import sys
 from dataclasses import asdict, dataclass
@@ -31,7 +29,7 @@ from random import Random
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ConsistencyError, InputFormatError, SchemaError
-from .jsonio import expect_field, expect_object, expect_pairs, located, read_json, read_table, write_json
+from .jsonio import csv_record, expect_field, expect_object, expect_pairs, located, open_table, read_json, write_json
 from .knowledge import AttributeDef, Schema, define_schema, format_value, is_int, is_number
 from .seeds import derive_seeds
 
@@ -396,8 +394,6 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
     """
     world_attrs = [a.name for a in schema.scoped("world")]
     traces = list(traces)
-    buffer = io.StringIO()
-    fragment = csv.writer(buffer)
     # id(rec) -> (rec, its CSV text from x to reward); holding rec keeps its id unique
     texts: dict[int, tuple[DecisionRecord, str]] = {}
     for trace in traces:
@@ -406,13 +402,11 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
                 missing = [name for name in world_attrs if name not in rec.observed]
                 if missing:
                     raise ConsistencyError("MissingObservation", f"trace records carry no value for {missing[0]!r}")
-                fragment.writerow([rec.cell[0], rec.cell[1], *(format_value(rec.observed[name]) for name in world_attrs),
-                                   rec.strategy, rec.outcome, repr(rec.reward)])
-                texts[id(rec)] = (rec, buffer.getvalue()[:-2])
-                buffer.seek(0)
-                buffer.truncate()
+                texts[id(rec)] = (rec, csv_record([rec.cell[0], rec.cell[1], *(format_value(rec.observed[name])
+                                                                                 for name in world_attrs),
+                                                   rec.strategy, rec.outcome, repr(rec.reward)])[:-2])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh).writerow(_trace_header(schema))
+        fh.write(csv_record(_trace_header(schema)))
         for i, trace in enumerate(traces):
             reached = format_value(trace.reached_goal)
             fh.writelines(f"{i},{epoch},{texts[id(rec)][1]},{reached}\r\n" for epoch, rec in enumerate(trace.records))
@@ -423,7 +417,13 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     attributes, strategy and outcome lie in their schema domains, rewards
     are finite, reached_goal is true/false and the same on every row of an
     episode, and each episode's epochs run 0..n-1. Rows whose cells from
-    x to reward read the same share one record."""
+    x to reward read the same share one record.
+
+    A row whose episode and epoch cells are a few decimal digits reads
+    as csv reads it when split at its first two commas, so the rest of
+    its line decides its record and reached_goal: each distinct rest is
+    parsed once. Any other row, and a rest seen for the first time, goes
+    through csv."""
     world_defs = schema.scoped("world")
     strategy_def = schema.class_def
     outcome_def = schema.attribute(OUTCOME_ATTR) if OUTCOME_ATTR in schema else OUTCOME_DEF
@@ -431,26 +431,43 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     episodes: dict[int, tuple[list[DecisionRecord], bool]] = {}
     # the cell texts from x to reward -> their record; equal text parses to an equal value
     shared: dict[tuple[str, ...], DecisionRecord] = {}
-    for line, row in read_table(path, _trace_header(schema)):
-        key = tuple(row[2:base + 3])
-        rec = shared.get(key)
-        try:
-            episode, epoch = int(row[0]), int(row[1])
-            if rec is None:
-                cell = (int(row[2]), int(row[3]))
-                observed = {a.name: a.parse(row[4 + k]) for k, a in enumerate(world_defs)}
-                rec = shared[key] = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
-                                                   outcome_def.parse(row[base + 1]), REWARD_DEF.parse(row[base + 2]))
-            reached = REACHED_DEF.parse(row[base + 3])
-            records, first_reached = episodes.setdefault(episode, ([], reached))
-            if first_reached != reached:
-                raise InputFormatError("BadTrace", f"reached_goal changes within episode {episode}")
-            if epoch != len(records):
-                raise InputFormatError("BadTrace", f"episode {episode} has epoch {epoch} where "
-                                                   f"{len(records)} comes next")
-        except ValueError as exc:
-            raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
-        except (InputFormatError, SchemaError) as exc:
-            raise located(exc, path, line) from exc
-        records.append(rec)
+    # a one-line row's text after its epoch cell -> its (record, reached_goal)
+    known: dict[str, tuple[DecisionRecord, bool]] = {}
+    current = None
+    with open_table(path, _trace_header(schema)) as (rows, cells):
+        for line, text in rows:
+            lead = text.split(",", 2)
+            # decimal digits, which csv reads as they are and int() always takes, and short
+            # enough that csv's field size limit cannot refuse them
+            plain = len(lead) == 3 and lead[0].isdecimal() and lead[1].isdecimal() and len(lead[0]) + len(lead[1]) < 40
+            parsed = known.get(lead[2]) if plain else None
+            row, whole = cells(line, text) if parsed is None else (lead, True)
+            try:
+                episode, epoch = int(row[0]), int(row[1])
+                if parsed is None:
+                    key = tuple(row[2:base + 3])
+                    rec = shared.get(key)
+                    if rec is None:
+                        cell = (int(row[2]), int(row[3]))
+                        observed = {a.name: a.parse(row[4 + k]) for k, a in enumerate(world_defs)}
+                        rec = shared[key] = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
+                                                           outcome_def.parse(row[base + 1]),
+                                                           REWARD_DEF.parse(row[base + 2]))
+                    parsed = rec, REACHED_DEF.parse(row[base + 3])
+                    if plain and whole:
+                        known[lead[2]] = parsed
+                rec, reached = parsed
+                if episode != current:
+                    current = episode
+                    records, first_reached = episodes.setdefault(episode, ([], reached))
+                if first_reached != reached:
+                    raise InputFormatError("BadTrace", f"reached_goal changes within episode {episode}")
+                if epoch != len(records):
+                    raise InputFormatError("BadTrace", f"episode {episode} has epoch {epoch} where "
+                                                       f"{len(records)} comes next")
+            except ValueError as exc:
+                raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
+            except (InputFormatError, SchemaError) as exc:
+                raise located(exc, path, line) from exc
+            records.append(rec)
     return [EpisodeTrace(tuple(records), reached) for _, (records, reached) in sorted(episodes.items())]

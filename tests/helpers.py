@@ -58,18 +58,19 @@ def uniform_hazard_world(p, **overrides):
     return tiny_world(hazard=hazard, **overrides)
 
 
-def striped_world():
+def striped_world(rock="rock"):
     """8x8 three-terrain stripes; the world the closed-loop checks run on.
 
     FAST slips often on sand and ice but rarely on rock; CAREFUL is slow
     terrain-agnostic and nearly safe everywhere. The policy worth learning
-    is CAREFUL on sand and ice, FAST on rock.
+    is CAREFUL on sand and ice, FAST on rock. rock renames the rock
+    terrain, e.g. to a name that CSV files must quote.
     """
-    terrains = ("sand", "rock", "ice")
+    terrains = ("sand", rock, "ice")
     cells = tuple(tuple(terrains[(x + y) % 3] for x in range(8)) for y in range(8))
     hazard = {
         ("sand", "FAST"): 0.6, ("sand", "CAREFUL"): 0.1,
-        ("rock", "FAST"): 0.1, ("rock", "CAREFUL"): 0.15,
+        (rock, "FAST"): 0.1, (rock, "CAREFUL"): 0.15,
         ("ice", "FAST"): 0.7, ("ice", "CAREFUL"): 0.2,
     }
     return GridWorld(8, 8, terrains, cells, (0, 0), (7, 7), ("FAST", "CAREFUL"),

@@ -1,5 +1,6 @@
 """Trace-to-row projection, labeling rules, and featurisation."""
 
+import csv
 import math
 
 import pytest
@@ -329,8 +330,8 @@ class TestProjectionReference:
 
 
 class TestDatasetFiles:
-    def test_round_trip_equality_and_byte_stability(self, tmp_path):
-        world = striped_world()
+    def test_round_trip_equality_and_byte_stability(self, tmp_path, rock="rock"):
+        world = striped_world(rock)
         schema = world_schema(world)
         traces = run_episodes(world, fixed_policy("FAST"), 6, master_seed=4, explore=0.5)
         dataset = featurise(traces, schema, "outcome-as-class", 4, SELECTED)
@@ -344,6 +345,27 @@ class TestDatasetFiles:
         save_dataset(loaded, again)
         assert again.read_bytes() == path.read_bytes()
         assert (tmp_path / "data.csv.meta.json").exists()
+
+    def test_a_terrain_name_over_two_lines_round_trips(self, tmp_path):
+        self.test_round_trip_equality_and_byte_stability(tmp_path, rock="ro,\nck")
+
+    @pytest.mark.parametrize("rock", ["rock", "ro,\nck"], ids=["plain", "multi-line"])
+    def test_a_bad_row_is_reported_at_its_record_number(self, tmp_path, rock):
+        """The rows before the bad one hold rock; spelled over two lines, they
+        move it down the file, and its record number stays."""
+        world = striped_world(rock)
+        traces = run_episodes(world, fixed_policy("FAST"), 6, master_seed=4, explore=0.5)
+        path = tmp_path / "data.csv"
+        save_dataset(featurise(traces, world_schema(world), "outcome-as-class", 4, SELECTED), path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:3]] == [rock, rock]
+        rows[3][0] = "mud"
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        with pytest.raises(SchemaError) as err:
+            load_dataset(path)
+        assert err.value.message == f"{path} line 4: terrain 'mud' is not in the schema domain"
 
     def test_numeric_bin_edges_survive_the_sidecar(self, tmp_path):
         dataset = featurise_numeric([1, 2, 9, 10], bins=2)

@@ -436,6 +436,16 @@ class TestWorldSerialization:
         assert "master_seed" not in world_to_json(world)
 
 
+MALFORMED_ROWS = [
+    ("strategy", "WALK", SchemaError),
+    ("outcome", "crashed", SchemaError),
+    ("reached_goal", "yes", InputFormatError),
+    ("reached_goal", "flipped", InputFormatError),
+    ("epoch", "5", InputFormatError),
+    ("x", "1.5", InputFormatError),
+]
+
+
 class TestTraceFiles:
     def test_round_trip_preserves_records(self, tmp_path):
         world = striped_world()
@@ -534,28 +544,31 @@ class TestTraceFiles:
         header = path.read_text().splitlines()[0]
         assert header == "episode,epoch,x,y,terrain,strategy,outcome,reward,reached_goal"
 
-    @pytest.mark.parametrize("column, text, error", [
-        ("strategy", "WALK", SchemaError),
-        ("outcome", "crashed", SchemaError),
-        ("reached_goal", "yes", InputFormatError),
-        ("reached_goal", "flipped", InputFormatError),
-        ("epoch", "5", InputFormatError),
-        ("x", "1.5", InputFormatError),
-    ])
-    def test_malformed_rows_are_rejected(self, tmp_path, column, text, error):
-        world = striped_world()
+    @pytest.mark.parametrize("column, text, error", MALFORMED_ROWS)
+    def test_malformed_rows_are_rejected(self, tmp_path, column, text, error, rock="rock"):
+        world = striped_world(rock)
         schema = world_schema(world)
         path = tmp_path / "t.csv"
-        save_traces(run_episodes(world, fixed_policy("FAST"), 2, 0), schema, path)
-        lines = path.read_text().splitlines()
-        cells = lines[2].split(",")  # the second row of episode 0
-        i = lines[0].split(",").index(column)
+        traces = run_episodes(world, fixed_policy("FAST"), 2, 0)
+        save_traces(traces, schema, path)
+        assert load_traces(path, schema) == traces
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        cells = rows[2]  # the second row of episode 0
+        i = rows[0].index(column)
         cells[i] = {"true": "false", "false": "true"}[cells[i]] if text == "flipped" else text
-        lines[2] = ",".join(cells)
-        path.write_text("\n".join(lines) + "\n")
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
         with pytest.raises(error) as err:
             load_traces(path, schema)
         assert err.value.message.startswith(f"{path} line 3: ")
+
+    @pytest.mark.parametrize("column, text, error", MALFORMED_ROWS)
+    def test_a_malformed_row_after_multi_line_records_keeps_its_record_number(self, tmp_path, column, text, error):
+        """A terrain name with a comma and a line break is quoted and read
+        back; the first step enters it, so the bad row starts on a later
+        physical line but is reported at its record number."""
+        self.test_malformed_rows_are_rejected(tmp_path, column, text, error, rock="ro,\nck")
 
 
 def reference_episode(world, policy, seed, explore):
@@ -676,31 +689,43 @@ TRACE_TEXT = ("episode,epoch,x,y,terrain,strategy,outcome,reward,reached_goal\n"
               "1,2,0,0,rock,FAST,failure,-3.0,false\n")
 
 
+ROW_ERRORS = [
+    (3, "epoch", "7", InputFormatError, "episode 0 has epoch 7 where 1 comes next"),
+    (3, "epoch", "x", InputFormatError, "invalid literal for int() with base 10: 'x'"),
+    (3, "episode", "e", InputFormatError, "invalid literal for int() with base 10: 'e'"),
+    (3, "reached_goal", "false", InputFormatError, "reached_goal changes within episode 0"),
+    (6, "reached_goal", "true", InputFormatError, "reached_goal changes within episode 1"),
+    (6, "reached_goal", "yes", InputFormatError, "reached_goal must be true/false, got 'yes'"),
+    (7, "epoch", "1", InputFormatError, "episode 1 has epoch 1 where 2 comes next"),
+]
+
+
 class TestSharedRecordErrors:
     """Sharing skips parsing a repeated x-to-reward text, but never the
     checks on a row's own cells, and a bad text fails where it first
     appears."""
 
-    @pytest.mark.parametrize("line, column, text, error, message", [
-        (3, "epoch", "7", InputFormatError, "episode 0 has epoch 7 where 1 comes next"),
-        (3, "epoch", "x", InputFormatError, "invalid literal for int() with base 10: 'x'"),
-        (3, "episode", "e", InputFormatError, "invalid literal for int() with base 10: 'e'"),
-        (3, "reached_goal", "false", InputFormatError, "reached_goal changes within episode 0"),
-        (6, "reached_goal", "true", InputFormatError, "reached_goal changes within episode 1"),
-        (6, "reached_goal", "yes", InputFormatError, "reached_goal must be true/false, got 'yes'"),
-        (7, "epoch", "1", InputFormatError, "episode 1 has epoch 1 where 2 comes next"),
-    ])
-    def test_a_repeated_record_still_checks_its_row(self, tmp_path, line, column, text, error, message):
-        schema = world_schema(striped_world())
+    @pytest.mark.parametrize("line, column, text, error, message", ROW_ERRORS)
+    def test_a_repeated_record_still_checks_its_row(self, tmp_path, line, column, text, error, message,
+                                                    rock="rock", spelled="rock"):
+        schema = world_schema(striped_world(rock))
         lines = TRACE_TEXT.splitlines()
         cells = lines[line - 1].split(",")
         cells[lines[0].split(",").index(column)] = text
         lines[line - 1] = ",".join(cells)
         path = tmp_path / "t.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text(("\n".join(lines) + "\n").replace(",rock,", f",{spelled},"))
         with pytest.raises(error) as err:
             load_traces(path, schema)
         assert err.value.message == f"{path} line {line}: {message}"
+
+    @pytest.mark.parametrize("line, column, text, error, message", ROW_ERRORS)
+    def test_a_row_after_multi_line_records_keeps_its_record_number(self, tmp_path, line, column, text, error,
+                                                                    message):
+        """With rock spelled over two lines, every record before the bad one
+        moves it down the file."""
+        self.test_a_repeated_record_still_checks_its_row(tmp_path, line, column, text, error, message,
+                                                         rock="ro,\nck", spelled='"ro,\nck"')
 
     def test_a_repeated_bad_text_fails_at_its_first_line(self, tmp_path):
         schema = world_schema(striped_world())
