@@ -11,6 +11,7 @@ default).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any
@@ -57,7 +58,10 @@ class UsageError(Exception):
     """Argument combinations argparse cannot express (e.g. missing seed)."""
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every subcommand, built once per process: parsing
+    leaves it unchanged, and each call gets a new namespace."""
     shared = {"epilog": EXIT_CODES_DOC, "formatter_class": argparse.RawDescriptionHelpFormatter}
     parser = argparse.ArgumentParser(
         prog="metamine",

@@ -146,18 +146,19 @@ def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n
     """Paired comparison: both policies run the same n episode seeds with
     no exploration; delta is candidate rate minus incumbent rate.
 
-    A candidate whose route table has the incumbent's hazards takes the
-    same draws to the same outcomes, so the incumbent's rollout stands for
-    it."""
+    One rollout walks both route tables in lockstep, each seed seeded
+    once. A candidate whose route table has the incumbent's hazards takes
+    the same draws to the same outcomes, so the incumbent's table is walked
+    alone and stands for it."""
     if not is_int(n) or n < 1:
         raise ConsistencyError("BadCount", f"evaluation episode count must be >= 1, got {n!r}")
     seeds = derive_seeds(seed, n=n)
     inc_table = route_table(world, incumbent)
-    inc_outcome = rollout(world, inc_table, seeds)
     cand_table = route_table(world, candidate)
-    cand_outcome = inc_outcome if cand_table.hazards == inc_table.hazards else rollout(world, cand_table, seeds)
-    inc_rate, inc_reward = goal_rate_and_mean_reward(*inc_outcome)
-    cand_rate, cand_reward = goal_rate_and_mean_reward(*cand_outcome)
+    outcomes = rollout(world, [inc_table] if cand_table.hazards == inc_table.hazards else [inc_table, cand_table],
+                       seeds)
+    inc_rate, inc_reward = goal_rate_and_mean_reward(*outcomes[0])
+    cand_rate, cand_reward = goal_rate_and_mean_reward(*outcomes[-1])
     return EvalResult(
         incumbent_rate=inc_rate,
         candidate_rate=cand_rate,
@@ -294,7 +295,8 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
     schema = world_schema(world)
     policy = initial_policy(schema)
     base_seeds = derive_seeds(config.master_seed, "baseline", n=config.evaluation_episodes)
-    success_rate, mean_reward = goal_rate_and_mean_reward(*rollout(world, route_table(world, policy), base_seeds))
+    [outcome] = rollout(world, [route_table(world, policy)], base_seeds)
+    success_rate, mean_reward = goal_rate_and_mean_reward(*outcome)
     baseline = {
         "policy": policy_id(policy),
         "episodes": config.evaluation_episodes,

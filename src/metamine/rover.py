@@ -11,7 +11,8 @@ walks a prefix of one fixed route, `greedy_route(world)`, and a policy
 compiles into a `RouteTable` of what it does at each route step. Traced
 runs (`run_seeded`) keep a decision record per step, one shared object per
 distinct step; evaluation (`rollout`) keeps only the goal count and each
-episode's reward sum.
+episode's reward sum, and walks the incumbent's and the candidate's tables
+in lockstep, from one generator seeded once per episode.
 
 Determinism: a step consumes exactly one uniform draw from the supplied
 generator, taken before the move is resolved. Episode-level exploration
@@ -266,35 +267,75 @@ def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], ex
     return traces
 
 
-def rollout(world: GridWorld, table: RouteTable, seeds: Iterable[int]) -> tuple[int, list[float]]:
-    """The goal count and the per-episode reward sums of the episodes that
-    run_seeded traces for these seeds without exploration, keeping no
-    records. Each sum adds the step rewards in step order, as float_sum
-    over a trace's records does, so the floats are the same."""
-    hazards = table.hazards
-    last = len(hazards)
-    bad = hazards.index(None) if None in hazards else last
+def rollout(world: GridWorld, tables: Sequence[RouteTable], seeds: Iterable[int]) -> list[tuple[int, list[float]]]:
+    """Per table, one or two of them, the goal count and the per-episode
+    reward sums of the episodes that run_seeded traces for these seeds
+    without exploration, keeping no records. Each sum adds the step rewards
+    in step order, as float_sum over a trace's records does, so the floats
+    are the same.
+
+    Step t of an episode takes draw t of its seed's generator under either
+    table, so two tables walk each seed in lockstep on one draw per step,
+    from one generator seeded once per episode. An episode that reaches a
+    step without a hazard before its budget runs out is an error: the first
+    table's at the first such seed, the second table's only once the first
+    has walked every seed, as two rollouts in turn would raise them."""
     slip, move, arrive = _step_rewards(world.rewards)
     max_steps = world.max_steps
-    goals = 0
-    sums: list[float] = []
+    # per table: its hazards, the step count that reaches the goal, and the first step it cannot take
+    walks = [(t.hazards, len(t.hazards), t.hazards.index(None) if None in t.hazards else len(t.hazards))
+             for t in tables]
+    # without a second table, walker b stands at the goal of an empty route and never draws
+    (ha, last_a, bad_a), (hb, last_b, bad_b) = walks + [((), 0, 0)] * (2 - len(walks))
+    goals_a = goals_b = 0
+    sums_a: list[float] = []
+    sums_b: list[float] = []
+    b_fails = False
+    rng = Random()
+    reseed, draw = rng.seed, rng.random
     for seed in seeds:
-        draw = Random(seed).random
-        at = steps = 0
-        total = 0.0
-        while at < bad and steps < max_steps:
+        reseed(seed)
+        a = b = steps = 0
+        total_a = total_b = 0.0
+        while a < bad_a and b < bad_b and steps < max_steps:
             steps += 1
-            if draw() < hazards[at]:
-                total += slip
+            u = draw()
+            if u < ha[a]:
+                total_a += slip
             else:
-                at += 1
-                total += arrive if at == last else move
-        if at == last:
-            goals += 1
-        elif at == bad and steps < max_steps:
-            raise _unknown_strategy(table.actions[bad])
-        sums.append(total)
-    return goals, sums
+                a += 1
+                total_a += arrive if a == last_a else move
+            if u < hb[b]:
+                total_b += slip
+            else:
+                b += 1
+                total_b += arrive if b == last_b else move
+        # a walker that stopped above stopped at this step count; one still on its route walks on alone
+        b_fails |= b == bad_b != last_b and steps < max_steps
+        while a < bad_a and steps < max_steps:
+            steps += 1
+            if draw() < ha[a]:
+                total_a += slip
+            else:
+                a += 1
+                total_a += arrive if a == last_a else move
+        if a == bad_a != last_a and steps < max_steps:
+            raise _unknown_strategy(tables[0].actions[bad_a])
+        while b < bad_b and steps < max_steps:
+            steps += 1
+            if draw() < hb[b]:
+                total_b += slip
+            else:
+                b += 1
+                total_b += arrive if b == last_b else move
+        b_fails |= b == bad_b != last_b and steps < max_steps
+        goals_a += a == last_a
+        goals_b += b == last_b
+        sums_a.append(total_a)
+        sums_b.append(total_b)
+    if b_fails:
+        raise _unknown_strategy(tables[1].actions[bad_b])
+    return [(goals_a, sums_a), (goals_b, sums_b)][:len(walks)]
 
 
 def run_episodes(world: GridWorld, policy: DecisionMaker, count: int, master_seed: int,

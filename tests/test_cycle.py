@@ -99,6 +99,7 @@ class TestEvaluateCandidate:
         monkeypatch.setattr(metamine.cycle, "rollout", lambda *args: calls.append(args) or real(*args))
         result = evaluate_candidate(world, incumbent, candidate, 60, seed=4)
         assert len(calls) == 1
+        assert len(calls[0][1]) == 1  # one walk of one table stands for both policies
         assert result.delta == 0.0
         assert result.incumbent_rate == result.candidate_rate
         assert result.incumbent_mean_reward == result.candidate_mean_reward

@@ -3,15 +3,17 @@
 import csv
 import dataclasses
 import io
+import itertools
 import math
 import tempfile
 from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import rollout_reference
 from helpers import (
     fixed_policy,
     loop_config,
@@ -35,6 +37,7 @@ from metamine.rover import (
     EpisodeTrace,
     GridWorld,
     Rewards,
+    RouteTable,
     greedy_route,
     greedy_target,
     load_traces,
@@ -213,13 +216,13 @@ class TestRunEpisode:
         trace = run_seeded(world, fixed_policy("FAST"), [1])[0]
         assert trace.reached_goal and len(trace.records) == 2
         assert [r.cell for r in trace.records] == [(0, 0), (1, 0)]
-        assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (1, [-1.0 + 9.0])
+        assert rollout(world, [route_table(world, fixed_policy("FAST"))], [1]) == [(1, [-1.0 + 9.0])]
 
     def test_adjacent_start_yields_single_record(self):
         world = uniform_hazard_world(0.0, start=(1, 0))
         trace = run_seeded(world, fixed_policy("FAST"), [1])[0]
         assert trace.reached_goal and len(trace.records) == 1
-        assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (1, [9.0])
+        assert rollout(world, [route_table(world, fixed_policy("FAST"))], [1]) == [(1, [9.0])]
 
     def test_certain_hazard_exhausts_step_budget(self):
         world = uniform_hazard_world(1.0)
@@ -227,7 +230,7 @@ class TestRunEpisode:
         assert not trace.reached_goal
         assert len(trace.records) == world.max_steps
         assert all(r.outcome == OUTCOME_FAILURE for r in trace.records)
-        assert rollout(world, route_table(world, fixed_policy("FAST")), [1]) == (0, [-world.max_steps * 3.0])
+        assert rollout(world, [route_table(world, fixed_policy("FAST"))], [1]) == [(0, [-world.max_steps * 3.0])]
 
     def test_same_seed_same_trace(self):
         world = striped_world()
@@ -273,7 +276,7 @@ class TestRunEpisode:
         expected = (-len(trace.records) * world.rewards.step_cost
                     - failures * world.rewards.failure_penalty
                     + (world.rewards.goal_reward if trace.reached_goal else 0.0))
-        assert rollout(world, route_table(world, fixed_policy("FAST")), [seed])[1] == [pytest.approx(expected)]
+        assert rollout(world, [route_table(world, fixed_policy("FAST"))], [seed])[0][1] == [pytest.approx(expected)]
 
     def test_policy_returning_unknown_strategy_is_an_error(self):
         with pytest.raises(ConsistencyError) as err:
@@ -370,43 +373,106 @@ class TestRouteTable:
         check_table(WORLDS[world](), compile_policy(rules, "strategy", default))
 
 
+def outcome_of(call):
+    """A call's value with its repr, or its error's class, code and message."""
+    try:
+        value = call()
+    except Exception as exc:  # noqa: BLE001 - any divergence counts, whatever it raises
+        return "error", type(exc), getattr(exc, "code", None), str(exc)
+    return "value", value, repr(value)
+
+
+@st.composite
+def route_tables(draw, steps):
+    """A route table of steps entries: hazards 0, 1 or any probability,
+    and no hazard at up to two steps, where the action is not a strategy."""
+    hazards = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=steps, max_size=steps))
+    for step in draw(st.sets(st.integers(0, steps - 1), max_size=2)):
+        hazards[step] = None
+    actions = tuple("FAST" if h is not None else draw(st.sampled_from(["WALK", "RUN"])) for h in hazards)
+    return RouteTable(tuple((x, 0) for x in range(steps + 1)), ("flat",) * steps, actions, tuple(hazards))
+
+
+@st.composite
+def paired_walks(draw):
+    steps = draw(st.integers(1, 12))
+    rewards = draw(st.sampled_from([Rewards(), Rewards(0.1, 0.7, 3.3)])
+                   | st.builds(Rewards, st.floats(0.0, 5.0), st.floats(0.0, 5.0), st.floats(0.01, 5.0)))
+    world = dataclasses.replace(tiny_world(), rewards=rewards, max_steps=draw(st.integers(1, 40)))
+    seeds = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=12))
+    return world, draw(route_tables(steps)), draw(route_tables(steps)), seeds
+
+
 class TestRollout:
     @pytest.mark.parametrize("world", sorted(WORLDS))
     @pytest.mark.parametrize("rewards", [None, Rewards(0.1, 0.7, 3.3)])
     def test_matches_the_traced_episodes(self, world, rewards):
         """Goal count and per-episode reward sums equal run_seeded's traces
         at explore 0, float for float, also for rewards 0.1 cannot add up
-        exactly: each sum adds the step rewards left to right."""
+        exactly: each sum adds the step rewards left to right. Each pair of
+        tables walked together gives each table's own."""
         world = WORLDS[world]()
         if rewards is not None:
             world = dataclasses.replace(world, rewards=rewards)
         seeds = list(range(500))
+        tables, expected = [], []
         for policy in (fixed_policy("FAST"), fixed_policy("CAREFUL"),
                        terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL", "dune": "CAREFUL"}, "FAST")):
             traces = run_seeded(world, policy, seeds)
-            expected = (sum(t.reached_goal for t in traces), [float_sum(r.reward for r in t.records) for t in traces])
-            assert rollout(world, route_table(world, policy), seeds) == expected
+            tables.append(route_table(world, policy))
+            expected.append((sum(t.reached_goal for t in traces),
+                             [float_sum(r.reward for r in t.records) for t in traces]))
+            assert rollout(world, tables[-1:], seeds) == expected[-1:]
+        for i, j in itertools.permutations(range(len(tables)), 2):
+            assert rollout(world, [tables[i], tables[j]], seeds) == [expected[i], expected[j]]
 
     @pytest.mark.parametrize("max_steps, reaches_bad_cell", [(4, False), (5, True)])
     def test_unknown_strategy_fails_only_where_an_episode_takes_it(self, max_steps, reaches_bad_cell):
         """A safe corridor of four flat cells, then the dune goal, where the
-        policy says WALK: four steps end just before it, the fifth takes it."""
+        policy says WALK: four steps end just before it, the fifth takes it.
+        Beside a second table, the first table's error wins, and the second
+        table's is raised even when the first walks clean."""
         world = uniform_hazard_world(0.0, width=6, height=1, cells=(("flat",) * 5 + ("dune",),), start=(0, 0),
                                      goal=(5, 0), max_steps=max_steps)
         bad = terrain_policy({"dune": "WALK"}, "FAST")
+        fast_table, walk_table, run_table = (route_table(world, p) for p in (
+            fixed_policy("FAST"), bad, terrain_policy({"dune": "RUN"}, "FAST")))
         seeds = list(range(5))
         assert run_seeded(world, fixed_policy("WALK"), seeds, explore=1.0)  # explored steps never ask the policy
-        runs = [lambda: run_seeded(world, bad, seeds),
-                lambda: evaluate_candidate(world, fixed_policy("FAST"), bad, 5, seed=1)]
-        for run in runs:
-            if reaches_bad_cell:
-                with pytest.raises(ConsistencyError) as err:
+        runs = {"'WALK'": [lambda: run_seeded(world, bad, seeds),
+                           lambda: evaluate_candidate(world, fixed_policy("FAST"), bad, 5, seed=1),
+                           lambda: rollout(world, [walk_table, fast_table], seeds),
+                           lambda: rollout(world, [fast_table, walk_table], seeds),
+                           lambda: rollout(world, [walk_table, run_table], seeds)],
+                "'RUN'": [lambda: rollout(world, [run_table, walk_table], seeds)]}
+        for chosen, calls in runs.items():
+            for run in calls:
+                if reaches_bad_cell:
+                    with pytest.raises(ConsistencyError) as err:
+                        run()
+                    assert err.value.code == "UnknownStrategy"
+                    assert f"policy chose {chosen}," in str(err.value)
+                else:
                     run()
-                assert err.value.code == "UnknownStrategy"
-            else:
-                run()
         if not reaches_bad_cell:
             assert not any(t.reached_goal for t in run_seeded(world, bad, seeds))
+            # the step budget ends where the bad step begins: no table's walk is an error
+            assert rollout(world, [walk_table, run_table], seeds) == rollout(world, [fast_table], seeds) * 2
+
+    @settings(deadline=None)
+    @given(paired_walks())
+    # the second table fails at seed 1; the first only at seed 0, whose first draw is 0.84, and must win
+    @example((dataclasses.replace(tiny_world(), max_steps=2),
+              RouteTable(((0, 0), (1, 0), (2, 0)), ("flat", "flat"), ("FAST", "WALK"), (0.5, None)),
+              RouteTable(((0, 0), (1, 0), (2, 0)), ("flat", "flat"), ("RUN", "FAST"), (None, 0.0)), [1, 0]))
+    def test_paired_walks_match_two_reference_rollouts(self, walk):
+        """Two tables walked together give what two one-table walks in turn
+        give, float for float and in repr, or raise the error the first of
+        them to fail raises; one table alone gives its own walk."""
+        world, first, second, seeds = walk
+        for tables in ([first], [first, second]):
+            in_turn = outcome_of(lambda: [rollout_reference.reference_rollout(world, t, seeds) for t in tables])
+            assert outcome_of(lambda: rollout(world, tables, seeds)) == in_turn
 
 
 class TestWorldSchema:
