@@ -95,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset CSV from `collect`")
     p.add_argument("--algo", required=True, choices=("tree", "apriori"), help="model family")
     p.add_argument("--config", help="mining config JSON (see README; default: the field defaults)")
-    p.add_argument("--seed", type=int, help="fold shuffle seed (overrides the config's; needed for --algo tree)")
+    p.add_argument("--seed", type=int, help="CV start-fold seed (overrides the config's; needed for --algo tree)")
     p.add_argument("--out", required=True, help="model JSON to write")
 
     p = command("compile", help="compile a model file into a policy file")
@@ -155,7 +155,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         raw["seed"] = args.seed
     config = decode(MiningConfig, raw, "mining config")
     if args.algo == "tree" and "seed" not in raw:
-        raise UsageError("mine --algo tree shuffles cross-validation folds; give --seed "
+        raise UsageError("mine --algo tree seeds its cross-validation folds; give --seed "
                          "(or a seed in the config file)")
     dataset = load_dataset(args.data)
     model = fit_tree_model(dataset, config) if args.algo == "tree" else fit_rules_model(dataset, config)

@@ -3,10 +3,10 @@
 Two model families, both transparent enough to compile into rules:
 entropy/information-gain decision trees (multiway splits over finite
 domains, no pruning) and level-wise apriori frequent itemsets with
-association-rule derivation. Evaluation is seeded stratified k-fold
-cross-validation. Every tie-break (gain ties, label ties, rule order,
-fold assignment) is fixed and documented so mined artifacts are
-byte-reproducible.
+association-rule derivation. Evaluation is distribution-balanced
+stratified k-fold cross-validation from a seeded start fold. Every
+tie-break (gain ties, label ties, rule order, the fold deal) is fixed
+and documented so mined artifacts are byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
-from itertools import combinations, compress
+from itertools import combinations
 from pathlib import Path
 from random import Random
-from typing import Any, Collection, Iterable, Mapping, Sequence, Union
+from typing import Any, Collection, Iterable, Mapping, Union
 
 from .errors import ConsistencyError, InputFormatError, MiningError
 from .introspection import Dataset
@@ -324,57 +324,56 @@ class CvScores:
         return float_sum(self.per_fold) / len(self.per_fold)
 
 
-def _deal(dataset: Dataset, k: int, seed: int, items: Sequence) -> list:
-    """items, one per dataset row (its index or the row itself), in the
-    order stratified k-fold dealing hands them out: each class's items,
-    in class domain order, shuffled by one Random(seed) and joined. The
-    j-th goes to fold j mod k. More folds than rows is TooFewInstances."""
-    n = len(dataset)
+def _start_folds(dataset: Dataset, k: int, seed: int) -> dict[tuple, int]:
+    """The stratified k-fold deal: the fold each distinct row's first copy
+    goes to; its j-th copy goes j folds on. One cursor, started by
+    Random(seed).randrange(k), walks the distinct rows by class domain
+    order, then first occurrence, moving on by each row's count."""
     if not is_int(k) or k < 2:
         raise MiningError("BadConfig", f"fold count must be >= 2, got {k!r}")
-    if k > n:
-        raise MiningError("TooFewInstances", f"cannot make {k} folds from {n} instances")
-    rng = Random(seed)
-    patterns = dataset.patterns()
-    dealt: list = []
-    for value in dataset.class_def.values():
-        of_class = {row for row in patterns if row[-1] == value}
-        part = list(compress(items, map(of_class.__contains__, dataset.rows)))
-        rng.shuffle(part)
-        dealt += part
-    return dealt
+    if k > len(dataset):
+        raise MiningError("TooFewInstances", f"cannot make {k} folds from {len(dataset)} instances")
+    classes = dataset.class_def.values()
+    cursor = Random(seed).randrange(k)
+    start = {}
+    for row, count in sorted(dataset.patterns().items(), key=lambda item: classes.index(item[0][-1])):
+        start[row] = cursor
+        cursor = (cursor + count) % k
+    return start
 
 
 def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
     """Seeded stratified partition into k test folds of instance indices.
 
-    Each class's indices (class domain order) are shuffled by one
-    Random(seed) and joined into one list; its j-th index goes to fold
-    j mod k, so each fold's class counts are within one of any other fold's.
-    More folds than rows is TooFewInstances.
+    Each distinct row's indices go round-robin, in row order, from its
+    start fold (_start_folds); fold sizes, class and row counts are within
+    one across folds. More folds than rows is TooFewInstances.
     """
-    dealt = _deal(dataset, k, seed, range(len(dataset)))
-    return [sorted(dealt[f::k]) for f in range(k)]
+    cursor = _start_folds(dataset, k, seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    for i, row in enumerate(dataset.rows):
+        folds[cursor[row]].append(i)
+        cursor[row] = (cursor[row] + 1) % k
+    return folds
 
 
 def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
     """Stratified k-fold accuracy of the tree inducer on the dataset.
 
-    The rows are dealt as stratified_folds deals their indices, so fold f
-    holds the rows whose indices its fold f holds. Each fold's tree grows
-    from the dataset's row counts minus the fold's, and each distinct
-    held-out row is scored once, weighted by its count. Too few rows for
-    the folds (TooFewInstances) is reported before a single class
-    (FewerThanTwoClasses).
+    Fold f holds stratified_folds' fold f as counts: a row with count c is
+    held out c // k times in each fold, once more in the c % k folds from
+    its start fold. Trees grow from the row counts minus the fold's; each
+    distinct held-out row is scored once, weighted by its count. Too few
+    rows (TooFewInstances) is reported before one class (FewerThanTwoClasses).
     """
     k = config.cv_folds
-    dealt = _deal(dataset, k, config.seed, dataset.rows)
+    start = _start_folds(dataset, k, config.seed)
     total = dataset.patterns()
     if len({row[-1] for row in total}) < 2:
         raise MiningError("FewerThanTwoClasses", "cross-validation needs at least two classes")
     per_fold = []
     for f in range(k):
-        test = Counter(dealt[f::k])
+        test = +Counter({row: c // k + ((f - start[row]) % k < c % k) for row, c in total.items()})
         tree = _grow_tree(dataset, total - test, config)
         per_fold.append(_hits(tree, dataset, test) / sum(test.values()))
     return CvScores(tuple(per_fold))

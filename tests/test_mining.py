@@ -41,7 +41,8 @@ from metamine.mining import (
     stratified_folds,
     training_accuracy,
 )
-from metamine.mining import _deal, _grow_tree, _hits
+from metamine import mining
+from metamine.mining import _grow_tree, _hits, _start_folds
 from metamine.policy import initial_policy
 from metamine.rover import run_seeded, world_schema
 
@@ -427,23 +428,40 @@ class TestStratifiedFolds:
 
     @given(st.data())
     def test_deal_matches_a_cursor_reference(self, data):
-        """Shuffling each class in domain order with one Random and dealing
-        round-robin, the cursor running on across classes."""
+        """One cursor, started by one Random(seed).randrange(k) draw, walks
+        the classes in domain order, each class's distinct rows in
+        first-occurrence order and each row's indices in row order,
+        dealing one index per fold."""
         domain = data.draw(st.permutations("abc"[: data.draw(st.integers(2, 3))]))
-        labels = data.draw(st.lists(st.sampled_from(domain), min_size=2, max_size=40))
+        rows = data.draw(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from(domain)), min_size=2, max_size=40))
         k, seed = data.draw(st.integers(2, 6)), data.draw(st.integers(0, 99))
-        assume(k <= len(labels))
-        ds = make_dataset({"c": ("k",)}, tuple(domain), [{"c": "k", "label": l} for l in labels])
-        rng = Random(seed)
+        assume(k <= len(rows))
+        ds = make_dataset({"c": ("x", "y", "z")}, tuple(domain), [{"c": c, "label": l} for c, l in rows])
         folds: list[list[int]] = [[] for _ in range(k)]
-        cursor = 0
+        cursor = Random(seed).randrange(k)
         for value in domain:
-            idxs = [i for i, label in enumerate(labels) if label == value]
-            rng.shuffle(idxs)
-            for idx in idxs:
-                folds[cursor % k].append(idx)
-                cursor += 1
+            for distinct in dict.fromkeys(row for row in rows if row[-1] == value):
+                for i, row in enumerate(rows):
+                    if row == distinct:
+                        folds[cursor % k].append(i)
+                        cursor += 1
         assert stratified_folds(ds, k, seed) == [sorted(f) for f in folds]
+
+    @given(st.lists(st.integers(1, 400), min_size=1, max_size=6), st.integers(2, 10),
+           st.integers(0, 99), st.randoms(use_true_random=False))
+    def test_each_distinct_row_is_balanced_across_folds(self, counts, k, seed, rng):
+        """Per distinct row, fold counts differ by at most one, also for
+        counts far above k."""
+        values = ("x", "y", "z")
+        distinct = [(values[j % 3], "+-"[j // 3]) for j in range(len(counts))]
+        rows = [row for row, count in zip(distinct, counts) for _ in range(count)]
+        assume(k <= len(rows))
+        rng.shuffle(rows)
+        ds = make_dataset({"c": values}, ("+", "-"), [{"c": c, "label": l} for c, l in rows])
+        folds = stratified_folds(ds, k, seed)
+        for row in distinct:
+            per_fold = [sum(1 for i in fold if ds.rows[i] == row) for fold in folds]
+            assert max(per_fold) - min(per_fold) <= 1
 
 
 class TestCrossValidate:
@@ -495,8 +513,8 @@ class TestCrossValidate:
 
 
 class TestCountedFolds:
-    """cross_validate deals the rows themselves; its folds and scores are
-    those of the row indices stratified_folds deals."""
+    """cross_validate deals counts, stratified_folds deals indices, both
+    from _start_folds; the folds and scores are the same either way."""
 
     @pytest.fixture(scope="class")
     def loop_dataset(self):
@@ -506,18 +524,27 @@ class TestCountedFolds:
         return featurise(traces, schema, "outcome-as-class", 4)
 
     @pytest.mark.parametrize("k, seed", [(2, 0), (3, 7), (5, 0), (5, 1), (10, 42)])
-    def test_fold_multisets_and_scores_match_the_index_folds(self, loop_dataset, k, seed):
+    def test_fold_multisets_and_scores_match_the_index_folds(self, loop_dataset, monkeypatch, k, seed):
         ds = loop_dataset
         folds = stratified_folds(ds, k, seed)
-        dealt = _deal(ds, k, seed, ds.rows)
-        assert [Counter(dealt[f::k]) for f in range(k)] == [Counter(ds.rows[i] for i in fold) for fold in folds]
+        for row, fold in _start_folds(ds, k, seed).items():
+            assert ds.rows.index(row) in folds[fold]
+        held_out = []
+
+        def hits(tree, dataset, test):
+            held_out.append(Counter(test))
+            return _hits(tree, dataset, test)
+
+        monkeypatch.setattr(mining, "_hits", hits)
         config = MiningConfig(max_depth=4, min_leaf_instances=5, cv_folds=k, seed=seed)
+        scores = cross_validate(ds, config)
+        assert held_out == [Counter(ds.rows[i] for i in fold) for fold in folds]
         total = ds.patterns()
         expected = []
         for fold in folds:
             test = Counter(ds.rows[i] for i in fold)
             expected.append(_hits(_grow_tree(ds, total - test, config), ds, test) / len(fold))
-        assert cross_validate(ds, config) == CvScores(tuple(expected))
+        assert scores == CvScores(tuple(expected))
 
 
 class TestModels:
