@@ -1,8 +1,8 @@
 """The `metamine` command line tool.
 
-Six subcommands cover the pipeline end to end: simulate episodes, collect
-traces into a dataset, mine a model, compile it into a policy, run the
-full gated cycle experiment, and flatten an experiment report to CSV.
+Five subcommands cover the pipeline end to end: simulate episodes, collect
+traces into a dataset, mine a model, compile it into a policy, and run the
+full gated cycle experiment, which also writes its per-cycle CSV summary.
 Every output file is byte-deterministic given the same inputs and seed;
 stochastic subcommands require an explicit seed (there is no wall-clock
 default).
@@ -18,7 +18,7 @@ from typing import Any
 
 from .cycle import (
     cycle_config_from_json,
-    cycles_csv_from_json,
+    cycles_csv,
     experiment_to_json,
     run_experiment,
 )
@@ -48,7 +48,7 @@ EXIT_CODES_DOC = """\
 exit codes:
   0  success
   2  usage error (unknown subcommand, bad or missing arguments)
-  3  input format error (missing or unparsable file)
+  3  input format error (missing, unparsable or unwritable file)
   4  schema or consistency error (valid files that do not fit together)
   5  internal error
 """
@@ -108,10 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="experiment config JSON (see README)")
     p.add_argument("--seed", type=int, help="master seed (overrides the config's master_seed)")
     p.add_argument("--out", required=True, help="output directory")
-
-    p = command("report", help="flatten an experiment JSON into a per-cycle CSV")
-    p.add_argument("--experiment", required=True, help="experiment JSON from `cycle`")
-    p.add_argument("--out", required=True, help="CSV to write")
 
     return parser
 
@@ -216,19 +212,12 @@ def cmd_cycle(args: argparse.Namespace) -> int:
     experiment = run_experiment(world, config, n_cycles, trace_sink=sink)
     exp_json = experiment_to_json(experiment)
     write_json(out_dir / "experiment.json", exp_json)
-    (out_dir / "cycles.csv").write_text(cycles_csv_from_json(exp_json), encoding="utf-8")
+    (out_dir / "cycles.csv").write_text(cycles_csv(experiment), encoding="utf-8")
     save_policy(experiment.final_policy, out_dir / "final.policy.json")
     save_schema(schema, out_dir / "schema.json")
     for cycle in experiment.cycles:
         print(f"cycle {cycle.index}: {cycle.decision} ({cycle.reason})")
     print(f"final policy {exp_json['final_policy_id']} -> {out_dir / 'final.policy.json'}")
-    return EXIT_OK
-
-
-def cmd_report(args: argparse.Namespace) -> int:
-    csv_text = cycles_csv_from_json(read_json(args.experiment))
-    Path(args.out).write_text(csv_text, encoding="utf-8")
-    print(f"wrote {len(csv_text.splitlines()) - 1} cycle rows to {args.out}")
     return EXIT_OK
 
 
@@ -238,7 +227,6 @@ COMMANDS = {
     "mine": cmd_mine,
     "compile": cmd_compile,
     "cycle": cmd_cycle,
-    "report": cmd_report,
 }
 
 
@@ -264,6 +252,9 @@ def main(argv: list[str] | None = None) -> int:
     except MetamineError as exc:
         print(f"metamine: error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except OSError as exc:  # the readers raise InputFormatError, so this is an output that cannot be written
+        print(f"metamine: error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return EXIT_INPUT
     except Exception as exc:  # anything else is a bug, not user error
         print(f"metamine: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -13,14 +13,13 @@ Rejected cycles leave the incumbent untouched, byte for byte.
 
 from __future__ import annotations
 
-import io
 import sys
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
-from .errors import ConsistencyError, InputFormatError
+from .errors import ConsistencyError
 from .introspection import MAX_BINS, featurise
-from .jsonio import decode, expect_field, expect_object
+from .jsonio import decode
 from .knowledge import float_sum, is_int, is_number
 from .mining import MetaModel, MiningConfig, fit_rules_model, fit_tree_model
 from .policy import (
@@ -323,36 +322,13 @@ def experiment_to_json(experiment: ExperimentReport) -> dict:
 CSV_COLUMNS = ("index", "dataset_size", "cv_accuracy", "incumbent_rate", "candidate_rate", "delta", "decision")
 
 
-def cycles_csv_from_json(experiment_json: Any) -> str:
-    """Flat per-cycle summary (one row per cycle) from a serialized
-    experiment; empty cells where a phase never ran."""
-    out = io.StringIO()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    for cycle in expect_field(expect_object(experiment_json, "experiment"), "cycles", "experiment", list):
-        cycle = expect_object(cycle, "experiment cycle")
-        heldout = {} if cycle.get("heldout") is None else expect_object(cycle["heldout"], "cycle heldout")
-        cells = [
-            str(expect_field(cycle, "index", "cycle", int)),
-            str(expect_field(expect_field(cycle, "dataset_sizes", "cycle", dict), "performance", "dataset sizes", int)),
-            _csv_number(cycle.get("cv_accuracy")),
-            _csv_number(heldout.get("incumbent_rate")),
-            _csv_number(heldout.get("candidate_rate")),
-            _csv_number(heldout.get("delta")),
-            expect_field(cycle, "decision", "cycle", str),
-        ]
-        if cells[-1] not in DECISIONS:  # a free string could carry a comma or a line break into the CSV
-            raise InputFormatError("BadField", f"cycle decision must be one of {DECISIONS}, got {cells[-1]!r}")
-        out.write(",".join(cells) + "\n")
-    return out.getvalue()
-
-
-def _csv_number(value: Any) -> str:
-    if value is None:
-        return ""
-    if not is_number(value) or not abs(value) <= sys.float_info.max:
-        raise InputFormatError("BadField", f"experiment rates and accuracies must be finite numbers or null, got {value!r}")
-    return repr(float(value))
-
-
 def cycles_csv(experiment: ExperimentReport) -> str:
-    return cycles_csv_from_json(experiment_to_json(experiment))
+    """Flat per-cycle summary, one row per cycle: numbers as repr(float(v)),
+    and empty cells where a phase never ran."""
+    lines = [",".join(CSV_COLUMNS)]
+    for c in experiment.cycles:
+        h = c.heldout
+        rates = (None,) * 3 if h is None else (h.incumbent_rate, h.candidate_rate, h.delta)
+        cells = ("" if v is None else repr(float(v)) for v in (c.cv_accuracy, *rates))
+        lines.append(",".join([str(c.index), str(c.dataset_sizes["performance"]), *cells, c.decision]))
+    return "\n".join(lines) + "\n"

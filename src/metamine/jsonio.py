@@ -34,8 +34,7 @@ from .errors import InputFormatError, MetamineError
 # The JSON scalars: what names, attribute values, labels and actions may be.
 ATOM = (str, int, float, bool, type(None))
 
-_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", int: "an integer",
-               ATOM: "a string, number, boolean or null"}
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string", ATOM: "a string, number, boolean or null"}
 
 
 def canonical_dumps(obj: Any) -> str:
@@ -125,11 +124,11 @@ def expect_object(value: Any, what: str) -> dict:
 
 def expect_field(obj: dict, key: str, what: str, kind: type | tuple = object) -> Any:
     """obj[key], which must be present and an instance of kind: dict, list,
-    str, int (not a boolean), ATOM, or object for any JSON value."""
+    str, ATOM, or object for any JSON value."""
     if key not in obj:
         raise InputFormatError("MissingField", f"{what} is missing required field {key!r}")
     value = obj[key]
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+    if not isinstance(value, kind):
         raise InputFormatError("BadField", f"{what} field {key!r} must be {_KIND_NAMES[kind]}, "
                                            f"got {type(value).__name__}")
     return value

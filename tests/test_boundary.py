@@ -84,7 +84,7 @@ def valid(tmp_path_factory):
 FILES = {
     "world": "world.json", "cycle": "cycle.json", "mining": "mining.json", "schema": "run/schema.json",
     "policy": "run/final.policy.json", "tree": "tree.json", "rules": "rules.json",
-    "sidecar": "d.csv.meta.json", "experiment": "run/experiment.json",
+    "sidecar": "d.csv.meta.json",
 }
 
 
@@ -115,11 +115,9 @@ def invocations(kind, v, f):
         return [("compile", "--model", f, "--default", "FAST", "--out", w / "p.json"),
                 ("compile", "--model", f, "--default", "FAST", "--schema", v / "run/schema.json",
                  "--out", w / "p.json")]
-    if kind == "sidecar":
-        (w / "d.csv").write_bytes((v / "d.csv").read_bytes())
-        return [("mine", "--data", w / "d.csv", "--algo", "tree", "--seed", "1", "--out", w / "m.json"),
-                ("mine", "--data", w / "d.csv", "--algo", "apriori", "--out", w / "m.json")]
-    return [("report", "--experiment", f, "--out", w / "r.csv")]
+    (w / "d.csv").write_bytes((v / "d.csv").read_bytes())  # sidecar
+    return [("mine", "--data", w / "d.csv", "--algo", "tree", "--seed", "1", "--out", w / "m.json"),
+            ("mine", "--data", w / "d.csv", "--algo", "apriori", "--out", w / "m.json")]
 
 
 def json_paths(obj, prefix=()):

@@ -65,16 +65,17 @@ class TestParsing:
 
     def test_unknown_subcommand_is_a_usage_error(self, capsys):
         assert main(["transmogrify"]) == EXIT_USAGE
+        assert main(["report", "--experiment", "run/experiment.json", "--out", "cycles.csv"]) == EXIT_USAGE
         capsys.readouterr()
 
     def test_help_exits_cleanly_and_documents_exit_codes(self, capsys):
         assert main(["--help"]) == EXIT_OK
         out = capsys.readouterr().out
-        for word in ("simulate", "collect", "mine", "compile", "cycle", "report"):
+        for word in ("simulate", "collect", "mine", "compile", "cycle"):
             assert word in out
         assert "exit codes" in out.lower()
 
-    @pytest.mark.parametrize("command", ["simulate", "collect", "mine", "compile", "cycle", "report"])
+    @pytest.mark.parametrize("command", ["simulate", "collect", "mine", "compile", "cycle"])
     def test_subcommand_help_exits_cleanly(self, command, capsys):
         assert main([command, "--help"]) == EXIT_OK
         assert "exit codes" in capsys.readouterr().out.lower()
@@ -433,6 +434,22 @@ class TestCycleCommand:
         experiment = json.loads((out / "experiment.json").read_text())
         assert [c["index"] for c in experiment["cycles"]] == [1, 2]
 
+    def test_cycles_csv_rows_match_the_experiment_json(self, workdir, capsys):
+        out = workdir / "run"
+        assert main(["cycle", "--config", str(cycle_config(workdir)), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        experiment = json.loads((out / "experiment.json").read_text())
+        lines = (out / "cycles.csv").read_text().splitlines()
+        assert lines[0] == "index,dataset_size,cv_accuracy,incumbent_rate,candidate_rate,delta,decision"
+        assert len(lines) == 1 + len(experiment["cycles"])
+        for line, cycle in zip(lines[1:], experiment["cycles"]):
+            heldout = cycle["heldout"] or {}
+            numbers = [cycle["cv_accuracy"], heldout.get("incumbent_rate"), heldout.get("candidate_rate"),
+                       heldout.get("delta")]
+            assert line.split(",") == [str(cycle["index"]), str(cycle["dataset_sizes"]["performance"]),
+                                       *("" if v is None else repr(float(v)) for v in numbers),
+                                       cycle["decision"]]
+
     @pytest.mark.parametrize("flag", ["--world", "--cycles"])
     def test_world_and_cycle_count_come_only_from_the_config(self, workdir, capsys, flag):
         code = main(["cycle", "--config", str(cycle_config(workdir)), flag, "1", "--out", str(workdir / "x")])
@@ -513,48 +530,35 @@ class TestCycleCommand:
         capsys.readouterr()
 
 
-class TestReportCommand:
-    def test_report_matches_the_cycle_csv(self, workdir, capsys):
-        out = workdir / "run"
-        assert main(["cycle", "--config", str(cycle_config(workdir)), "--out", str(out)]) == EXIT_OK
-        rpt = workdir / "cycles.csv"
-        assert main(["report", "--experiment", str(out / "experiment.json"), "--out", str(rpt)]) == EXIT_OK
-        assert rpt.read_bytes() == (out / "cycles.csv").read_bytes()
-        capsys.readouterr()
-
-    def test_non_object_experiment_is_an_input_error(self, workdir, capsys):
-        bad = workdir / "exp.json"
-        bad.write_text("[1, 2]")
-        assert main(["report", "--experiment", str(bad), "--out", str(workdir / "r.csv")]) == EXIT_INPUT
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("cycles", [
-        5,
-        [5],
-        [{"index": 1, "dataset_sizes": {"performance": 9}, "cv_accuracy": "high", "decision": "deployed"}],
-        [{"index": True, "dataset_sizes": {"performance": 9}, "decision": "deployed"}],
-        [{"index": 1, "dataset_sizes": {"performance": False}, "decision": "deployed"}],
-        [{"index": 1, "dataset_sizes": {"performance": 3}, "decision": "x,y\nz"}],
-        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": False, "decision": "deployed"}],
-        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": 0, "decision": "deployed"}],
-        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": [], "decision": "deployed"}],
-        [{"index": 1, "dataset_sizes": {"performance": 3}, "cv_accuracy": 10**400, "decision": "deployed"}],
-        [{"index": 1, "dataset_sizes": {"performance": 3}, "heldout": {"delta": -10**400}, "decision": "deployed"}],
-    ], ids=["not-a-list", "not-an-object", "text-accuracy", "boolean-index", "boolean-size", "unknown-decision",
-            "false-heldout", "zero-heldout", "list-heldout", "huge-accuracy", "huge-delta"])
-    def test_malformed_cycles_are_input_errors(self, workdir, capsys, cycles):
-        bad, report = workdir / "exp.json", workdir / "r.csv"
-        write_json(bad, {"cycles": cycles})
-        assert main(["report", "--experiment", str(bad), "--out", str(report)]) == EXIT_INPUT
-        assert not report.exists()
-        capsys.readouterr()
-
-
 def test_unexpected_exceptions_exit_internal(workdir, capsys, monkeypatch):
     def boom(args):
         raise RuntimeError("wires crossed")
 
-    monkeypatch.setitem(cli.COMMANDS, "report", boom)
-    code = main(["report", "--experiment", "x", "--out", "y"])
+    monkeypatch.setitem(cli.COMMANDS, "compile", boom)
+    code = main(["compile", "--model", "x", "--default", "FAST", "--out", "y"])
     assert code == EXIT_INTERNAL
     assert "internal error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["simulate", "--world", "world.json", "--episodes", "3", "--seed", "1"], "nodir/x"),
+    (["collect", "--traces", "t.csv", "--world", "world.json", "--label-rule", "strategy-as-class"], "nodir/x"),
+    (["mine", "--data", "d.csv", "--algo", "apriori"], "nodir/x"),
+    (["cycle", "--config", "cycle.config.json"], "afile"),
+    (["compile", "--model", "m.json", "--default", "FAST"], "."),
+], ids=["simulate-missing-dir", "collect-missing-dir", "mine-missing-dir", "cycle-out-is-a-file",
+        "compile-out-is-a-dir"])
+def test_an_unwritable_out_is_an_input_error(workdir, capsys, monkeypatch, argv, out):
+    monkeypatch.chdir(workdir)
+    assert main(["simulate", "--world", "world.json", "--episodes", "20", "--seed", "3", "--explore", "0.8",
+                 "--out", "t.csv"]) == EXIT_OK
+    assert main(["collect", "--traces", "t.csv", "--world", "world.json", "--label-rule", "strategy-as-class",
+                 "--out", "d.csv"]) == EXIT_OK
+    assert main(["mine", "--data", "d.csv", "--algo", "apriori", "--out", "m.json"]) == EXIT_OK
+    cycle_config(workdir)
+    (workdir / "afile").write_text("not a directory")
+    capsys.readouterr()
+    assert main(argv + ["--out", out]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err
+    assert "internal error" not in err

@@ -7,15 +7,17 @@ import pytest
 import metamine.cycle
 from helpers import fixed_policy, loop_config, striped_world, terrain_policy, tiny_world, uniform_hazard_world
 from metamine.cycle import (
+    CSV_COLUMNS,
+    DECISIONS,
     PHASES,
     AcceptanceGates,
     CycleConfig,
     CycleReport,
+    EvalResult,
     ExperimentReport,
     PhaseRecord,
     cycle_config_from_json,
     cycles_csv,
-    cycles_csv_from_json,
     evaluate_candidate,
     experiment_to_json,
     goal_rate_and_mean_reward,
@@ -344,7 +346,6 @@ class TestCyclesCsv:
         first = lines[1].split(",")
         assert first[0] == "1"
         assert first[-1] == experiment.cycles[0].decision
-        assert cycles_csv_from_json(experiment_to_json(experiment)) == text
 
     def test_skipped_phases_leave_empty_cells(self):
         world = uniform_hazard_world(0.0)
@@ -352,6 +353,44 @@ class TestCyclesCsv:
         row = cycles_csv(experiment).strip().splitlines()[1].split(",")
         assert row[-1] == "insufficient-data"
         assert row[2] == "" and row[3] == "" and row[4] == "" and row[5] == ""
+
+    @staticmethod
+    def one_cycle(decision, cv_accuracy=None, heldout=None, size=12):
+        cycle = CycleReport(index=1, phases=tuple(PhaseRecord(p, "skipped", reason="r") for p in PHASES),
+                            decision=decision, reason="r", pre_policy_id="aaa",
+                            post_policy_id="bbb" if decision == "deployed" else "aaa",
+                            dataset_sizes={"performance": size, "decision": 0},
+                            cv_accuracy=cv_accuracy, heldout=heldout)
+        return ExperimentReport(loop_config(1), {}, (cycle,), start_policy(striped_world()))
+
+    def test_no_cycles_is_the_header_alone(self):
+        experiment = run_experiment(striped_world(), loop_config(2, evaluation_episodes=10), 0)
+        assert cycles_csv(experiment) == ",".join(CSV_COLUMNS) + "\n"
+
+    @pytest.mark.parametrize("decision, cv_accuracy, heldout, row", [
+        ("deployed", 0.75, EvalResult(0.5, 0.625, 0.125, 1.0, 2.0), "1,12,0.75,0.5,0.625,0.125,deployed"),
+        ("rejected-accuracy", 0.25, None, "1,12,0.25,,,,rejected-accuracy"),
+        ("rejected-heldout", 1.0, EvalResult(0.5, 0.25, -0.25, 1.0, 0.5), "1,12,1.0,0.5,0.25,-0.25,rejected-heldout"),
+        ("insufficient-data", None, None, "1,12,,,,,insufficient-data"),
+    ], ids=DECISIONS)
+    def test_each_decision_renders_its_row(self, decision, cv_accuracy, heldout, row):
+        text = cycles_csv(self.one_cycle(decision, cv_accuracy, heldout))
+        assert text == ",".join(CSV_COLUMNS) + "\n" + row + "\n"
+
+    @pytest.mark.parametrize("value, cell", [
+        (0, "0.0"), (1, "1.0"), (0.1, "0.1"), (-0.5, "-0.5"), (1 / 3, "0.3333333333333333"),
+    ], ids=["int-zero", "int-one", "tenth", "negative", "third"])
+    def test_numbers_render_as_their_float_repr(self, value, cell):
+        heldout = EvalResult(value, value, value, 0.0, 0.0)
+        row = cycles_csv(self.one_cycle("deployed", value, heldout)).splitlines()[1]
+        assert row == f"1,12,{cell},{cell},{cell},{cell},deployed"
+
+    @pytest.mark.parametrize("decision", ["x,y\nz", "deployed\n", "deployed,", ""],
+                             ids=["comma-and-newline", "trailing-newline", "trailing-comma", "empty"])
+    def test_a_decision_that_could_break_a_row_never_reaches_the_csv(self, decision):
+        with pytest.raises(ConsistencyError) as err:
+            self.one_cycle(decision)
+        assert err.value.code == "BadDecision"
 
     def test_final_policy_id_matches_the_policy_blob(self):
         world = striped_world()
