@@ -121,7 +121,6 @@ class CycleReport:
     models: tuple[dict, ...] = ()
     cv_accuracy: float | None = None
     heldout: EvalResult | None = None
-    candidate_policy_id: str | None = None
 
     def __post_init__(self):
         if self.decision not in DECISIONS:
@@ -168,16 +167,13 @@ def evaluate_candidate(world: GridWorld, incumbent: Policy, candidate: Policy, n
 
 
 def _model_summary(role: str, model: MetaModel) -> dict:
-    summary = {
+    return {
         "role": role,
         "kind": model.kind,
         "label_attribute": model.label_attribute,
         "scope": model.scope,
         "evaluation": model.evaluation,
     }
-    if model.kind == "rules":
-        summary["n_rules"] = len(model.rules)
-    return summary
 
 
 def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_index: int,
@@ -211,13 +207,12 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     # every record is a performance row, labeled with its outcome; the successful ones are decision rows
     perf_dataset = featurise(traces, schema, "outcome-as-class", config.bins)
     decision_rows = sum(count for row, count in perf_dataset.patterns().items() if row[-1] == OUTCOME_SUCCESS)
-    found["dataset_sizes"] = sizes = {"performance": len(perf_dataset), "decision": decision_rows}
-    completed(episodes=config.training_episodes, decision_records=len(perf_dataset),
-              goal_rate=sum(t.reached_goal for t in traces) / len(traces))
+    found["dataset_sizes"] = {"performance": len(perf_dataset), "decision": decision_rows}
+    completed(goal_rate=sum(t.reached_goal for t in traces) / len(traces))
 
     # data preparation: the strategy-labeled view of the same traces
     decision_dataset = featurise(traces, schema, "strategy-as-class", config.bins) if decision_rows else None
-    completed(**sizes)
+    completed()
     if decision_rows == 0:
         return end("insufficient-data", "no successful decisions to learn from")
     if decision_rows == len(perf_dataset):  # some rows succeeded, so one outcome means all did
@@ -233,9 +228,9 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         decision_models.append(fit_tree_model(decision_dataset, config.mining))
     if config.model_kind in ("rules", "both"):
         decision_models.append(fit_rules_model(decision_dataset, config.mining))
-    found["models"] = models = tuple([_model_summary("performance", perf_model)]
-                                     + [_model_summary("decision", m) for m in decision_models])
-    completed(models=len(models), cv_accuracy=cv_mean)
+    found["models"] = tuple([_model_summary("performance", perf_model)]
+                            + [_model_summary("decision", m) for m in decision_models])
+    completed()
 
     # operationalisation: compile the decision models into one candidate
     mined = []
@@ -248,29 +243,25 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         "cycle": cycle_index,
         "sources": [m.kind for m in decision_models],
     })
-    found["candidate_policy_id"] = candidate_id = policy_id(candidate)
-    completed(rules=len(candidate.ruleset.rules), candidate_policy=candidate_id)
+    completed(rules=len(candidate.ruleset.rules))
 
     # evaluation: CV gate first, held-out comparison second
     if cv_mean < config.acceptance.min_cv_accuracy:
-        reason = (f"performance model cv accuracy {cv_mean:.4f} "
-                  f"below threshold {config.acceptance.min_cv_accuracy}")
-        completed(cv_accuracy=cv_mean, cv_gate="fail", heldout_skipped=reason)
-        return end("rejected-accuracy", reason)
+        completed()
+        return end("rejected-accuracy", f"performance model cv accuracy {cv_mean:.4f} "
+                                        f"below threshold {config.acceptance.min_cv_accuracy}")
     # the gate judges the policy that would ship, not the bare candidate
     deployed = integrate_policies(incumbent, candidate, config.integration_mode)
     found["heldout"] = heldout = evaluate_candidate(world, incumbent, deployed, config.evaluation_episodes,
                                                     derive_seed(config.master_seed, "cycle", cycle_index, "eval"))
-    completed(cv_accuracy=cv_mean, cv_gate="pass", incumbent_rate=heldout.incumbent_rate,
-              candidate_rate=heldout.candidate_rate, delta=heldout.delta)
+    completed()
     if heldout.delta < config.acceptance.min_heldout_delta:
         return end("rejected-heldout", f"held-out delta {heldout.delta:+.4f} below threshold "
                                        f"{config.acceptance.min_heldout_delta}")
 
     # deployment: hand the integrated policy to the next cycle
-    deployed_id = policy_id(deployed)
-    completed(integration_mode=config.integration_mode, policy=deployed_id)
-    return end("deployed", "both gates passed", deployed, deployed_id)
+    completed()
+    return end("deployed", "both gates passed", deployed, policy_id(deployed))
 
 
 @dataclass(frozen=True)
@@ -298,7 +289,6 @@ def run_experiment(world: GridWorld, config: CycleConfig, n_cycles: int,
     success_rate, mean_reward = goal_rate_and_mean_reward(*outcome)
     baseline = {
         "policy": policy_id(policy),
-        "episodes": config.evaluation_episodes,
         "success_rate": success_rate,
         "mean_reward": mean_reward,
     }

@@ -394,7 +394,6 @@ class MetaModel:
     tree: DecisionTree | None = None
     rules: tuple[AssociationRule, ...] = ()
     frequent: tuple[tuple[frozenset, int], ...] = ()
-    n_transactions: int = 0
 
 
 def scope_of(dataset: Dataset, names: Collection[str]) -> str:
@@ -412,7 +411,6 @@ def _base_evaluation(dataset: Dataset, config: MiningConfig) -> dict:
         "training_size": len(dataset),
         "config": asdict(config),
         "cv_mean": None,
-        "cv_per_fold": None,
     }
 
 
@@ -423,9 +421,7 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     evaluation = _base_evaluation(dataset, config)
     evaluation["training_accuracy"] = training_accuracy(tree, dataset)
     if config.cv_folds <= len(dataset) and len({row[-1] for row in dataset.patterns()}) >= 2:
-        scores = cross_validate(dataset, config)
-        evaluation["cv_mean"] = scores.mean
-        evaluation["cv_per_fold"] = list(scores.per_fold)
+        evaluation["cv_mean"] = cross_validate(dataset, config).mean
     return MetaModel(
         kind="tree",
         label_attribute=dataset.class_attribute,
@@ -455,7 +451,6 @@ def fit_rules_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
         evaluation=evaluation,
         rules=rules,
         frequent=tuple((itemset, count) for itemset, count in frequent.items()),
-        n_transactions=len(dataset),
     )
 
 
@@ -509,7 +504,6 @@ def model_to_json(model: MetaModel) -> dict:
             "root": _node_to_json(model.tree.root),
         }
     else:
-        out["n_transactions"] = model.n_transactions
         out["frequent"] = [
             {"items": _itemset_to_json(itemset), "count": count}
             for itemset, count in sorted(model.frequent, key=lambda e: (len(e[0]), _itemset_key(e[0])))
@@ -559,8 +553,7 @@ def model_from_json(obj: Any) -> MetaModel:
             expect_field(r, "support", "rule"),
             expect_field(r, "confidence", "rule"),
         ))
-    return MetaModel(rules=tuple(rules), frequent=tuple(frequent),
-                     n_transactions=expect_field(obj, "n_transactions", "model"), **common)
+    return MetaModel(rules=tuple(rules), frequent=tuple(frequent), **common)
 
 
 def save_model(model: MetaModel, path: str | Path) -> None:

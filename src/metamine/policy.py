@@ -174,7 +174,8 @@ def integrate_policies(incumbent: Policy, candidate: Policy, mode: str) -> Polic
     replace: candidate as-is. override: candidate rules first. append:
     incumbent rules first. Blocks keep internal order; duplicate
     (conditions, action) pairs keep the higher-ranked copy; the incumbent
-    default action is retained in both non-replace modes.
+    default action is retained in both non-replace modes, and the
+    provenance names each source once, the candidate's first.
     """
     if mode not in INTEGRATION_MODES:
         raise PolicyError("BadMode", f"mode must be override, append, or replace, got {mode!r}")
@@ -191,7 +192,8 @@ def integrate_policies(incumbent: Policy, candidate: Policy, mode: str) -> Polic
     provenance = {
         "mode": mode,
         "cycle": candidate.provenance.get("cycle"),
-        "sources": candidate.provenance.get("sources", []) + incumbent.provenance.get("sources", []),
+        "sources": list(dict.fromkeys(candidate.provenance.get("sources", [])
+                                      + incumbent.provenance.get("sources", []))),
     }
     return Policy(ruleset, incumbent.default_action, provenance)
 

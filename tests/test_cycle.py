@@ -138,7 +138,7 @@ class TestReportInvariants:
             phases = tuple(PhaseRecord(p, "skipped", reason="r") for p in PHASES)
         return CycleReport(index=index, phases=phases, decision=decision, reason="r",
                            pre_policy_id=pre, post_policy_id=post, dataset_sizes={}, models=(),
-                           cv_accuracy=None, heldout=None, candidate_policy_id=None)
+                           cv_accuracy=None, heldout=None)
 
     def test_unknown_decision_rejected(self):
         with pytest.raises(ConsistencyError):
@@ -163,6 +163,61 @@ class TestReportInvariants:
             ExperimentReport(config, {}, (self.minimal(index=2),), policy)
 
 
+# What each phase records beyond the report's own fields: the goal rate of
+# the training episodes and the candidate's rule count. Every other number
+# lives in one report field (dataset_sizes, models, cv_accuracy, heldout,
+# post_policy_id) or in the config.
+PHASE_METRIC_KEYS = {
+    "data_understanding": {"goal_rate"},
+    "operationalisation": {"rules"},
+}
+
+# one first cycle per gate decision: (world, config, decision)
+EACH_DECISION = [
+    pytest.param(striped_world, loop_config(5), "deployed", id="deployed"),
+    pytest.param(striped_world, loop_config(5, acceptance=AcceptanceGates(1.0, 0.0)), "rejected-accuracy",
+                 id="rejected-accuracy"),
+    pytest.param(striped_world, loop_config(5, acceptance=AcceptanceGates(0.65, 1.0)), "rejected-heldout",
+                 id="rejected-heldout"),
+    pytest.param(lambda: uniform_hazard_world(0.0), loop_config(3, training_episodes=20), "insufficient-data",
+                 id="insufficient-data"),
+]
+
+
+class TestPhaseMetrics:
+    @pytest.mark.parametrize("make_world, config, decision", EACH_DECISION)
+    def test_each_phase_records_only_what_no_other_field_holds(self, make_world, config, decision):
+        world = make_world()
+        _, report = run_cycle(world, start_policy(world), config, 1)
+        assert report.decision == decision
+        for p in report.phases:
+            expected = PHASE_METRIC_KEYS.get(p.phase, set()) if p.status == "completed" else set()
+            assert set(p.metrics) == expected, p.phase
+
+    def test_phase_metrics_hold_the_goal_rate_and_the_candidates_rule_count(self):
+        world = striped_world()
+        deployed, report = run_cycle(world, start_policy(world), loop_config(5, integration_mode="replace"), 1)
+        assert report.decision == "deployed"
+        metrics = {p.phase: p.metrics for p in report.phases}
+        assert metrics["operationalisation"] == {"rules": len(deployed.ruleset.rules)}
+        assert 0.0 < metrics["data_understanding"]["goal_rate"] < 1.0
+
+
+class TestPolicyHashes:
+    @pytest.mark.parametrize("make_world, config, decision", EACH_DECISION)
+    def test_a_cycle_hashes_the_incumbent_and_only_a_policy_it_deploys(self, monkeypatch, make_world, config,
+                                                                      decision):
+        """The bare candidate is never written, so it is never hashed."""
+        hashed = []
+        real = metamine.cycle.policy_id
+        monkeypatch.setattr(metamine.cycle, "policy_id", lambda policy: hashed.append(policy) or real(policy))
+        world = make_world()
+        incumbent = start_policy(world)
+        next_policy, report = run_cycle(world, incumbent, config, 1)
+        assert report.decision == decision
+        assert hashed == ([incumbent, next_policy] if decision == "deployed" else [incumbent])
+
+
 class TestRunCycleDeployed:
     def test_full_deployment_flow(self):
         world = striped_world()
@@ -174,14 +229,18 @@ class TestRunCycleDeployed:
         assert all(p.status == "completed" for p in report.phases)
         assert report.pre_policy_id == policy_id(incumbent)
         assert report.post_policy_id == policy_id(next_policy) != report.pre_policy_id
-        assert report.candidate_policy_id is not None
         assert report.cv_accuracy >= 0.65
+        assert report.cv_accuracy == report.models[0]["evaluation"]["cv_mean"]
         assert report.heldout.delta >= 0.0
         assert report.dataset_sizes["performance"] >= report.dataset_sizes["decision"] > 0
         roles = [m["role"] for m in report.models]
         assert roles == ["performance", "decision", "decision"]
         kinds = {m["kind"] for m in report.models if m["role"] == "decision"}
         assert kinds == {"tree", "rules"}
+        for m in report.models:
+            assert set(m) == {"role", "kind", "label_attribute", "scope", "evaluation"}
+        rules = next(m for m in report.models if m["kind"] == "rules")
+        assert rules["evaluation"]["n_rules"] > 0
 
     def test_deployed_policy_prefers_careful_on_hazardous_terrain(self):
         world = striped_world()
@@ -224,8 +283,10 @@ class TestRunCycleRejections:
         assert next_policy == incumbent
         assert report.post_policy_id == report.pre_policy_id
         assert report.heldout is None
-        assert report.candidate_policy_id is not None
+        assert report.cv_accuracy < 1.0
+        assert f"cv accuracy {report.cv_accuracy:.4f}" in report.reason
         statuses = {p.phase: p.status for p in report.phases}
+        assert statuses["operationalisation"] == "completed"
         assert statuses["evaluation"] == "completed"
         assert statuses["deployment"] == "skipped"
 
@@ -291,7 +352,7 @@ class TestRunExperiment:
         assert experiment.cycles == ()
         assert experiment.final_policy == start_policy(world)
         assert experiment.baseline["policy"] == policy_id(experiment.final_policy)
-        assert experiment.baseline["episodes"] == 30
+        assert set(experiment.baseline) == {"policy", "success_rate", "mean_reward"}  # the config has the episodes
         assert 0.0 <= experiment.baseline["success_rate"] <= 1.0
 
     def test_cycles_chain_their_policies(self):
@@ -302,6 +363,13 @@ class TestRunExperiment:
         for prev, nxt in zip(experiment.cycles, experiment.cycles[1:]):
             assert nxt.pre_policy_id == prev.post_policy_id
         assert experiment.cycles[-1].post_policy_id == policy_id(experiment.final_policy)
+
+    @pytest.mark.parametrize("mode", ["override", "append"])
+    def test_provenance_names_each_source_once_over_six_cycles(self, mode):
+        world = striped_world()
+        experiment = run_experiment(world, loop_config(4, integration_mode=mode), 6)
+        assert sum(c.decision == "deployed" for c in experiment.cycles) >= 2
+        assert experiment.final_policy.provenance["sources"] == ["tree", "rules", "default"]
 
     def test_deployed_cycles_never_lose_on_heldout_seeds(self):
         world = striped_world()

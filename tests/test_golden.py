@@ -24,8 +24,8 @@ from metamine.rover import run_episodes, save_traces, save_world, world_schema
 LOOP_DIGESTS = {
     "override": {
         "cycles.csv": "dc7adbe3ee5bc5c18063704407ea2a904daf73ae73c7de218aa7b8d8f20afde6",
-        "experiment.json": "01e1d746b940f31085e3f487510a838f5aa11294e3bd337c1fc666bfd00cddc5",
-        "final.policy.json": "35d67e8bee45ec7dd527bb7bee1be4e1335c03882bb68790679f28ff75bb37f5",
+        "experiment.json": "a44488aa9fbe476653461468f9637af6282425e21cc9c4a41ecce507dc9ed5b7",
+        "final.policy.json": "d14898a66a068b7e5912034485a8e4411e31f81651b60551268ebe5562dac623",
         "schema.json": "765596400aae1e63f0979730fd3ac8552b58c70f0fe6d25a709ddec928afb2db",
         "traces/cycle_01.csv": "90ed8b13ed2789ce3a9b3599945030db79908112dbd25b74288ac312932e75d9",
         "traces/cycle_02.csv": "72e58cddecb05b6fd3328a5b5baa4afba96353a0f26ba7f0804f4dec920135a3",
@@ -33,8 +33,8 @@ LOOP_DIGESTS = {
     },
     "append": {
         "cycles.csv": "dc7adbe3ee5bc5c18063704407ea2a904daf73ae73c7de218aa7b8d8f20afde6",
-        "experiment.json": "1d067603dfaf138fe0d272b2170f0270cc27d5c905198d48c65210ef0cb0858b",
-        "final.policy.json": "a1b54f59031534ac694d5d69a689977569926f7f1c7c9a83ab9f24b078dfeaab",
+        "experiment.json": "001a1148be6898f9229d6f8d3432ef6f3dfd1a572815772b51f1c0450e254c9d",
+        "final.policy.json": "b80701457efd6665734cffb5da624fac5c7d5369cc4a3e90b7887e7ca64f8539",
         "schema.json": "765596400aae1e63f0979730fd3ac8552b58c70f0fe6d25a709ddec928afb2db",
         "traces/cycle_01.csv": "90ed8b13ed2789ce3a9b3599945030db79908112dbd25b74288ac312932e75d9",
         "traces/cycle_02.csv": "72e58cddecb05b6fd3328a5b5baa4afba96353a0f26ba7f0804f4dec920135a3",
@@ -45,11 +45,11 @@ LOOP_DIGESTS = {
 CHAIN_DIGESTS = {
     "decision.csv": "ecb96657933c9b32dd1972301b382cdb89e93d6bc2b43641b6184e7c92b27472",
     "decision.csv.meta.json": "297f93073e8691b667f7336084e887bb552958b124da3c325ca46b26901c76d8",
-    "decision.rules.json": "ba5f0d6985c4c7d9821ea0438b63cda9199550a53e5df33f668d65abce0ceef0",
-    "decision.tree.json": "e11d53b556a5b1c93b4f5b5031df08a248fbf85abf3bbe0b6de9756222f877be",
+    "decision.rules.json": "a879651da52556f549868293f32a1899c86a13e97e0bd7fe46c82fa920e40e3c",
+    "decision.tree.json": "961e7b92a0d8b7bd8e78ee88e2678c3b9666321780589159e89c752fe20655a1",
     "perf.csv": "8a397901165dca7bb7b9bad27c79540663f81dbc9a1e891a61ab4486ab7137e4",
     "perf.csv.meta.json": "fd1c794202f453b7321269e331507058d57fdbbd97034244e93b65b54e3497fd",
-    "perf.tree.json": "7b56a1521f9b87d71eca7551e3e35191da7577a9ad909c339206873639e3205b",
+    "perf.tree.json": "f93140944257825db820907207a790d296b861dd7d7a7341ca46cd353d78c9f5",
     "rules.policy.json": "27bd893f22901d8e946a3ea91af87e12cdb63c801a86c77e3c4e8f6d30a6e180",
     "traces.csv": "e21df8451abe5faf3799484dbd4ae0c33048c249f5d87fe670cf7678f40b4024",
     "tree.policy.json": "619971fc3a1adf34c2615197e830930a6b9c9d32246ad5c96dba1878bcb660b6",

@@ -554,19 +554,20 @@ class TestModels:
         return Dataset(defs, "strategy", tuple(rows))
 
     def test_tree_model_evaluation_record(self):
-        model = fit_tree_model(self.strategy_dataset(), MiningConfig(cv_folds=3, seed=2))
+        model_config = MiningConfig(cv_folds=3, seed=2)
+        model = fit_tree_model(self.strategy_dataset(), model_config)
         assert model.kind == "tree" and model.label_attribute == "strategy"
         assert model.scope == "mixed"  # world feature + self class
         assert model.evaluation["training_size"] == 18
         assert model.evaluation["training_accuracy"] == pytest.approx(16 / 18)
-        assert 0.0 <= model.evaluation["cv_mean"] <= 1.0
-        assert len(model.evaluation["cv_per_fold"]) == 3
+        assert model.evaluation["cv_mean"] == cross_validate(self.strategy_dataset(), model_config).mean
+        assert set(model.evaluation) == {"training_size", "config", "cv_mean", "training_accuracy"}
 
     def test_tree_model_skips_cv_when_data_cannot_support_it(self):
         ds = labeled("+++")
         model = fit_tree_model(ds, MiningConfig(cv_folds=2, seed=0))
         assert model.evaluation["cv_mean"] is None
-        assert model.evaluation["cv_per_fold"] is None
+        assert set(model.evaluation) == {"training_size", "config", "cv_mean", "training_accuracy"}
 
     def test_tree_model_on_world_attributes_has_world_scope(self):
         defs = (cat("row", ("top", "bottom")), cat("terrain", ("sand", "rock")))
@@ -580,7 +581,9 @@ class TestModels:
         assert model.kind == "rules"
         assert model.evaluation["n_frequent"] == len(model.frequent)
         assert model.evaluation["n_rules"] == len(model.rules)
-        assert model.n_transactions == 18
+        assert model.evaluation["training_size"] == 18
+        assert set(model.evaluation) == {"training_size", "config", "cv_mean", "n_frequent", "n_rules"}
+        assert "n_transactions" not in model_to_json(model)
         assert model.scope == "mixed"
         texts = [r.text for r in model.rules]
         assert "terrain=rock => strategy=FAST" in texts
@@ -601,6 +604,15 @@ class TestModels:
             again = tmp_path / f"{model.kind}.again.json"
             save_model(loaded, again)
             assert again.read_bytes() == path.read_bytes()
+
+    def test_keys_the_reader_does_not_use_are_ignored(self):
+        config = MiningConfig(cv_folds=3, seed=2, min_support=0.2, min_confidence=0.6)
+        rules = fit_rules_model(self.strategy_dataset(), config)
+        assert model_from_json(dict(model_to_json(rules), n_transactions=18)) == rules
+        tree = fit_tree_model(self.strategy_dataset(), config)
+        older = model_to_json(tree)
+        older["evaluation"] = dict(older["evaluation"], cv_per_fold=[0.5, 0.5, 0.5])
+        assert model_from_json(older).tree == tree.tree
 
     def test_reloaded_tree_classifies_identically(self, tmp_path):
         ds = xor_dataset()
