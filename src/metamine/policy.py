@@ -13,6 +13,7 @@ order, and decide() simply takes the first match.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -118,6 +119,12 @@ class Policy:
             if rule.matches(values):
                 return rule.action
         return self.default_action
+
+    @cached_property
+    def content_hash(self) -> str:
+        """policy_id's value, hashed on first use only: a policy is never
+        changed after it is built."""
+        return content_id(policy_to_json(self))
 
 
 def tree_to_rules(tree: DecisionTree, control_attribute: str | None = None) -> list[Rule]:
@@ -244,8 +251,9 @@ def policy_from_json(obj: Any) -> Policy:
 
 
 def policy_id(policy: Policy) -> str:
-    """Short content hash of the canonical serialization."""
-    return content_id(policy_to_json(policy))
+    """Short content hash of the canonical serialization, computed once
+    per policy object."""
+    return policy.content_hash
 
 
 def save_policy(policy: Policy, path: str | Path) -> None:

@@ -9,15 +9,16 @@ to discover: which strategy survives which terrain.
 Since every move is greedy and a slip only repeats a cell, each episode
 walks a prefix of one fixed route, `greedy_route(world)`, and a policy
 compiles into a `RouteTable` of what it does at each route step. Traced
-runs (`run_seeded`) keep a decision record per step, one shared object per
-distinct step; evaluation (`rollout`) keeps only the goal count and each
-episode's reward sum, and walks the incumbent's and the candidate's tables
-in lockstep, from one generator seeded once per episode.
+runs (`run_seeded`) keep a decision record per step, taken from a move
+table of each route step's hazards and records per strategy, so equal
+steps share one object; evaluation (`rollout`) keeps only the goal count
+and each episode's reward sum, and walks the incumbent's and the
+candidate's tables in lockstep. Both seed one generator once per episode.
 
-Determinism: a step consumes exactly one uniform draw from the supplied
-generator, taken before the move is resolved. Episode-level exploration
-draws happen before the step draw. Same world, policy, and seed always
-produce byte-identical traces.
+Determinism: a step consumes exactly one uniform draw from the episode's
+generator, taken before the move is resolved. An exploration draw comes
+before the step draw, and draws its strategy as Random.choice does. Same
+world, policy, and seed always produce byte-identical traces.
 """
 
 from __future__ import annotations
@@ -230,39 +231,56 @@ def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], ex
     threshold the strategy is drawn uniformly instead of taking the
     policy's. Exploration belongs to training runs only; evaluation uses
     the default 0.0.
+
+    Before the first seed, a move table holds, per route step and world
+    strategy, the hazard and the one record of a success and of a slip, so
+    a step only indexes it and appends. The uniform strategy draw takes
+    what Random.choice(world.strategies) takes: k = n.bit_length() random
+    bits for n strategies, drawn again until they index one.
     """
     if not 0.0 <= explore <= 1.0:
         raise ConsistencyError("BadExploration", f"explore must be in [0, 1], got {explore!r}")
     table = route_table(world, policy)
-    route, terrains, actions, hazards = table.route, table.terrains, table.actions, table.hazards
-    last = len(terrains)
+    actions, last, max_steps = table.actions, len(table.terrains), world.max_steps
     slip, move, arrive = _step_rewards(world.rewards)
-    # the route step, strategy and outcome fix the whole record
-    shared: dict[tuple[int, Any, str], DecisionRecord] = {}
+    strategies = world.strategies
+    n = len(strategies)
+    k = n.bit_length()
+    # moves[at][i]: strategy i's hazard at route step at, then its success record and its slip record
+    moves = []
+    for at, terrain in enumerate(table.terrains):
+        cell, observed = table.route[at], {TERRAIN_ATTR: terrain}
+        reward = arrive if at == last - 1 else move
+        moves.append([(world.hazard[(terrain, s)], DecisionRecord(cell, observed, s, OUTCOME_SUCCESS, reward),
+                       DecisionRecord(cell, observed, s, OUTCOME_FAILURE, slip)) for s in strategies])
+    # the policy's move per route step, None where its action is no world strategy
+    chosen = [None if h is None else row[strategies.index(a)] for row, a, h in zip(moves, actions, table.hazards)]
+    exploring = explore > 0.0
+    rng = Random()
+    reseed, random, getrandbits = rng.seed, rng.random, rng.getrandbits
     traces = []
     for seed in seeds:
-        rng = Random(seed)
-        at = 0
+        reseed(seed)
+        at = steps = 0
         records: list[DecisionRecord] = []
-        while at < last and len(records) < world.max_steps:
-            step, terrain = at, terrains[at]
-            if explore > 0.0 and rng.random() < explore:
-                strategy = rng.choice(world.strategies)
-                hazard = world.hazard[(terrain, strategy)]
+        append = records.append
+        while at < last and steps < max_steps:
+            steps += 1
+            if exploring and random() < explore:
+                i = getrandbits(k)
+                while i >= n:
+                    i = getrandbits(k)
+                hazard, success, failure = moves[at][i]
             else:
-                strategy, hazard = actions[at], hazards[at]
-                if hazard is None:
-                    raise _unknown_strategy(strategy)
-            if rng.random() < hazard:
-                outcome, reward = OUTCOME_FAILURE, slip
+                step = chosen[at]
+                if step is None:
+                    raise _unknown_strategy(actions[at])
+                hazard, success, failure = step
+            if random() < hazard:
+                append(failure)
             else:
+                append(success)
                 at += 1
-                outcome, reward = OUTCOME_SUCCESS, arrive if at == last else move
-            rec = shared.get((step, strategy, outcome))
-            if rec is None:
-                rec = shared[step, strategy, outcome] = DecisionRecord(
-                    route[step], {TERRAIN_ATTR: terrain}, strategy, outcome, reward)
-            records.append(rec)
         traces.append(EpisodeTrace(tuple(records), at == last))
     return traces
 

@@ -8,6 +8,9 @@ yield the same 64-bit seed on every platform and run.
 from __future__ import annotations
 
 import hashlib
+import struct
+
+_SEED = struct.Struct(">Q")
 
 
 def derive_seed(*parts: object) -> int:
@@ -21,9 +24,10 @@ def derive_seeds(*parts: object, n: int) -> list[int]:
     """[derive_seed(*parts, i) for i in range(n)], hashing the shared
     prefix once."""
     prefix = hashlib.sha256("".join(f"{p}/" for p in parts).encode("utf-8"))
+    unpack = _SEED.unpack_from
     seeds = []
     for i in range(n):
         h = prefix.copy()
-        h.update(str(i).encode("utf-8"))
-        seeds.append(int.from_bytes(h.digest()[:8], "big"))
+        h.update(b"%d" % i)
+        seeds.append(unpack(h.digest())[0])
     return seeds

@@ -1,17 +1,33 @@
-"""The record-free evaluation walk as it was before it learned to walk two
-route tables in lockstep: one table, and a fresh generator for each
-episode seed.
+"""The simulation loops as they were before their fast paths, kept as
+test-only references.
 
-The differential tests hold rover.rollout to it: two tables walked
-together give what two of these walks in turn give, float for float, or
-raise the error that the first of them to fail raises.
+reference_rollout is the record-free evaluation walk before it learned to
+walk two route tables in lockstep: one table, and a fresh generator for
+each episode seed. The differential tests hold rover.rollout to it: two
+tables walked together give what two of these walks in turn give, float
+for float, or raise the error that the first of them to fail raises.
+
+reference_run_seeded is the traced walk before it learned its per-step
+move table: a fresh generator per seed, Random.choice for an explored
+strategy, and a record built on the first step that needs it. The
+differential tests hold rover.run_seeded to it: the same traces, one
+record object per route step, strategy and outcome, or the same error.
 """
 
 from __future__ import annotations
 
 from random import Random
 
-from metamine.rover import _step_rewards, _unknown_strategy
+from metamine.rover import (
+    OUTCOME_FAILURE,
+    OUTCOME_SUCCESS,
+    TERRAIN_ATTR,
+    DecisionRecord,
+    EpisodeTrace,
+    _step_rewards,
+    _unknown_strategy,
+    route_table,
+)
 
 
 def reference_rollout(world, table, seeds):
@@ -40,3 +56,39 @@ def reference_rollout(world, table, seeds):
             raise _unknown_strategy(table.actions[bad])
         sums.append(total)
     return goals, sums
+
+
+def reference_run_seeded(world, policy, seeds, explore=0.0):
+    """One traced episode per seed, each record built once per (route step,
+    strategy, outcome) and shared from then on."""
+    table = route_table(world, policy)
+    route, terrains, actions, hazards = table.route, table.terrains, table.actions, table.hazards
+    last = len(terrains)
+    slip, move, arrive = _step_rewards(world.rewards)
+    shared = {}
+    traces = []
+    for seed in seeds:
+        rng = Random(seed)
+        at = 0
+        records = []
+        while at < last and len(records) < world.max_steps:
+            step, terrain = at, terrains[at]
+            if explore > 0.0 and rng.random() < explore:
+                strategy = rng.choice(world.strategies)
+                hazard = world.hazard[(terrain, strategy)]
+            else:
+                strategy, hazard = actions[at], hazards[at]
+                if hazard is None:
+                    raise _unknown_strategy(strategy)
+            if rng.random() < hazard:
+                outcome, reward = OUTCOME_FAILURE, slip
+            else:
+                at += 1
+                outcome, reward = OUTCOME_SUCCESS, arrive if at == last else move
+            rec = shared.get((step, strategy, outcome))
+            if rec is None:
+                rec = shared[step, strategy, outcome] = DecisionRecord(
+                    route[step], {TERRAIN_ATTR: terrain}, strategy, outcome, reward)
+            records.append(rec)
+        traces.append(EpisodeTrace(tuple(records), at == last))
+    return traces

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import pytest
 
 import metamine.cycle
+import metamine.policy
 from helpers import fixed_policy, loop_config, striped_world, terrain_policy, tiny_world, uniform_hazard_world
 from metamine.cycle import (
     CSV_COLUMNS,
@@ -216,6 +217,22 @@ class TestPolicyHashes:
         next_policy, report = run_cycle(world, incumbent, config, 1)
         assert report.decision == decision
         assert hashed == ([incumbent, next_policy] if decision == "deployed" else [incumbent])
+
+
+class TestPolicyHashedOnce:
+    def test_an_all_deployed_experiment_hashes_each_policy_once(self, monkeypatch):
+        """Four distinct policies (the initial one and three deployed ones)
+        take four content hashes: a cycle's incumbent and the final policy
+        reuse the id their policy object already holds."""
+        hashed = []
+        real = metamine.policy.content_id
+        monkeypatch.setattr(metamine.policy, "content_id", lambda obj: hashed.append(obj) or real(obj))
+        experiment = run_experiment(striped_world(), loop_config(1), 3)
+        assert [c.decision for c in experiment.cycles] == ["deployed"] * 3
+        blob = experiment_to_json(experiment)
+        assert len(hashed) == 4
+        assert [blob["baseline"]["policy"]] + [c["post_policy_id"] for c in blob["cycles"]] == [
+            real(obj) for obj in hashed]
 
 
 class TestRunCycleDeployed:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import cat, make_dataset
 from metamine.errors import ConsistencyError, PolicyError
-from metamine.jsonio import canonical_dumps
+from metamine.jsonio import canonical_dumps, content_id
 from metamine.knowledge import AttributeDef, define_schema
 from metamine.mining import AssociationRule, MiningConfig, apriori, classify, derive_rules, induce_tree
 from metamine.policy import (
@@ -372,6 +372,20 @@ class TestPolicySerialization:
         b = compile_policy(a.ruleset.rules, "strategy", "CAREFUL", schema=control_schema(), provenance=a.provenance)
         assert policy_id(a) != policy_id(b)
         assert canonical_dumps(policy_to_json(a)) != canonical_dumps(policy_to_json(b))
+
+    def test_the_cached_id_is_the_content_hash(self, tmp_path):
+        """Built, loaded and integrated policies alike: the id hashed once
+        on first use is the hash of the policy's canonical JSON."""
+        built = self.sample()
+        save_policy(built, tmp_path / "p.policy.json")
+        loaded = load_policy(tmp_path / "p.policy.json")
+        other = compile_policy([rule([("terrain", "ice")], action="FAST", confidence=0.8, origin="tree")],
+                               "strategy", "CAREFUL", provenance={"cycle": 4, "sources": ["tree"]})
+        integrated = [integrate_policies(built, other, mode) for mode in ("override", "append", "replace")]
+        for policy in [built, loaded, other, initial_policy(control_schema()), policy_from_json(policy_to_json(other)),
+                       *integrated]:
+            assert policy_id(policy) == content_id(policy_to_json(policy))
+            assert policy_id(policy) is policy_id(policy)
 
     @given(st.sampled_from(["sand", "rock", "ice"]), st.booleans())
     def test_decisions_are_total_and_in_domain(self, terrain, wet):

@@ -403,6 +403,28 @@ def paired_walks(draw):
     return world, draw(route_tables(steps)), draw(route_tables(steps)), seeds
 
 
+@st.composite
+def seeded_runs(draw):
+    """A world of 1-5 strategies (so the uniform strategy draw sometimes
+    draws again) on a small grid, a terrain policy whose action may be no
+    world strategy, an exploration rate and seeds."""
+    strategies = tuple(f"S{i}" for i in range(draw(st.integers(1, 5))))
+    terrains = ("flat", "dune", "ice")[:draw(st.integers(1, 3))]
+    width, height = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    cells = tuple(tuple(draw(st.sampled_from(terrains)) for _ in range(width)) for _ in range(height))
+    cell = st.tuples(st.integers(0, width - 1), st.integers(0, height - 1))
+    start = draw(cell)
+    goal = draw(cell.filter(lambda c: c != start))
+    hazard = {(t, s): draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)) for t in terrains for s in strategies}
+    rewards = draw(st.sampled_from([Rewards(), Rewards(0.1, 0.7, 3.3)]))
+    world = GridWorld(width, height, terrains, cells, start, goal, strategies, hazard, rewards,
+                      draw(st.integers(1, 40)))
+    actions = st.sampled_from(strategies + ("WALK",))
+    policy = terrain_policy(draw(st.dictionaries(st.sampled_from(terrains), actions)), draw(actions))
+    seeds = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=12))
+    return world, policy, seeds, draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+
+
 class TestRollout:
     @pytest.mark.parametrize("world", sorted(WORLDS))
     @pytest.mark.parametrize("rewards", [None, Rewards(0.1, 0.7, 3.3)])
@@ -692,6 +714,22 @@ class TestSharedRecords:
             traces = run_seeded(world, policy, seeds, explore)
             assert traces == [reference_episode(world, policy, s, explore) for s in seeds]
             assert_equal_records_are_one_object(traces)
+
+    @settings(deadline=None)
+    @given(seeded_runs())
+    def test_run_seeded_matches_the_lazy_reference_walk(self, run):
+        """The move-table walk gives the reference walk's traces, or its
+        error class, code and message, and hands out exactly one record
+        object per route step, strategy and outcome."""
+        world, policy, seeds, explore = run
+        expected = outcome_of(lambda: rollout_reference.reference_run_seeded(world, policy, seeds, explore))
+        got = outcome_of(lambda: run_seeded(world, policy, seeds, explore))
+        assert got == expected
+        if got[0] == "value":
+            one = {}
+            for trace in got[1]:
+                for rec in trace.records:
+                    assert one.setdefault((rec.cell, rec.strategy, rec.outcome), rec) is rec
 
     @pytest.mark.parametrize("world", sorted(WORLDS))
     @pytest.mark.parametrize("explore", [0.0, 0.3, 1.0])
