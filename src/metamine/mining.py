@@ -55,12 +55,8 @@ class MiningConfig:
             raise MiningError("BadConfig", f"seed must be an integer, got {self.seed!r}")
 
 
-def entropy(labels: Iterable[Any]) -> float:
-    """Shannon entropy of a label multiset, in bits. Empty input is 0."""
-    return _count_entropy(Counter(labels).values())
-
-
 def _count_entropy(counts: Collection[int]) -> float:
+    """Shannon entropy, in bits, of a multiset given by its counts; 0 when empty."""
     total = sum(counts)
     if total == 0:
         return 0.0
@@ -81,14 +77,6 @@ def _partition_gain(patterns: Mapping[tuple, int], column: int) -> float:
     n = sum(classes.values())
     remainder = float_sum(sum(g.values()) / n * _count_entropy(g.values()) for g in groups.values())
     return _count_entropy(classes.values()) - remainder
-
-
-def info_gain(dataset: Dataset, attribute: str) -> float:
-    """Information gain of splitting the dataset on one feature attribute."""
-    names = [a.name for a in dataset.feature_attributes]
-    if attribute not in names:
-        raise MiningError("UnknownAttribute", f"{attribute!r} is not a feature attribute of the dataset")
-    return _partition_gain(dataset.patterns(), names.index(attribute))
 
 
 @dataclass(frozen=True)
@@ -135,9 +123,6 @@ class DecisionTree:
             else:
                 stack.extend((path + ((node.attribute, value),), child) for value, child in reversed(node.children))
         return out
-
-    def depth(self) -> int:
-        return max(len(path) for path, _ in self.paths())
 
     def split_attributes(self) -> set[str]:
         return {attribute for path, _ in self.paths() for attribute, _ in path}
@@ -315,15 +300,6 @@ def derive_rules(frequent: Mapping[frozenset, int], min_confidence: float, n_tra
     return tuple(rules)
 
 
-@dataclass(frozen=True)
-class CvScores:
-    per_fold: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return float_sum(self.per_fold) / len(self.per_fold)
-
-
 def _start_folds(dataset: Dataset, k: int, seed: int) -> dict[tuple, int]:
     """The stratified k-fold deal: the fold each distinct row's first copy
     goes to; its j-th copy goes j folds on. One cursor, started by
@@ -342,29 +318,15 @@ def _start_folds(dataset: Dataset, k: int, seed: int) -> dict[tuple, int]:
     return start
 
 
-def stratified_folds(dataset: Dataset, k: int, seed: int) -> list[list[int]]:
-    """Seeded stratified partition into k test folds of instance indices.
+def cross_validate(dataset: Dataset, config: MiningConfig) -> tuple[float, ...]:
+    """Per-fold stratified k-fold accuracy of the tree inducer on the dataset.
 
-    Each distinct row's indices go round-robin, in row order, from its
-    start fold (_start_folds); fold sizes, class and row counts are within
-    one across folds. More folds than rows is TooFewInstances.
-    """
-    cursor = _start_folds(dataset, k, seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    for i, row in enumerate(dataset.rows):
-        folds[cursor[row]].append(i)
-        cursor[row] = (cursor[row] + 1) % k
-    return folds
-
-
-def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
-    """Stratified k-fold accuracy of the tree inducer on the dataset.
-
-    Fold f holds stratified_folds' fold f as counts: a row with count c is
-    held out c // k times in each fold, once more in the c % k folds from
-    its start fold. Trees grow from the row counts minus the fold's; each
-    distinct held-out row is scored once, weighted by its count. Too few
-    rows (TooFewInstances) is reported before one class (FewerThanTwoClasses).
+    A row with count c is held out c // k times in each fold, once more in
+    the c % k folds from its start fold (_start_folds), so fold sizes, class
+    and row counts are within one across folds. Trees grow from the row
+    counts minus the fold's; each distinct held-out row is scored once,
+    weighted by its count. Too few rows (TooFewInstances) is reported before
+    one class (FewerThanTwoClasses).
     """
     k = config.cv_folds
     start = _start_folds(dataset, k, config.seed)
@@ -376,7 +338,7 @@ def cross_validate(dataset: Dataset, config: MiningConfig) -> CvScores:
         test = +Counter({row: c // k + ((f - start[row]) % k < c % k) for row, c in total.items()})
         tree = _grow_tree(dataset, total - test, config)
         per_fold.append(_hits(tree, dataset, test) / sum(test.values()))
-    return CvScores(tuple(per_fold))
+    return tuple(per_fold)
 
 
 @dataclass(frozen=True)
@@ -421,7 +383,8 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     evaluation = _base_evaluation(dataset, config)
     evaluation["training_accuracy"] = training_accuracy(tree, dataset)
     if config.cv_folds <= len(dataset) and len({row[-1] for row in dataset.patterns()}) >= 2:
-        evaluation["cv_mean"] = cross_validate(dataset, config).mean
+        per_fold = cross_validate(dataset, config)
+        evaluation["cv_mean"] = float_sum(per_fold) / len(per_fold)
     return MetaModel(
         kind="tree",
         label_attribute=dataset.class_attribute,

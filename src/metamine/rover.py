@@ -189,24 +189,27 @@ class RouteTable:
     The rover only ever observes the cells of greedy_route(world), so what
     a policy does there is fixed before any episode runs. Entry i is the
     move from route[i] to route[i + 1]: the terrain ahead, the policy's
-    action, and that action's slip hazard, None when the action is not a
-    world strategy. Such an entry is an error only when an episode reaches
-    it and takes the policy's action there.
+    action, and that action's slip hazard.
     """
 
     route: tuple[Coord, ...]
     terrains: tuple[str, ...]
     actions: tuple[Any, ...]
-    hazards: tuple[float | None, ...]
+    hazards: tuple[float, ...]
 
 
 def route_table(world: GridWorld, policy: DecisionMaker) -> RouteTable:
     """Ask the policy once per route cell; policy.decide must depend on the
-    observation alone."""
+    observation alone. An action there that is not a world strategy is an
+    error here, before any episode runs; cells off the route are never
+    asked about."""
     route = tuple(greedy_route(world))
     terrains = tuple(world.terrain_at(*cell) for cell in route[1:])
     actions = tuple(policy.decide({TERRAIN_ATTR: t}) for t in terrains)
-    hazards = tuple(world.hazard[(t, a)] if a in world.strategies else None for t, a in zip(terrains, actions))
+    for a in actions:
+        if a not in world.strategies:
+            raise ConsistencyError("UnknownStrategy", f"policy chose {a!r}, not a world strategy")
+    hazards = tuple(world.hazard[(t, a)] for t, a in zip(terrains, actions))
     return RouteTable(route, terrains, actions, hazards)
 
 
@@ -215,10 +218,6 @@ def _step_rewards(rewards: Rewards) -> tuple[float, float, float]:
     one that enters the goal."""
     move = -rewards.step_cost
     return -(rewards.step_cost + rewards.failure_penalty), move, move + rewards.goal_reward
-
-
-def _unknown_strategy(strategy: Any) -> ConsistencyError:
-    return ConsistencyError("UnknownStrategy", f"policy chose {strategy!r}, not a world strategy")
 
 
 def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0) -> list[EpisodeTrace]:
@@ -253,8 +252,8 @@ def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], ex
         reward = arrive if at == last - 1 else move
         moves.append([(world.hazard[(terrain, s)], DecisionRecord(cell, observed, s, OUTCOME_SUCCESS, reward),
                        DecisionRecord(cell, observed, s, OUTCOME_FAILURE, slip)) for s in strategies])
-    # the policy's move per route step, None where its action is no world strategy
-    chosen = [None if h is None else row[strategies.index(a)] for row, a, h in zip(moves, actions, table.hazards)]
+    # the policy's move per route step
+    chosen = [row[strategies.index(a)] for row, a in zip(moves, actions)]
     exploring = explore > 0.0
     rng = Random()
     reseed, random, getrandbits = rng.seed, rng.random, rng.getrandbits
@@ -272,10 +271,7 @@ def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], ex
                     i = getrandbits(k)
                 hazard, success, failure = moves[at][i]
             else:
-                step = chosen[at]
-                if step is None:
-                    raise _unknown_strategy(actions[at])
-                hazard, success, failure = step
+                hazard, success, failure = chosen[at]
             if random() < hazard:
                 append(failure)
             else:
@@ -294,28 +290,22 @@ def rollout(world: GridWorld, tables: Sequence[RouteTable], seeds: Iterable[int]
 
     Step t of an episode takes draw t of its seed's generator under either
     table, so two tables walk each seed in lockstep on one draw per step,
-    from one generator seeded once per episode. An episode that reaches a
-    step without a hazard before its budget runs out is an error: the first
-    table's at the first such seed, the second table's only once the first
-    has walked every seed, as two rollouts in turn would raise them."""
+    from one generator seeded once per episode."""
     slip, move, arrive = _step_rewards(world.rewards)
     max_steps = world.max_steps
-    # per table: its hazards, the step count that reaches the goal, and the first step it cannot take
-    walks = [(t.hazards, len(t.hazards), t.hazards.index(None) if None in t.hazards else len(t.hazards))
-             for t in tables]
     # without a second table, walker b stands at the goal of an empty route and never draws
-    (ha, last_a, bad_a), (hb, last_b, bad_b) = walks + [((), 0, 0)] * (2 - len(walks))
+    ha, hb = [t.hazards for t in tables] + [()] * (2 - len(tables))
+    last_a, last_b = len(ha), len(hb)
     goals_a = goals_b = 0
     sums_a: list[float] = []
     sums_b: list[float] = []
-    b_fails = False
     rng = Random()
     reseed, draw = rng.seed, rng.random
     for seed in seeds:
         reseed(seed)
         a = b = steps = 0
         total_a = total_b = 0.0
-        while a < bad_a and b < bad_b and steps < max_steps:
+        while a < last_a and b < last_b and steps < max_steps:
             steps += 1
             u = draw()
             if u < ha[a]:
@@ -328,32 +318,26 @@ def rollout(world: GridWorld, tables: Sequence[RouteTable], seeds: Iterable[int]
             else:
                 b += 1
                 total_b += arrive if b == last_b else move
-        # a walker that stopped above stopped at this step count; one still on its route walks on alone
-        b_fails |= b == bad_b != last_b and steps < max_steps
-        while a < bad_a and steps < max_steps:
+        # a walker still on its route walks on alone
+        while a < last_a and steps < max_steps:
             steps += 1
             if draw() < ha[a]:
                 total_a += slip
             else:
                 a += 1
                 total_a += arrive if a == last_a else move
-        if a == bad_a != last_a and steps < max_steps:
-            raise _unknown_strategy(tables[0].actions[bad_a])
-        while b < bad_b and steps < max_steps:
+        while b < last_b and steps < max_steps:
             steps += 1
             if draw() < hb[b]:
                 total_b += slip
             else:
                 b += 1
                 total_b += arrive if b == last_b else move
-        b_fails |= b == bad_b != last_b and steps < max_steps
         goals_a += a == last_a
         goals_b += b == last_b
         sums_a.append(total_a)
         sums_b.append(total_b)
-    if b_fails:
-        raise _unknown_strategy(tables[1].actions[bad_b])
-    return [(goals_a, sums_a), (goals_b, sums_b)][:len(walks)]
+    return [(goals_a, sums_a), (goals_b, sums_b)][:len(tables)]
 
 
 def run_episodes(world: GridWorld, policy: DecisionMaker, count: int, master_seed: int,

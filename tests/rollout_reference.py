@@ -5,7 +5,7 @@ reference_rollout is the record-free evaluation walk before it learned to
 walk two route tables in lockstep: one table, and a fresh generator for
 each episode seed. The differential tests hold rover.rollout to it: two
 tables walked together give what two of these walks in turn give, float
-for float, or raise the error that the first of them to fail raises.
+for float.
 
 reference_run_seeded is the traced walk before it learned its per-step
 move table: a fresh generator per seed, Random.choice for an explored
@@ -25,7 +25,6 @@ from metamine.rover import (
     DecisionRecord,
     EpisodeTrace,
     _step_rewards,
-    _unknown_strategy,
     route_table,
 )
 
@@ -34,7 +33,6 @@ def reference_rollout(world, table, seeds):
     """The goal count and per-episode reward sums of one table's episodes."""
     hazards = table.hazards
     last = len(hazards)
-    bad = hazards.index(None) if None in hazards else last
     slip, move, arrive = _step_rewards(world.rewards)
     max_steps = world.max_steps
     goals = 0
@@ -43,7 +41,7 @@ def reference_rollout(world, table, seeds):
         draw = Random(seed).random
         at = steps = 0
         total = 0.0
-        while at < bad and steps < max_steps:
+        while at < last and steps < max_steps:
             steps += 1
             if draw() < hazards[at]:
                 total += slip
@@ -52,8 +50,6 @@ def reference_rollout(world, table, seeds):
                 total += arrive if at == last else move
         if at == last:
             goals += 1
-        elif at == bad and steps < max_steps:
-            raise _unknown_strategy(table.actions[bad])
         sums.append(total)
     return goals, sums
 
@@ -78,8 +74,6 @@ def reference_run_seeded(world, policy, seeds, explore=0.0):
                 hazard = world.hazard[(terrain, strategy)]
             else:
                 strategy, hazard = actions[at], hazards[at]
-                if hazard is None:
-                    raise _unknown_strategy(strategy)
             if rng.random() < hazard:
                 outcome, reward = OUTCOME_FAILURE, slip
             else:

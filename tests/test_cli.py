@@ -18,6 +18,7 @@ from metamine.knowledge import AttributeDef, define_schema, save_schema
 from metamine.mining import MAX_TREE_DEPTH, load_model
 from metamine.policy import load_policy
 from metamine.rover import DecisionRecord, EpisodeTrace, save_traces, save_world, world_schema
+from mining_reference import tree_depth
 
 MINING = {"max_depth": 4, "min_leaf_instances": 5, "min_support": 0.05,
           "min_confidence": 0.55, "cv_folds": 5, "seed": 0}
@@ -414,7 +415,7 @@ class TestPipeline:
         model = workdir / "deep.model.json"
         assert main(["mine", "--data", str(data), "--algo", "tree", "--seed", "1", "--out", str(model),
                      "--config", mining_config(workdir, max_depth=MAX_TREE_DEPTH, cv_folds=2)]) == EXIT_OK
-        assert load_model(model).tree.depth() == MAX_TREE_DEPTH
+        assert tree_depth(load_model(model).tree) == MAX_TREE_DEPTH
         policy = workdir / "deep.policy.json"
         assert main(["compile", "--model", str(model), "--default", "+", "--out", str(policy)]) == EXIT_OK
         assert load_policy(policy).default_action == "+"

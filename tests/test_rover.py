@@ -10,7 +10,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rollout_reference
@@ -24,11 +24,12 @@ from helpers import (
     up_left_world,
     wide_world,
 )
+from metamine.cli import EXIT_OK, EXIT_SCHEMA, main
 from metamine.cycle import evaluate_candidate, run_experiment
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
 from metamine.knowledge import AttributeDef, define_schema, float_sum, format_value
-from metamine.policy import Rule, compile_policy, initial_policy
+from metamine.policy import Rule, compile_policy, initial_policy, save_policy
 from metamine.rover import (
     MAX_STEPS,
     OUTCOME_FAILURE,
@@ -342,16 +343,25 @@ def policies_built_in_tests():
 
 def check_table(world, policy):
     """Each table entry is what the rover observes on that route cell,
-    Policy.decide on that observation, and the world's hazard for it."""
-    table = route_table(world, policy)
+    Policy.decide on that observation, and the world's hazard for it. A
+    policy that decides a non-strategy on some route cell gets no table:
+    the error names the first such action."""
     route = greedy_route(world)
+    terrains = [world.terrain_at(*cell) for cell in route[1:]]
+    actions = [policy.decide({"terrain": terrain}) for terrain in terrains]
+    unknown = [action for action in actions if action not in world.strategies]
+    if unknown:
+        with pytest.raises(ConsistencyError) as err:
+            route_table(world, policy)
+        assert (err.value.code, err.value.message) == ("UnknownStrategy",
+                                                       f"policy chose {unknown[0]!r}, not a world strategy")
+        return
+    table = route_table(world, policy)
     assert table.route == tuple(route)
     assert len(table.terrains) == len(table.actions) == len(table.hazards) == len(route) - 1
-    for i, cell in enumerate(route[1:]):
-        terrain = world.terrain_at(*cell)
-        action = policy.decide({"terrain": terrain})
+    for i, (terrain, action) in enumerate(zip(terrains, actions)):
         assert (table.terrains[i], table.actions[i]) == (terrain, action)
-        assert table.hazards[i] == (world.hazard[(terrain, action)] if action in world.strategies else None)
+        assert table.hazards[i] == world.hazard[(terrain, action)]
 
 
 ACTIONS = st.sampled_from(["FAST", "CAREFUL", "WALK"])
@@ -384,13 +394,9 @@ def outcome_of(call):
 
 @st.composite
 def route_tables(draw, steps):
-    """A route table of steps entries: hazards 0, 1 or any probability,
-    and no hazard at up to two steps, where the action is not a strategy."""
+    """A route table of steps entries with hazards 0, 1 or any probability."""
     hazards = draw(st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=steps, max_size=steps))
-    for step in draw(st.sets(st.integers(0, steps - 1), max_size=2)):
-        hazards[step] = None
-    actions = tuple("FAST" if h is not None else draw(st.sampled_from(["WALK", "RUN"])) for h in hazards)
-    return RouteTable(tuple((x, 0) for x in range(steps + 1)), ("flat",) * steps, actions, tuple(hazards))
+    return RouteTable(tuple((x, 0) for x in range(steps + 1)), ("flat",) * steps, ("FAST",) * steps, tuple(hazards))
 
 
 @st.composite
@@ -448,49 +454,56 @@ class TestRollout:
         for i, j in itertools.permutations(range(len(tables)), 2):
             assert rollout(world, [tables[i], tables[j]], seeds) == [expected[i], expected[j]]
 
-    @pytest.mark.parametrize("max_steps, reaches_bad_cell", [(4, False), (5, True)])
-    def test_unknown_strategy_fails_only_where_an_episode_takes_it(self, max_steps, reaches_bad_cell):
+    @pytest.mark.parametrize("max_steps", [4, 5])
+    def test_unknown_strategy_on_the_route_fails_before_any_episode(self, tmp_path, capsys, max_steps):
         """A safe corridor of four flat cells, then the dune goal, where the
-        policy says WALK: four steps end just before it, the fifth takes it.
-        Beside a second table, the first table's error wins, and the second
-        table's is raised even when the first walks clean."""
+        policy says WALK: four steps end just before that step, the fifth
+        takes it. Either way every entry point refuses the policy when it
+        builds the route table, with one code and message, also when every
+        step would explore."""
         world = uniform_hazard_world(0.0, width=6, height=1, cells=(("flat",) * 5 + ("dune",),), start=(0, 0),
                                      goal=(5, 0), max_steps=max_steps)
-        bad = terrain_policy({"dune": "WALK"}, "FAST")
-        fast_table, walk_table, run_table = (route_table(world, p) for p in (
-            fixed_policy("FAST"), bad, terrain_policy({"dune": "RUN"}, "FAST")))
+        bad, fast = terrain_policy({"dune": "WALK"}, "FAST"), fixed_policy("FAST")
         seeds = list(range(5))
-        assert run_seeded(world, fixed_policy("WALK"), seeds, explore=1.0)  # explored steps never ask the policy
-        runs = {"'WALK'": [lambda: run_seeded(world, bad, seeds),
-                           lambda: evaluate_candidate(world, fixed_policy("FAST"), bad, 5, seed=1),
-                           lambda: rollout(world, [walk_table, fast_table], seeds),
-                           lambda: rollout(world, [fast_table, walk_table], seeds),
-                           lambda: rollout(world, [walk_table, run_table], seeds)],
-                "'RUN'": [lambda: rollout(world, [run_table, walk_table], seeds)]}
-        for chosen, calls in runs.items():
-            for run in calls:
-                if reaches_bad_cell:
-                    with pytest.raises(ConsistencyError) as err:
-                        run()
-                    assert err.value.code == "UnknownStrategy"
-                    assert f"policy chose {chosen}," in str(err.value)
-                else:
-                    run()
-        if not reaches_bad_cell:
-            assert not any(t.reached_goal for t in run_seeded(world, bad, seeds))
-            # the step budget ends where the bad step begins: no table's walk is an error
-            assert rollout(world, [walk_table, run_table], seeds) == rollout(world, [fast_table], seeds) * 2
+        calls = [lambda: run_seeded(world, bad, seeds),
+                 lambda: run_seeded(world, bad, seeds, explore=1.0),
+                 lambda: evaluate_candidate(world, fast, bad, 5, seed=1),
+                 lambda: evaluate_candidate(world, bad, fast, 5, seed=1),
+                 lambda: rollout(world, [route_table(world, bad)], seeds)]
+        for call in calls:
+            with pytest.raises(ConsistencyError) as err:
+                call()
+            assert str(err.value) == "UnknownStrategy: policy chose 'WALK', not a world strategy"
+        save_world(world, tmp_path / "world.json")
+        save_policy(bad, tmp_path / "bad.policy.json")
+        out = tmp_path / "t.csv"
+        assert main(["simulate", "--world", str(tmp_path / "world.json"), "--policy", str(tmp_path / "bad.policy.json"),
+                     "--episodes", "5", "--seed", "1", "--explore", "1", "--out", str(out)]) == EXIT_SCHEMA
+        assert "UnknownStrategy: policy chose 'WALK', not a world strategy" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_non_strategy_action_off_the_route_still_runs(self, tmp_path, capsys):
+        """The policy is asked only at route cells, so WALK on the dune row
+        below the corridor never enters its route table."""
+        world = uniform_hazard_world(0.0, width=6, height=2, cells=(("flat",) * 6, ("dune",) * 6), start=(0, 0),
+                                     goal=(5, 0), max_steps=5)
+        off_route, fast = terrain_policy({"dune": "WALK"}, "FAST"), fixed_policy("FAST")
+        seeds = list(range(5))
+        assert route_table(world, off_route) == route_table(world, fast)
+        assert run_seeded(world, off_route, seeds, 0.5) == run_seeded(world, fast, seeds, 0.5)
+        assert evaluate_candidate(world, fast, off_route, 5, seed=1).delta == 0.0
+        save_world(world, tmp_path / "world.json")
+        save_policy(off_route, tmp_path / "off.policy.json")
+        assert main(["simulate", "--world", str(tmp_path / "world.json"), "--policy", str(tmp_path / "off.policy.json"),
+                     "--episodes", "5", "--seed", "1", "--out", str(tmp_path / "t.csv")]) == EXIT_OK
+        assert "5/5 reached the goal" in capsys.readouterr().out
 
     @settings(deadline=None)
     @given(paired_walks())
-    # the second table fails at seed 1; the first only at seed 0, whose first draw is 0.84, and must win
-    @example((dataclasses.replace(tiny_world(), max_steps=2),
-              RouteTable(((0, 0), (1, 0), (2, 0)), ("flat", "flat"), ("FAST", "WALK"), (0.5, None)),
-              RouteTable(((0, 0), (1, 0), (2, 0)), ("flat", "flat"), ("RUN", "FAST"), (None, 0.0)), [1, 0]))
     def test_paired_walks_match_two_reference_rollouts(self, walk):
         """Two tables walked together give what two one-table walks in turn
-        give, float for float and in repr, or raise the error the first of
-        them to fail raises; one table alone gives its own walk."""
+        give, float for float and in repr; one table alone gives its own
+        walk."""
         world, first, second, seeds = walk
         for tables in ([first], [first, second]):
             in_turn = outcome_of(lambda: [rollout_reference.reference_rollout(world, t, seeds) for t in tables])
