@@ -9,12 +9,16 @@ deploys it only if the performance classifier cross-validates well
 enough and the candidate, merged into the incumbent the way it would be
 deployed, does not lose to the incumbent on paired held-out episodes.
 Rejected cycles leave the incumbent untouched, byte for byte.
+
+A cycle's decision says how far through the six phases it got; each
+number it computed sits in one report field, None where the phase that
+computes it never ran.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Any, Callable
 
 from .errors import ConsistencyError
@@ -36,7 +40,6 @@ from .policy import (
 from .rover import OUTCOME_SUCCESS, EpisodeTrace, GridWorld, rollout, route_table, run_seeded, world_schema
 from .seeds import derive_seed, derive_seeds
 
-PHASES = ("data_understanding", "data_preparation", "modelling", "operationalisation", "evaluation", "deployment")
 DECISIONS = ("deployed", "rejected-accuracy", "rejected-heldout", "insufficient-data")
 MODEL_KINDS = ("tree", "rules", "both")
 
@@ -92,14 +95,6 @@ def cycle_config_from_json(obj: Any) -> CycleConfig:
 
 
 @dataclass(frozen=True)
-class PhaseRecord:
-    phase: str
-    status: str  # completed | skipped
-    reason: str = ""
-    metrics: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
 class EvalResult:
     incumbent_rate: float
     candidate_rate: float
@@ -111,22 +106,21 @@ class EvalResult:
 @dataclass(frozen=True)
 class CycleReport:
     index: int
-    phases: tuple[PhaseRecord, ...]
     decision: str
     reason: str
     pre_policy_id: str
     post_policy_id: str
     dataset_sizes: dict
+    training_goal_rate: float
     # None (or no models) where the phase that computes it never ran
     models: tuple[dict, ...] = ()
     cv_accuracy: float | None = None
+    candidate_rules: int | None = None
     heldout: EvalResult | None = None
 
     def __post_init__(self):
         if self.decision not in DECISIONS:
             raise ConsistencyError("BadDecision", f"unknown gate decision {self.decision!r}")
-        if tuple(p.phase for p in self.phases) != PHASES:
-            raise ConsistencyError("BadPhases", "cycle report must record every phase exactly once, in order")
         if self.decision != "deployed" and self.post_policy_id != self.pre_policy_id:
             raise ConsistencyError("GateViolation", "non-deployed cycle must keep the incumbent policy")
 
@@ -188,16 +182,11 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         raise ConsistencyError("BadIndex", f"cycle_index must be >= 1, got {cycle_index!r}")
     schema = world_schema(world)
     pre_id = policy_id(incumbent)
-    phases: list[PhaseRecord] = []
-    # the optional report fields, each set where the cycle computes it
+    # the report fields past the ids, each set where the cycle computes it
     found: dict[str, Any] = {}
 
-    def completed(**metrics: Any) -> None:
-        phases.append(PhaseRecord(PHASES[len(phases)], "completed", metrics=metrics))
-
     def end(decision: str, reason: str, post: Policy = incumbent, post_id: str = pre_id) -> tuple[Policy, CycleReport]:
-        phases.extend(PhaseRecord(name, "skipped", reason=reason) for name in PHASES[len(phases):])
-        return post, CycleReport(cycle_index, tuple(phases), decision, reason, pre_id, post_id, **found)
+        return post, CycleReport(cycle_index, decision, reason, pre_id, post_id, **found)
 
     # data understanding: run the system and look at what came back
     train_seeds = derive_seeds(config.master_seed, "cycle", cycle_index, "train", n=config.training_episodes)
@@ -208,11 +197,10 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
     perf_dataset = featurise(traces, schema, "outcome-as-class", config.bins)
     decision_rows = sum(count for row, count in perf_dataset.patterns().items() if row[-1] == OUTCOME_SUCCESS)
     found["dataset_sizes"] = {"performance": len(perf_dataset), "decision": decision_rows}
-    completed(goal_rate=sum(t.reached_goal for t in traces) / len(traces))
+    found["training_goal_rate"] = sum(t.reached_goal for t in traces) / len(traces)
 
     # data preparation: the strategy-labeled view of the same traces
     decision_dataset = featurise(traces, schema, "strategy-as-class", config.bins) if decision_rows else None
-    completed()
     if decision_rows == 0:
         return end("insufficient-data", "no successful decisions to learn from")
     if decision_rows == len(perf_dataset):  # some rows succeeded, so one outcome means all did
@@ -230,7 +218,6 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         decision_models.append(fit_rules_model(decision_dataset, config.mining))
     found["models"] = tuple([_model_summary("performance", perf_model)]
                             + [_model_summary("decision", m) for m in decision_models])
-    completed()
 
     # operationalisation: compile the decision models into one candidate
     mined = []
@@ -243,24 +230,21 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         "cycle": cycle_index,
         "sources": [m.kind for m in decision_models],
     })
-    completed(rules=len(candidate.ruleset.rules))
+    found["candidate_rules"] = len(candidate.ruleset.rules)
 
     # evaluation: CV gate first, held-out comparison second
     if cv_mean < config.acceptance.min_cv_accuracy:
-        completed()
         return end("rejected-accuracy", f"performance model cv accuracy {cv_mean:.4f} "
                                         f"below threshold {config.acceptance.min_cv_accuracy}")
     # the gate judges the policy that would ship, not the bare candidate
     deployed = integrate_policies(incumbent, candidate, config.integration_mode)
     found["heldout"] = heldout = evaluate_candidate(world, incumbent, deployed, config.evaluation_episodes,
                                                     derive_seed(config.master_seed, "cycle", cycle_index, "eval"))
-    completed()
     if heldout.delta < config.acceptance.min_heldout_delta:
         return end("rejected-heldout", f"held-out delta {heldout.delta:+.4f} below threshold "
                                        f"{config.acceptance.min_heldout_delta}")
 
     # deployment: hand the integrated policy to the next cycle
-    completed()
     return end("deployed", "both gates passed", deployed, policy_id(deployed))
 
 

@@ -86,3 +86,17 @@ def reference_run_seeded(world, policy, seeds, explore=0.0):
             records.append(rec)
         traces.append(EpisodeTrace(tuple(records), at == last))
     return traces
+
+
+def exact_goal_rate(hazards, max_steps):
+    """The probability that an episode on a route table with these hazards
+    reaches the goal within max_steps steps: a forward pass over (route
+    step, steps used), where step i advances with probability 1 - h_i."""
+    on = [1.0] + [0.0] * len(hazards)  # on[i]: probability of standing on route step i
+    for _ in range(max_steps):
+        nxt = [0.0] * len(hazards) + [on[-1]]
+        for i, h in enumerate(hazards):
+            nxt[i] += on[i] * h
+            nxt[i + 1] += on[i] * (1.0 - h)
+        on = nxt
+    return on[-1]

@@ -223,6 +223,19 @@ def test_boolean_counts_are_schema_errors(valid, kind, path):
         assert code == EXIT_SCHEMA, f"{argv[0]} exited {code}: {err}"
 
 
+@pytest.mark.parametrize("control", ["", 5, None], ids=["empty", "number", "null"])
+def test_a_policy_whose_control_attribute_is_no_name_is_rejected(valid, control):
+    target = valid / "work" / "policy.json"
+    dump(target, mutated(json.loads((valid / FILES["policy"]).read_text()), ("control_attribute",), control))
+    [argv] = invocations("policy", valid, target)
+    trace = argv[argv.index("--out") + 1]
+    trace.unlink(missing_ok=True)
+    code, err = run(*argv)
+    assert code == EXIT_SCHEMA, err
+    assert "BadControlAttribute" in err
+    assert not trace.exists()
+
+
 def run_with_one_file_changed(valid, broken, old, new):
     """Copies the valid inputs to work/, replaces the first old by new in
     the file named broken, and returns the exit code of a run that reads it."""

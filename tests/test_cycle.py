@@ -1,4 +1,4 @@
-"""Gated adaptation cycles: phases, gate decisions, and experiment reports."""
+"""Gated adaptation cycles: gate decisions, cycle reports and experiment reports."""
 
 from dataclasses import asdict
 
@@ -10,13 +10,11 @@ from helpers import fixed_policy, loop_config, striped_world, terrain_policy, ti
 from metamine.cycle import (
     CSV_COLUMNS,
     DECISIONS,
-    PHASES,
     AcceptanceGates,
     CycleConfig,
     CycleReport,
     EvalResult,
     ExperimentReport,
-    PhaseRecord,
     cycle_config_from_json,
     cycles_csv,
     evaluate_candidate,
@@ -134,23 +132,13 @@ class TestEvaluateCandidate:
 
 class TestReportInvariants:
     @staticmethod
-    def minimal(index=1, decision="insufficient-data", pre="aaa", post="aaa", phases=None):
-        if phases is None:
-            phases = tuple(PhaseRecord(p, "skipped", reason="r") for p in PHASES)
-        return CycleReport(index=index, phases=phases, decision=decision, reason="r",
-                           pre_policy_id=pre, post_policy_id=post, dataset_sizes={}, models=(),
-                           cv_accuracy=None, heldout=None)
+    def minimal(index=1, decision="insufficient-data", pre="aaa", post="aaa"):
+        return CycleReport(index=index, decision=decision, reason="r", pre_policy_id=pre, post_policy_id=post,
+                           dataset_sizes={}, training_goal_rate=0.5)
 
     def test_unknown_decision_rejected(self):
         with pytest.raises(ConsistencyError):
             self.minimal(decision="maybe")
-
-    def test_phases_must_be_complete_and_ordered(self):
-        with pytest.raises(ConsistencyError) as err:
-            self.minimal(phases=tuple(PhaseRecord(p, "skipped") for p in reversed(PHASES)))
-        assert err.value.code == "BadPhases"
-        with pytest.raises(ConsistencyError):
-            self.minimal(phases=tuple(PhaseRecord(p, "skipped") for p in PHASES[:-1]))
 
     def test_non_deployed_cycle_may_not_change_the_policy(self):
         with pytest.raises(ConsistencyError) as err:
@@ -164,15 +152,6 @@ class TestReportInvariants:
             ExperimentReport(config, {}, (self.minimal(index=2),), policy)
 
 
-# What each phase records beyond the report's own fields: the goal rate of
-# the training episodes and the candidate's rule count. Every other number
-# lives in one report field (dataset_sizes, models, cv_accuracy, heldout,
-# post_policy_id) or in the config.
-PHASE_METRIC_KEYS = {
-    "data_understanding": {"goal_rate"},
-    "operationalisation": {"rules"},
-}
-
 # one first cycle per gate decision: (world, config, decision)
 EACH_DECISION = [
     pytest.param(striped_world, loop_config(5), "deployed", id="deployed"),
@@ -185,23 +164,34 @@ EACH_DECISION = [
 ]
 
 
-class TestPhaseMetrics:
+class TestCycleFacts:
     @pytest.mark.parametrize("make_world, config, decision", EACH_DECISION)
-    def test_each_phase_records_only_what_no_other_field_holds(self, make_world, config, decision):
+    def test_goal_rate_always_set_and_rule_count_once_operationalised(self, monkeypatch, make_world, config,
+                                                                     decision):
+        """The training goal rate is set on every decision; the candidate's
+        rule count is None exactly where the cycle stopped before
+        operationalisation (insufficient data)."""
+        compiled = []
+        real = metamine.cycle.compile_policy
+        monkeypatch.setattr(metamine.cycle, "compile_policy",
+                            lambda *args, **kwargs: compiled.append(real(*args, **kwargs)) or compiled[-1])
+        traces = []
         world = make_world()
-        _, report = run_cycle(world, start_policy(world), config, 1)
+        _, report = run_cycle(world, start_policy(world), config, 1, trace_sink=lambda _, t: traces.extend(t))
         assert report.decision == decision
-        for p in report.phases:
-            expected = PHASE_METRIC_KEYS.get(p.phase, set()) if p.status == "completed" else set()
-            assert set(p.metrics) == expected, p.phase
+        assert report.training_goal_rate == sum(t.reached_goal for t in traces) / len(traces)
+        if decision == "insufficient-data":
+            assert compiled == [] and report.candidate_rules is None
+        else:
+            [candidate] = compiled
+            assert report.candidate_rules == len(candidate.ruleset.rules) > 0
 
-    def test_phase_metrics_hold_the_goal_rate_and_the_candidates_rule_count(self):
+    def test_a_replacing_deployment_ships_the_candidates_rules(self):
         world = striped_world()
         deployed, report = run_cycle(world, start_policy(world), loop_config(5, integration_mode="replace"), 1)
         assert report.decision == "deployed"
-        metrics = {p.phase: p.metrics for p in report.phases}
-        assert metrics["operationalisation"] == {"rules": len(deployed.ruleset.rules)}
-        assert 0.0 < metrics["data_understanding"]["goal_rate"] < 1.0
+        assert report.candidate_rules == len(deployed.ruleset.rules)
+        assert 0.0 < report.training_goal_rate < 1.0
 
 
 class TestPolicyHashes:
@@ -242,8 +232,7 @@ class TestRunCycleDeployed:
         next_policy, report = run_cycle(world, incumbent, loop_config(5), 1)
         assert report.decision == "deployed"
         assert report.reason == "both gates passed"
-        assert [p.phase for p in report.phases] == list(PHASES)
-        assert all(p.status == "completed" for p in report.phases)
+        assert report.candidate_rules > 0
         assert report.pre_policy_id == policy_id(incumbent)
         assert report.post_policy_id == policy_id(next_policy) != report.pre_policy_id
         assert report.cv_accuracy >= 0.65
@@ -302,10 +291,7 @@ class TestRunCycleRejections:
         assert report.heldout is None
         assert report.cv_accuracy < 1.0
         assert f"cv accuracy {report.cv_accuracy:.4f}" in report.reason
-        statuses = {p.phase: p.status for p in report.phases}
-        assert statuses["operationalisation"] == "completed"
-        assert statuses["evaluation"] == "completed"
-        assert statuses["deployment"] == "skipped"
+        assert report.candidate_rules > 0
 
     def test_unreachable_delta_gate_rejects_on_heldout(self):
         world = striped_world()
@@ -316,7 +302,7 @@ class TestRunCycleRejections:
         assert next_policy == incumbent
         assert report.post_policy_id == report.pre_policy_id
         assert report.heldout is not None and report.heldout.delta < 1.0
-        assert {p.phase: p.status for p in report.phases}["deployment"] == "skipped"
+        assert report.candidate_rules > 0
 
 
 class TestRunCycleInsufficientData:
@@ -329,10 +315,8 @@ class TestRunCycleInsufficientData:
         assert next_policy == incumbent
         assert report.post_policy_id == report.pre_policy_id
         assert report.models == () and report.cv_accuracy is None
-        statuses = {p.phase: p.status for p in report.phases}
-        assert statuses["data_understanding"] == "completed"
-        assert statuses["modelling"] == "skipped"
-        assert statuses["deployment"] == "skipped"
+        assert report.training_goal_rate == 1.0
+        assert report.candidate_rules is None and report.heldout is None
 
     def test_uniform_failure_leaves_no_decisions_to_imitate(self):
         world = uniform_hazard_world(1.0)
@@ -441,10 +425,9 @@ class TestCyclesCsv:
 
     @staticmethod
     def one_cycle(decision, cv_accuracy=None, heldout=None, size=12):
-        cycle = CycleReport(index=1, phases=tuple(PhaseRecord(p, "skipped", reason="r") for p in PHASES),
-                            decision=decision, reason="r", pre_policy_id="aaa",
+        cycle = CycleReport(index=1, decision=decision, reason="r", pre_policy_id="aaa",
                             post_policy_id="bbb" if decision == "deployed" else "aaa",
-                            dataset_sizes={"performance": size, "decision": 0},
+                            dataset_sizes={"performance": size, "decision": 0}, training_goal_rate=0.5,
                             cv_accuracy=cv_accuracy, heldout=heldout)
         return ExperimentReport(loop_config(1), {}, (cycle,), start_policy(striped_world()))
 

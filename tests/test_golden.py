@@ -24,7 +24,7 @@ from metamine.rover import run_episodes, save_traces, save_world, world_schema
 LOOP_DIGESTS = {
     "override": {
         "cycles.csv": "dc7adbe3ee5bc5c18063704407ea2a904daf73ae73c7de218aa7b8d8f20afde6",
-        "experiment.json": "a44488aa9fbe476653461468f9637af6282425e21cc9c4a41ecce507dc9ed5b7",
+        "experiment.json": "cfe4e81dde0727234489da0b4e7750f43cc1df5ca755b9f99fe6c92a20afa4cc",
         "final.policy.json": "d14898a66a068b7e5912034485a8e4411e31f81651b60551268ebe5562dac623",
         "schema.json": "765596400aae1e63f0979730fd3ac8552b58c70f0fe6d25a709ddec928afb2db",
         "traces/cycle_01.csv": "90ed8b13ed2789ce3a9b3599945030db79908112dbd25b74288ac312932e75d9",
@@ -33,7 +33,7 @@ LOOP_DIGESTS = {
     },
     "append": {
         "cycles.csv": "dc7adbe3ee5bc5c18063704407ea2a904daf73ae73c7de218aa7b8d8f20afde6",
-        "experiment.json": "001a1148be6898f9229d6f8d3432ef6f3dfd1a572815772b51f1c0450e254c9d",
+        "experiment.json": "b189cbcfc8b479498d27e9a131aef79ed1112bd3653174734f599fd0e22ba2a2",
         "final.policy.json": "b80701457efd6665734cffb5da624fac5c7d5369cc4a3e90b7887e7ca64f8539",
         "schema.json": "765596400aae1e63f0979730fd3ac8552b58c70f0fe6d25a709ddec928afb2db",
         "traces/cycle_01.csv": "90ed8b13ed2789ce3a9b3599945030db79908112dbd25b74288ac312932e75d9",

@@ -53,6 +53,7 @@ from metamine.rover import (
     world_schema,
     world_to_json,
 )
+from metamine.seeds import derive_seeds
 
 
 class TestWorldValidation:
@@ -410,10 +411,10 @@ def paired_walks(draw):
 
 
 @st.composite
-def seeded_runs(draw):
+def worlds_and_policies(draw, non_strategies=()):
     """A world of 1-5 strategies (so the uniform strategy draw sometimes
-    draws again) on a small grid, a terrain policy whose action may be no
-    world strategy, an exploration rate and seeds."""
+    draws again) on a small grid, and a terrain policy over its strategies
+    and non_strategies."""
     strategies = tuple(f"S{i}" for i in range(draw(st.integers(1, 5))))
     terrains = ("flat", "dune", "ice")[:draw(st.integers(1, 3))]
     width, height = draw(st.integers(2, 6)), draw(st.integers(1, 4))
@@ -425,8 +426,15 @@ def seeded_runs(draw):
     rewards = draw(st.sampled_from([Rewards(), Rewards(0.1, 0.7, 3.3)]))
     world = GridWorld(width, height, terrains, cells, start, goal, strategies, hazard, rewards,
                       draw(st.integers(1, 40)))
-    actions = st.sampled_from(strategies + ("WALK",))
-    policy = terrain_policy(draw(st.dictionaries(st.sampled_from(terrains), actions)), draw(actions))
+    actions = st.sampled_from(strategies + non_strategies)
+    return world, terrain_policy(draw(st.dictionaries(st.sampled_from(terrains), actions)), draw(actions))
+
+
+@st.composite
+def seeded_runs(draw):
+    """A small world, a terrain policy whose action may be no world strategy,
+    an exploration rate and seeds."""
+    world, policy = draw(worlds_and_policies(("WALK",)))
     seeds = draw(st.lists(st.integers(0, 4) | st.integers(0, 2**64 - 1), max_size=12))
     return world, policy, seeds, draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
 
@@ -508,6 +516,25 @@ class TestRollout:
         for tables in ([first], [first, second]):
             in_turn = outcome_of(lambda: [rollout_reference.reference_rollout(world, t, seeds) for t in tables])
             assert outcome_of(lambda: rollout(world, tables, seeds)) == in_turn
+
+    @staticmethod
+    def goals_near_the_exact_rate(world, policy, n, seed):
+        """rollout's goal count over n derived seeds lies within six binomial
+        standard deviations (plus one) of n times the exact goal rate."""
+        table = route_table(world, policy)
+        p = rollout_reference.exact_goal_rate(table.hazards, world.max_steps)
+        [(goals, _)] = rollout(world, [table], derive_seeds(seed, n=n))
+        assert abs(goals - n * p) <= 6 * math.sqrt(n * p * (1 - p)) + 1, (goals, n * p)
+        return p
+
+    @settings(deadline=None)
+    @given(worlds_and_policies(), st.integers(0, 2**32))
+    def test_goal_count_matches_the_exact_goal_rate(self, world_and_policy, seed):
+        self.goals_near_the_exact_rate(*world_and_policy, 2000, seed)
+
+    def test_the_initial_policys_exact_goal_rate_on_the_striped_world(self):
+        world = striped_world()
+        assert round(self.goals_near_the_exact_rate(world, initial_policy(world_schema(world)), 4000, 0), 5) == 0.45105
 
 
 class TestWorldSchema:
