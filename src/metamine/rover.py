@@ -466,7 +466,10 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     as csv reads it when split at its first two commas, so the rest of
     its line decides its record and reached_goal: each distinct rest is
     parsed once. Any other row, and a rest seen for the first time, goes
-    through csv."""
+    through csv. A row that repeats the episode cell text of a plain row
+    just read, whose epoch cell is the next epoch in canonical decimal and
+    whose rest is known with its episode's reached_goal, passes every check
+    as it stands, so it takes its record without parsing a cell."""
     world_defs = schema.scoped("world")
     strategy_def = schema.class_def
     outcome_def = schema.attribute(OUTCOME_ATTR) if OUTCOME_ATTR in schema else OUTCOME_DEF
@@ -476,14 +479,23 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     shared: dict[tuple[str, ...], DecisionRecord] = {}
     # a one-line row's text after its epoch cell -> its (record, reached_goal)
     known: dict[str, tuple[DecisionRecord, bool]] = {}
-    current = None
+    # at: the episode cell text of the last row read, if it was plain and whole;
+    # epochs[n] is str(n), and one None ends the table
+    current = at = None
+    epochs: list[str | None] = [None]
     with open_table(path, _trace_header(schema)) as (rows, cells):
         for line, text in rows:
             lead = text.split(",", 2)
+            # a known rest holds commas, so a row whose last part is one has all three
+            parsed = known.get(lead[-1])
+            if parsed is not None and lead[0] == at and lead[1] == epochs[len(records)] and parsed[1] == first_reached:
+                records.append(parsed[0])
+                continue
             # decimal digits, which csv reads as they are and int() always takes, and short
             # enough that csv's field size limit cannot refuse them
             plain = len(lead) == 3 and lead[0].isdecimal() and lead[1].isdecimal() and len(lead[0]) + len(lead[1]) < 40
-            parsed = known.get(lead[2]) if plain else None
+            if not plain:
+                parsed = None
             row, whole = cells(line, text) if parsed is None else (lead, True)
             try:
                 episode, epoch = int(row[0]), int(row[1])
@@ -513,4 +525,7 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
             except (InputFormatError, SchemaError) as exc:
                 raise located(exc, path, line) from exc
             records.append(rec)
+            at = lead[0] if plain and whole else None
+            while at is not None and len(epochs) < len(records) + 2:
+                epochs.insert(-1, str(len(epochs) - 1))
     return [EpisodeTrace(tuple(records), reached) for _, (records, reached) in sorted(episodes.items())]

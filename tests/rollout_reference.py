@@ -91,7 +91,10 @@ def reference_run_seeded(world, policy, seeds, explore=0.0):
 def exact_goal_rate(hazards, max_steps):
     """The probability that an episode on a route table with these hazards
     reaches the goal within max_steps steps: a forward pass over (route
-    step, steps used), where step i advances with probability 1 - h_i."""
+    step, steps used), where step i advances with probability 1 - h_i.
+    Its terms are never negative, but rounding can carry their sum a few
+    ulps past 1 (hazards 0.2730387849845744 on two steps, in 31 steps, give
+    1.0000000000000002), so the result is capped at 1."""
     on = [1.0] + [0.0] * len(hazards)  # on[i]: probability of standing on route step i
     for _ in range(max_steps):
         nxt = [0.0] * len(hazards) + [on[-1]]
@@ -99,4 +102,4 @@ def exact_goal_rate(hazards, max_steps):
             nxt[i] += on[i] * h
             nxt[i + 1] += on[i] * (1.0 - h)
         on = nxt
-    return on[-1]
+    return min(on[-1], 1.0)

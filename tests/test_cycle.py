@@ -6,6 +6,7 @@ import pytest
 
 import metamine.cycle
 import metamine.policy
+import rollout_reference
 from helpers import fixed_policy, loop_config, striped_world, terrain_policy, tiny_world, uniform_hazard_world
 from metamine.cycle import (
     CSV_COLUMNS,
@@ -28,7 +29,7 @@ from metamine.introspection import MAX_BINS
 from metamine.jsonio import canonical_dumps
 from metamine.mining import MiningConfig
 from metamine.policy import initial_policy, policy_id, policy_to_json
-from metamine.rover import GridWorld, Rewards, world_schema
+from metamine.rover import GridWorld, Rewards, route_table, world_schema
 from metamine.seeds import derive_seed
 
 
@@ -223,6 +224,29 @@ class TestPolicyHashedOnce:
         assert len(hashed) == 4
         assert [blob["baseline"]["policy"]] + [c["post_policy_id"] for c in blob["cycles"]] == [
             real(obj) for obj in hashed]
+
+
+class TestDeployedExactRate:
+    @pytest.mark.parametrize("mode", ["override", "append"])
+    def test_no_deploy_lowers_the_exact_goal_rate(self, mode):
+        """Over master seeds 1-5 and 3 cycles of the frozen loop config (the
+        bench's loop_config.json) on the striped world, every deployed
+        policy's exact goal rate, the route DP on its route table's hazards,
+        is at least its incumbent's."""
+        world = striped_world()
+
+        def exact(policy):
+            return rollout_reference.exact_goal_rate(route_table(world, policy).hazards, world.max_steps)
+
+        deltas = []
+        for master in range(1, 6):
+            policy = start_policy(world)
+            for index in range(1, 4):
+                deployed, report = run_cycle(world, policy, loop_config(master, integration_mode=mode), index)
+                if report.decision == "deployed":
+                    deltas.append(exact(deployed) - exact(policy))
+                policy = deployed
+        assert deltas and min(deltas) >= 0.0, deltas
 
 
 class TestRunCycleDeployed:

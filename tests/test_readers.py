@@ -5,7 +5,9 @@ the same error class and exact message.
 The generated files mix what a reader can meet: quoted cells, quoted
 leading cells, cells that span lines, blank lines, NUL bytes, LF, CR and
 CRLF line ends, a missing final newline, rows repeated verbatim, stray
-quotes, commas and line breaks, and bytes that are not UTF-8.
+quotes, commas and line breaks, and bytes that are not UTF-8. Trace files
+also mix numbers with leading zeros, episodes that come back after another,
+and rows whose reached_goal differs from their episode's.
 """
 
 from __future__ import annotations
@@ -33,7 +35,8 @@ DATASET = Dataset((AttributeDef("terrain", "categorical", "world", TERRAINS), At
 DATASET_HEADER = ["terrain", "wet", "strategy"]
 
 # Cells that are not what the writers write; most fail a check.
-ODD = ["", " 0", '"0"', "0\0", "-0", "٣", "0" * 45, "x", "1.5", "nan", "inf", "mud", "WALK", "yes", "9", "a\rb", "a\nb"]
+ODD = ["", " 0", '"0"', "0\0", "-0", "00", "01", "007", "٣", "0" * 45, "x", "1.5", "nan", "inf", "mud", "WALK", "yes",
+       "9", "a\rb", "a\nb"]
 
 
 def quoted(cell: str, style: str) -> str:
@@ -81,14 +84,25 @@ def table_text(draw, header, rows):
 
 @st.composite
 def trace_rows(draw):
-    rows = []
-    for episode in range(draw(st.integers(0, 3))):
-        reached = draw(st.sampled_from(["true", "false"]))
-        for epoch in range(draw(st.integers(1, 6))):
-            rows.append([str(episode), str(epoch), draw(st.sampled_from("012")), "0", draw(st.sampled_from(TERRAINS)),
-                         draw(st.sampled_from(["0", "1.5", "-8"])), draw(st.sampled_from(STRATEGIES)),
-                         draw(st.sampled_from(["success", "failure"])), draw(st.sampled_from(["-1.0", "-3.0"])),
-                         reached])
+    """Runs of 1-12 rows, each going on with its episode at the next epoch,
+    so epochs reach two digits and an episode may come back after another.
+    A row's cells after its epoch come from a few drawn rests, so most rows
+    repeat an earlier row's; about one row in twelve flips its episode's
+    reached_goal."""
+    rests = draw(st.lists(st.tuples(st.sampled_from("012"), st.sampled_from(TERRAINS),
+                                    st.sampled_from(["0", "1.5", "-8"]), st.sampled_from(STRATEGIES),
+                                    st.sampled_from(["success", "failure"]), st.sampled_from(["-1.0", "-3.0"])),
+                          min_size=1, max_size=4))
+    reached, length, rows = {}, {}, []
+    for episode in draw(st.lists(st.integers(0, 3), max_size=4)):
+        reached.setdefault(episode, draw(st.booleans()))
+        first = length.get(episode, 0)
+        length[episode] = first + draw(st.integers(1, 12))
+        for epoch in range(first, length[episode]):
+            x, terrain, slope, strategy, result, reward = draw(st.sampled_from(rests))
+            flag = reached[episode] != draw(rarely(12))
+            rows.append([str(episode), str(epoch), x, "0", terrain, slope, strategy, result, reward,
+                         "true" if flag else "false"])
     return rows
 
 
@@ -131,6 +145,8 @@ def test_load_dataset_reads_as_a_record_by_record_csv_reader(data):
 
 
 ROW = "0,{},1,0,plain,0,FAST,success,-1.0,false"
+# episode 1 reaches the goal, so its rest differs from episode 0's only in reached_goal
+ROW_1 = "1,{},1,0,plain,0,FAST,success,-1.0,true"
 
 
 @pytest.mark.parametrize("rows", [
@@ -142,7 +158,17 @@ ROW = "0,{},1,0,plain,0,FAST,success,-1.0,false"
     [ROW.format(0), "", ROW.format(1)],
     [ROW.format(0), "0" * 45 + ",1,1,0,plain,0,FAST,success,-1.0,false"],
     [ROW.format(0), "0" * 131073 + ",1,1,0,plain,0,FAST,success,-1.0,false"],  # beyond csv's field size limit
+    [ROW.format(0), "0,01,1,0,plain,0,FAST,success,-1.0,false", ROW.format(2)],
+    [ROW.format(0), ROW.format(1), "00,2,1,0,plain,0,FAST,success,-1.0,false", ROW.format(3)],
+    [ROW_1.format(0), ROW.format(0), ROW.format(1).replace("false", "true")],
+    [ROW.format(0), ROW.format(2)],
+    [ROW.format(0), ROW_1.format(0), ROW.format(1), ROW_1.format(1)],
 ], ids=["nul-episode", "quoted-leading-cells", "bad-row-after-multi-line", "repeated-row", "open-quote-at-end",
-        "blank-line", "long-episode", "episode-beyond-the-field-limit"])
+        "blank-line", "long-episode", "episode-beyond-the-field-limit", "epoch-01", "episode-00-mid-episode",
+        "reached-flips-to-a-known-rest", "known-rest-at-a-skipped-epoch", "episode-revisited-at-its-next-epoch"])
 def test_trace_rows_read_as_a_record_by_record_csv_reader(rows):
     assert_traces_read_alike(("\r\n".join([",".join(TRACE_HEADER)] + rows) + "\r\n").encode("utf-8"))
+
+
+def test_a_last_row_that_is_a_known_rest_without_its_line_end_reads_as_a_record_by_record_csv_reader():
+    assert_traces_read_alike(("\r\n".join([",".join(TRACE_HEADER), ROW.format(0), ROW.format(1)])).encode("utf-8"))

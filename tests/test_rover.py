@@ -10,7 +10,7 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rollout_reference
@@ -529,6 +529,13 @@ class TestRollout:
 
     @settings(deadline=None)
     @given(worlds_and_policies(), st.integers(0, 2**32))
+    # worlds whose exact rate rounds to 1.0000000000000002, which made the binomial variance negative
+    @example((GridWorld(3, 2, ("flat",), (("flat",) * 3,) * 2, (0, 0), (2, 0), ("S0", "S1"),
+                        {("flat", "S0"): 0.0, ("flat", "S1"): 0.2730387849845744}, max_steps=31),
+              terrain_policy({}, "S1")), 0)
+    @example((GridWorld(2, 1, ("flat",), (("flat",) * 2,), (0, 0), (1, 0), ("S0", "S1"),
+                        {("flat", "S0"): 0.0, ("flat", "S1"): 0.16368703698503143}, max_steps=21),
+              terrain_policy({}, "S1")), 0)
     def test_goal_count_matches_the_exact_goal_rate(self, world_and_policy, seed):
         self.goals_near_the_exact_rate(*world_and_policy, 2000, seed)
 
