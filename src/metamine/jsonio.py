@@ -6,9 +6,10 @@ objects serialize to identical bytes: sorted keys, two-space indent,
 UTF-8 text, no NaN/Infinity, one trailing newline.
 
 CSV files (traces, datasets) are read through open_table, which checks
-the file and its header and hands out each record's text, for the
-readers to parse with csv (and check its width) once per distinct line;
-the cells themselves are parsed by the attribute codec in knowledge.
+the file and its header and hands out each record's first line as bytes,
+for the readers to look up as they stand and to decode and parse with csv
+(checking its width) once per distinct line; the cells themselves are
+parsed by the attribute codec in knowledge.
 
 Every reader checks shape here: objects are objects, lists are lists and
 names, values and labels are JSON atoms. Types and ranges of the values
@@ -18,13 +19,16 @@ fields double as the table of keys a record may carry (see decode).
 
 from __future__ import annotations
 
+import codecs
 import csv
 import dataclasses
 import hashlib
+import io
 import itertools
 import json
 import math
 from contextlib import contextmanager
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
@@ -71,37 +75,78 @@ def read_json(path: str | Path) -> Any:
 # ended with \r\n: writerow returns what its file's write returns.
 csv_record: Callable[[Iterable], str] = csv.writer(SimpleNamespace(write=str)).writerow
 
-Cells = Callable[[int, str], tuple[list[str], bool]]
+Cells = Callable[[int, bytes], tuple[list[str], bool]]
+
+# Bytes per read of a CSV file.
+BLOCK_SIZE = 1 << 16
+
+
+def _is_utf8(fh) -> bool:
+    """Whether a seekable binary file decodes as UTF-8; it is left at its start."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    try:
+        for block in iter(partial(fh.read, BLOCK_SIZE), b""):
+            decoder.decode(block)
+        decoder.decode(b"", True)
+    except UnicodeDecodeError:
+        return False
+    finally:
+        fh.seek(0)
+    return True
+
+
+def _line_blocks(fh) -> Iterator[list[bytes]]:
+    """The lines of a binary file, block by block, ended at LF, CRLF or CR
+    as text mode with newline="" ends them. A block's last line goes on
+    into the next block unless it ends in LF (a CR may be half a CRLF),
+    and a line longer than a block makes the next read as long as it, so
+    a file without line ends is still read in linear time."""
+    carry = b""
+    while block := fh.read(max(BLOCK_SIZE, len(carry))):
+        lines = (carry + block).splitlines(True)
+        carry = b"" if lines[-1].endswith(b"\n") else lines.pop()
+        yield lines
+    if carry:
+        yield [carry]
 
 
 @contextmanager
-def open_table(path: str | Path, header: list[str]) -> Iterator[tuple[Iterator[tuple[int, str]], Cells]]:
+def open_table(path: str | Path, header: list[str]) -> Iterator[tuple[Iterator[bytes], Cells]]:
     """Open a UTF-8 CSV file whose first record is header, as (rows, cells).
 
-    rows yields (line, text) per data record: line is its record number,
-    for located() to put in an error message, and text its first physical
-    line. cells(line, text) parses the record, taking the further lines of
-    a quoted cell that spans lines from the file, checks its cell count
-    and returns (its cells, whether text was the whole record): equal
-    whole-record texts parse alike. The file closes when the block ends;
-    one that cannot be read or decoded is an UnreadableFile.
+    rows yields the first physical line of each data record, as bytes with
+    its line end. cells(line, raw) decodes and parses the record, taking
+    the further lines of a quoted cell that spans lines from the file,
+    checks its cell count and returns (its cells, whether raw was the whole
+    record): equal whole-record lines parse alike. line is the record
+    number for the error message, 2 plus the rows read before it.
+
+    A file that is UTF-8 throughout, checked block by block before any
+    line is handed out, is split in blocks as bytes; any other, and a pipe,
+    goes through the text-mode reader, each line encoded again, so a decode
+    error reads and fires as a text reader's does. The file closes when the
+    block ends; one that cannot be read or decoded is an UnreadableFile.
     """
     name = str(path)
     width = len(header)
 
-    def cells(line: int, text: str) -> tuple[list[str], bool]:
-        reader = csv.reader(itertools.chain((text,), fh))
+    def cells(line: int, raw: bytes) -> tuple[list[str], bool]:
+        reader = csv.reader(itertools.chain((raw.decode(),), map(bytes.decode, lines)))
         row = next(reader)
         if len(row) != width:
             raise InputFormatError("BadRow", f"{name} line {line}: expected {width} cells, got {len(row)}")
         return row, reader.line_num == 1
 
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            first = next(csv.reader(fh), None)
+        with open(path, "rb") as fh:
+            # a pipe cannot be read twice, so it goes through the text reader
+            utf8 = fh.seekable() and _is_utf8(fh)
+            lines = (itertools.chain.from_iterable(_line_blocks(fh)) if utf8
+                     else map(str.encode, io.TextIOWrapper(fh, encoding="utf-8", newline="")))
+            first = next(csv.reader(map(bytes.decode, lines)), None)
             if first != header:
                 raise InputFormatError("BadHeader", f"{name}: expected columns {header}, got {first or 'nothing'}")
-            yield zip(itertools.count(2), fh), cells
+            yield lines, cells
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputFormatError("UnreadableFile", f"cannot read {name}: {exc}") from exc
 

@@ -462,14 +462,15 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     episode, and each episode's epochs run 0..n-1. Rows whose cells from
     x to reward read the same share one record.
 
-    A row whose episode and epoch cells are a few decimal digits reads
-    as csv reads it when split at its first two commas, so the rest of
-    its line decides its record and reached_goal: each distinct rest is
-    parsed once. Any other row, and a rest seen for the first time, goes
-    through csv. A row that repeats the episode cell text of a plain row
-    just read, whose epoch cell is the next epoch in canonical decimal and
-    whose rest is known with its episode's reached_goal, passes every check
-    as it stands, so it takes its record without parsing a cell."""
+    A row whose episode cell is a few ASCII digits reads as csv reads it
+    when split at its first comma, so the rest of its line, from the epoch
+    cell on, decides its epoch, record and reached_goal: each distinct
+    rest is parsed once (about 1,300 of them in a 67k-row trace), and a
+    row with a known rest takes all three without parsing a cell. Any
+    other row, and a rest seen for the first time, goes through csv. A
+    known row that repeats the episode cell bytes of the plain row just
+    read, at the epoch and reached_goal that episode expects next, passes
+    every check as it stands and only appends its record."""
     world_defs = schema.scoped("world")
     strategy_def = schema.class_def
     outcome_def = schema.attribute(OUTCOME_ATTR) if OUTCOME_ATTR in schema else OUTCOME_DEF
@@ -477,29 +478,30 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     episodes: dict[int, tuple[list[DecisionRecord], bool]] = {}
     # the cell texts from x to reward -> their record; equal text parses to an equal value
     shared: dict[tuple[str, ...], DecisionRecord] = {}
-    # a one-line row's text after its epoch cell -> its (record, reached_goal)
-    known: dict[str, tuple[DecisionRecord, bool]] = {}
-    # at: the episode cell text of the last row read, if it was plain and whole;
-    # epochs[n] is str(n), and one None ends the table
+    # a one-line row's bytes after its episode cell -> its (record, reached_goal, epoch)
+    known: dict[bytes, tuple[DecisionRecord, bool, int]] = {}
+    # at: the episode cell of the last row read, if it was plain; records: that
+    # row's episode, and offset + len(records) the next row's record number
     current = at = None
-    epochs: list[str | None] = [None]
+    records: list[DecisionRecord] = []
+    offset = 2
     with open_table(path, _trace_header(schema)) as (rows, cells):
-        for line, text in rows:
-            lead = text.split(",", 2)
-            # a known rest holds commas, so a row whose last part is one has all three
-            parsed = known.get(lead[-1])
-            if parsed is not None and lead[0] == at and lead[1] == epochs[len(records)] and parsed[1] == first_reached:
+        for raw in rows:
+            lead, _, rest = raw.partition(b",")
+            parsed = known.get(rest)
+            if parsed is not None and lead == at and parsed[2] == len(records) and parsed[1] == first_reached:
                 records.append(parsed[0])
                 continue
-            # decimal digits, which csv reads as they are and int() always takes, and short
+            # ASCII digits, which csv reads as they are and int() always takes, and short
             # enough that csv's field size limit cannot refuse them
-            plain = len(lead) == 3 and lead[0].isdecimal() and lead[1].isdecimal() and len(lead[0]) + len(lead[1]) < 40
-            if not plain:
-                parsed = None
-            row, whole = cells(line, text) if parsed is None else (lead, True)
-            try:
-                episode, epoch = int(row[0]), int(row[1])
-                if parsed is None:
+            plain = lead.isdigit() and len(lead) < 40
+            line = offset + len(records)
+            if parsed is not None and plain:
+                episode, (rec, reached, epoch) = int(lead), parsed
+            else:
+                row, whole = cells(line, raw)
+                try:
+                    episode, epoch = int(row[0]), int(row[1])
                     key = tuple(row[2:base + 3])
                     rec = shared.get(key)
                     if rec is None:
@@ -508,24 +510,24 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
                         rec = shared[key] = DecisionRecord(cell, observed, strategy_def.parse(row[base]),
                                                            outcome_def.parse(row[base + 1]),
                                                            REWARD_DEF.parse(row[base + 2]))
-                    parsed = rec, REACHED_DEF.parse(row[base + 3])
-                    if plain and whole:
-                        known[lead[2]] = parsed
-                rec, reached = parsed
-                if episode != current:
-                    current = episode
-                    records, first_reached = episodes.setdefault(episode, ([], reached))
-                if first_reached != reached:
-                    raise InputFormatError("BadTrace", f"reached_goal changes within episode {episode}")
-                if epoch != len(records):
-                    raise InputFormatError("BadTrace", f"episode {episode} has epoch {epoch} where "
-                                                       f"{len(records)} comes next")
-            except ValueError as exc:
-                raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
-            except (InputFormatError, SchemaError) as exc:
-                raise located(exc, path, line) from exc
+                    reached = REACHED_DEF.parse(row[base + 3])
+                except ValueError as exc:
+                    raise located(InputFormatError("BadRow", str(exc)), path, line) from exc
+                except (InputFormatError, SchemaError) as exc:
+                    raise located(exc, path, line) from exc
+                if plain and whole:
+                    known[rest] = rec, reached, epoch
+            if episode != current:
+                offset += len(records)
+                current = episode
+                records, first_reached = episodes.setdefault(episode, ([], reached))
+                offset -= len(records)
+            if first_reached != reached:
+                error = f"reached_goal changes within episode {episode}"
+                raise located(InputFormatError("BadTrace", error), path, line)
+            if epoch != len(records):
+                error = f"episode {episode} has epoch {epoch} where {len(records)} comes next"
+                raise located(InputFormatError("BadTrace", error), path, line)
             records.append(rec)
-            at = lead[0] if plain and whole else None
-            while at is not None and len(epochs) < len(records) + 2:
-                epochs.insert(-1, str(len(epochs) - 1))
+            at = lead if plain else None
     return [EpisodeTrace(tuple(records), reached) for _, (records, reached) in sorted(episodes.items())]

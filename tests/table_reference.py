@@ -1,11 +1,13 @@
-"""Reference trace and dataset readers that parse every record with csv.
+"""Reference trace and dataset readers that parse every record with csv,
+and a reference dataset writer that writes one row at a time.
 
-These are the readers as they were before the package learned to parse
-each distinct line once: one csv.reader runs over the whole file, every
-record's cells are checked, and only the attribute parses are shared
-between records whose cells read the same. The differential tests hold
-load_traces and load_dataset to them: the same value, or the same error
-class and message, on any file.
+The readers are as they were before the package learned to parse each
+distinct line once: one csv.reader runs over the whole file in text
+mode, every record's cells are checked, and only the attribute parses are
+shared between records whose cells read the same. The differential tests
+hold load_traces and load_dataset to them: the same value, or the same
+error class and message, on any file. The writer is save_dataset as it
+was before it wrote its rows in blocks; save_dataset must write its bytes.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import csv
 
 from metamine.errors import InputFormatError, SchemaError
 from metamine.introspection import Dataset, dataset_meta_path
-from metamine.jsonio import ATOM, expect_field, expect_object, located, read_json
-from metamine.knowledge import attribute_from_json
+from metamine.jsonio import ATOM, csv_record, expect_field, expect_object, located, read_json, write_json
+from metamine.knowledge import attribute_from_json, attribute_to_json, format_value
 from metamine.rover import (
     OUTCOME_ATTR,
     OUTCOME_DEF,
@@ -95,3 +97,15 @@ def load_dataset(csv_path):
                 raise located(exc, csv_path, line) from exc
         rows.append(row)
     return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(rows), edges)
+
+
+def save_dataset(dataset, csv_path):
+    text = {row: csv_record(map(format_value, row)) for row in dataset.patterns()}
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(csv_record([a.name for a in dataset.attributes]))
+        fh.writelines(map(text.__getitem__, dataset.rows))
+    write_json(dataset_meta_path(csv_path), {
+        "attributes": [attribute_to_json(a) for a in dataset.attributes],
+        "class_attribute": dataset.class_attribute,
+        "bin_edges": {name: list(edges) for name, edges in sorted(dataset.bin_edges.items())},
+    })

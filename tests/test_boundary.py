@@ -269,3 +269,29 @@ def test_csv_fields_beyond_the_parser_limit_are_input_errors(valid, broken):
 ], ids=["out-of-domain", "short-row"])
 def test_malformed_dataset_rows_are_rejected_when_read(valid, old, new, code):
     assert run_with_one_file_changed(valid, "d.csv", old, new) == code
+
+
+@pytest.mark.parametrize("edges", [
+    {"nosuch": ["a", None]},
+    {"nosuch": [0.5]},
+    {"terrain": ["a"]},
+    {"terrain": [None]},
+    {"terrain": [True]},
+    {"terrain": [[1.0]]},
+    {"terrain": [math.nan]},
+    {"terrain": [2.5, 1.0]},
+], ids=["no-attribute-and-no-numbers", "no-attribute", "string", "null", "boolean", "list", "nan", "descending"])
+def test_bin_edges_that_are_not_ascending_numbers_of_an_attribute_are_input_errors(valid, edges):
+    target = valid / "work" / FILES["sidecar"]
+    dump(target, dict(json.loads((valid / FILES["sidecar"]).read_text()), bin_edges=edges))
+    for argv in invocations("sidecar", valid, target):
+        code, err = run(*argv)
+        assert code == EXIT_INPUT, f"{argv[0]} {argv[4]} exited {code}: {err}"
+
+
+def test_bin_edges_may_repeat_a_value(valid):
+    """Equal-width cuts of a range a few floats wide round to ties."""
+    target = valid / "work" / FILES["sidecar"]
+    dump(target, dict(json.loads((valid / FILES["sidecar"]).read_text()), bin_edges={"terrain": [1, 1.0, 2.5]}))
+    for argv in invocations("sidecar", valid, target):
+        assert run(*argv)[0] == EXIT_OK
