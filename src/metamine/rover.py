@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import asdict, dataclass
+from operator import add
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Mapping, Protocol, Sequence
@@ -432,27 +433,35 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
     written.
 
     The csv writer renders each distinct record's cells from x to reward
-    once; the episode, epoch and reached_goal cells never need quoting,
-    so each row is that text with them joined on.
+    once; the episode, epoch and reached_goal cells never need quoting, so
+    an episode is written as one string: each record's text behind its
+    epoch cell from a table of them, the rows joined on the episode's
+    reached_goal cell, line end and next episode cell. An episode with no
+    records writes nothing but uses up its index, and the file is written
+    an episode at a time, never held whole.
     """
     world_attrs = [a.name for a in schema.scoped("world")]
     traces = list(traces)
-    # id(rec) -> (rec, its CSV text from x to reward); holding rec keeps its id unique
-    texts: dict[int, tuple[DecisionRecord, str]] = {}
+    # id(rec) -> its CSV text from x to reward; traces holds every record, so each id stays unique
+    texts: dict[int, str] = {}
     for trace in traces:
         for rec in trace.records:
             if id(rec) not in texts:
                 missing = [name for name in world_attrs if name not in rec.observed]
                 if missing:
                     raise ConsistencyError("MissingObservation", f"trace records carry no value for {missing[0]!r}")
-                texts[id(rec)] = (rec, csv_record([rec.cell[0], rec.cell[1], *(format_value(rec.observed[name])
-                                                                                 for name in world_attrs),
-                                                   rec.strategy, rec.outcome, repr(rec.reward)])[:-2])
+                texts[id(rec)] = csv_record([rec.cell[0], rec.cell[1], *(format_value(rec.observed[name])
+                                                                         for name in world_attrs),
+                                             rec.strategy, rec.outcome, repr(rec.reward)])[:-2]
+    # map stops at its shortest input, so the epoch cells reach the longest episode
+    epochs = [f"{epoch}," for epoch in range(max((len(trace.records) for trace in traces), default=0))]
+    text_of = texts.__getitem__
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(csv_record(_trace_header(schema)))
         for i, trace in enumerate(traces):
-            reached = format_value(trace.reached_goal)
-            fh.writelines(f"{i},{epoch},{texts[id(rec)][1]},{reached}\r\n" for epoch, rec in enumerate(trace.records))
+            if trace.records:
+                lead, end = f"{i},", f",{format_value(trace.reached_goal)}\r\n"
+                fh.write(lead + (end + lead).join(map(add, epochs, map(text_of, map(id, trace.records)))) + end)
 
 
 def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
