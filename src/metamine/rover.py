@@ -25,14 +25,15 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Mapping, Protocol, Sequence
 
 from .errors import ConsistencyError, InputFormatError, SchemaError
-from .jsonio import csv_record, expect_field, expect_object, expect_pairs, located, open_table, read_json, write_json
+from .jsonio import csv_record, expect_field, expect_object, expect_pairs, located, open_table, read_json
 from .knowledge import AttributeDef, Schema, define_schema, format_value, is_int, is_number
 from .seeds import derive_seeds
 
@@ -131,6 +132,19 @@ class GridWorld:
         if not self.in_bounds(x, y):
             raise ConsistencyError("OutOfGrid", f"({x}, {y}) is outside the grid")
         return self.cells[y][x]
+
+    @cached_property
+    def schema(self) -> Schema:
+        """world_schema's value, built on first use only: a world is never
+        changed after it is built."""
+        return define_schema(
+            [
+                AttributeDef(TERRAIN_ATTR, "categorical", "world", self.terrains),
+                AttributeDef(STRATEGY_ATTR, "categorical", "self", self.strategies),
+                OUTCOME_DEF,
+            ],
+            class_attribute=STRATEGY_ATTR,
+        )
 
 
 @dataclass(frozen=True)
@@ -349,29 +363,7 @@ def run_episodes(world: GridWorld, policy: DecisionMaker, count: int, master_see
 
 def world_schema(world: GridWorld) -> Schema:
     """The attribute vocabulary this world's traces are expressed in."""
-    return define_schema(
-        [
-            AttributeDef(TERRAIN_ATTR, "categorical", "world", world.terrains),
-            AttributeDef(STRATEGY_ATTR, "categorical", "self", world.strategies),
-            OUTCOME_DEF,
-        ],
-        class_attribute=STRATEGY_ATTR,
-    )
-
-
-def world_to_json(world: GridWorld) -> dict:
-    return {
-        "width": world.width,
-        "height": world.height,
-        "terrains": list(world.terrains),
-        "cells": [list(row) for row in world.cells],
-        "start": list(world.start),
-        "goal": list(world.goal),
-        "strategies": list(world.strategies),
-        "hazard": {t: {s: world.hazard[(t, s)] for s in world.strategies} for t in world.terrains},
-        "rewards": asdict(world.rewards),
-        "max_steps": world.max_steps,
-    }
+    return world.schema
 
 
 def world_from_json(obj: Any) -> GridWorld:
@@ -402,10 +394,6 @@ def world_from_json(obj: Any) -> GridWorld:
         ),
         max_steps=expect_field(obj, "max_steps", "world"),
     )
-
-
-def save_world(world: GridWorld, path: str | Path) -> None:
-    write_json(path, world_to_json(world))
 
 
 def load_world(path: str | Path) -> GridWorld:
@@ -473,13 +461,17 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
 
     A row whose episode cell is a few ASCII digits reads as csv reads it
     when split at its first comma, so the rest of its line, from the epoch
-    cell on, decides its epoch, record and reached_goal: each distinct
-    rest is parsed once (about 1,300 of them in a 67k-row trace), and a
-    row with a known rest takes all three without parsing a cell. Any
-    other row, and a rest seen for the first time, goes through csv. A
-    known row that repeats the episode cell bytes of the plain row just
-    read, at the epoch and reached_goal that episode expects next, passes
-    every check as it stands and only appends its record."""
+    cell on, decides its epoch, record and reached_goal, and a row with a
+    known rest takes all three without parsing a cell. A new rest whose
+    epoch cell is a few ASCII digits too splits the same way once more:
+    its tail, the bytes after the epoch cell, decides the record and
+    reached_goal, so a record met again at a new epoch takes both from the
+    tail and its epoch from int(). csv parses each distinct tail once
+    (about 110 of them in a 67k-row trace, which holds about 1,300
+    distinct rests); any other row goes through csv as well. A known row
+    that repeats the episode cell bytes of the plain row just read, at the
+    epoch and reached_goal that episode expects next, passes every check
+    as it stands and only appends its record."""
     world_defs = schema.scoped("world")
     strategy_def = schema.class_def
     outcome_def = schema.attribute(OUTCOME_ATTR) if OUTCOME_ATTR in schema else OUTCOME_DEF
@@ -489,6 +481,8 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
     shared: dict[tuple[str, ...], DecisionRecord] = {}
     # a one-line row's bytes after its episode cell -> its (record, reached_goal, epoch)
     known: dict[bytes, tuple[DecisionRecord, bool, int]] = {}
+    # the same row's bytes after its epoch cell -> its (record, reached_goal)
+    tails: dict[bytes, tuple[DecisionRecord, bool]] = {}
     # at: the episode cell of the last row read, if it was plain; records: that
     # row's episode, and offset + len(records) the next row's record number
     current = at = None
@@ -505,6 +499,11 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
             # enough that csv's field size limit cannot refuse them
             plain = lead.isdigit() and len(lead) < 40
             line = offset + len(records)
+            if parsed is None and plain:
+                step, _, tail = rest.partition(b",")
+                hit = tails.get(tail)
+                if hit is not None and step.isdigit() and len(step) < 40:
+                    parsed = known[rest] = (*hit, int(step))
             if parsed is not None and plain:
                 episode, (rec, reached, epoch) = int(lead), parsed
             else:
@@ -526,6 +525,7 @@ def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:
                     raise located(exc, path, line) from exc
                 if plain and whole:
                     known[rest] = rec, reached, epoch
+                    tails[tail] = rec, reached
             if episode != current:
                 offset += len(records)
                 current = episode

@@ -6,6 +6,7 @@ import dataclasses
 
 from metamine.cycle import AcceptanceGates, CycleConfig
 from metamine.introspection import Dataset
+from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef
 from metamine.mining import MiningConfig
 from metamine.policy import Policy, Rule, RuleSet, compile_policy
@@ -75,6 +76,27 @@ def striped_world(rock="rock"):
     }
     return GridWorld(8, 8, terrains, cells, (0, 0), (7, 7), ("FAST", "CAREFUL"),
                      hazard, Rewards(1.0, 2.0, 10.0), max_steps=30)
+
+
+def world_to_json(world):
+    """A world file's JSON object, which world_from_json reads back."""
+    return {
+        "width": world.width,
+        "height": world.height,
+        "terrains": list(world.terrains),
+        "cells": [list(row) for row in world.cells],
+        "start": list(world.start),
+        "goal": list(world.goal),
+        "strategies": list(world.strategies),
+        "hazard": {t: {s: world.hazard[(t, s)] for s in world.strategies} for t in world.terrains},
+        "rewards": dataclasses.asdict(world.rewards),
+        "max_steps": world.max_steps,
+    }
+
+
+def save_world(world, path):
+    """Write world as a world file that load_world reads back."""
+    write_json(path, world_to_json(world))
 
 
 def _stripes(width, height, terrains=("sand", "rock", "ice")):

@@ -10,14 +10,14 @@ from pathlib import Path
 import pytest
 
 import metamine.cli as cli
-from helpers import cat, make_dataset, striped_world
+from helpers import cat, make_dataset, save_world, striped_world
 from metamine.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from metamine.introspection import MAX_BINS, Dataset, save_dataset
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef, define_schema, save_schema
 from metamine.mining import MAX_TREE_DEPTH, load_model
 from metamine.policy import load_policy
-from metamine.rover import DecisionRecord, EpisodeTrace, save_traces, save_world, world_schema
+from metamine.rover import DecisionRecord, EpisodeTrace, save_traces, world_schema
 from mining_reference import tree_depth
 
 MINING = {"max_depth": 4, "min_leaf_instances": 5, "min_support": 0.05,

@@ -15,11 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from helpers import loop_config, striped_world, terrain_policy, up_left_world, wide_world
+from helpers import loop_config, save_world, striped_world, terrain_policy, up_left_world, wide_world
 from metamine.cli import EXIT_OK, main
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef, define_schema, save_schema
-from metamine.rover import run_episodes, save_traces, save_world, world_schema
+from metamine.rover import run_episodes, save_traces, world_schema
 
 LOOP_DIGESTS = {
     "override": {

@@ -8,10 +8,11 @@ leading cells, cells that span lines, blank lines, NUL bytes, LF, CR and
 CRLF line ends, a missing final newline, rows repeated verbatim, stray
 quotes, commas and line breaks, and bytes that are not UTF-8. Trace files
 also mix numbers with leading zeros, episodes that come back after another,
-episodes of both reached_goal values over the same rows, and rows whose
-reached_goal differs from their episode's. Both properties also run with
-the readers' block size cut to a few bytes, so lines, line ends and quoted
-cells fall across block boundaries.
+records that come back at other epochs and in other episodes, episodes of
+both reached_goal values over the same rows, and rows whose reached_goal
+differs from their episode's. Both properties also run with the readers'
+block size cut to a few bytes, so lines, line ends and quoted cells fall
+across block boundaries.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from hypothesis import strategies as st
 
 import table_reference
 from metamine import jsonio
+from metamine.errors import InputFormatError
 from metamine.introspection import ROWS_PER_WRITE, Dataset, load_dataset, save_dataset
 from metamine.knowledge import AttributeDef, define_schema
 from metamine.rover import OUTCOME_DEF, load_traces
@@ -146,11 +148,11 @@ def route_trace_rows(draw):
     return rows
 
 
-# Per example, a trace drawn with free rows and one whose episodes share a
-# route, the second mostly quoted and ended alike so that its rows repeat
-# byte for byte.
-traces = st.tuples(table_text(TRACE_HEADER, free_trace_rows()),
-                   table_text(TRACE_HEADER, route_trace_rows(), alike=st.sampled_from([True] * 3 + [False])))
+# Per example, a trace drawn with free rows and two whose episodes share a
+# route, mostly quoted and ended alike so that their rows repeat byte for
+# byte and their records come back at other epochs and in other episodes.
+route_trace = table_text(TRACE_HEADER, route_trace_rows(), alike=st.sampled_from([True] * 3 + [False]))
+traces = st.tuples(table_text(TRACE_HEADER, free_trace_rows()), route_trace, route_trace)
 
 dataset_rows = st.lists(st.tuples(st.sampled_from(TERRAINS), st.sampled_from(["true", "false"]),
                                   st.sampled_from(STRATEGIES)).map(list), max_size=12)
@@ -211,8 +213,12 @@ ROW = "0,{},1,0,plain,0,FAST,success,-1.0,false"
 ROW_1 = "1,{},1,0,plain,0,FAST,success,-1.0,true"
 
 
-def row(episode, epoch, reached="false"):
-    return f"{episode},{epoch},1,0,plain,0,FAST,success,-1.0,{reached}"
+def row(episode, epoch, reached="false", x=1, terrain="plain"):
+    return f"{episode},{epoch},{x},0,{terrain},0,FAST,success,-1.0,{reached}"
+
+
+# A known record under an epoch of 5000 digits, too many for int().
+LONG_EPOCH = [row(0, 0), row(0, "1" * 5000)]
 
 
 @pytest.mark.parametrize("rows", [
@@ -238,14 +244,33 @@ def row(episode, epoch, reached="false"):
     [row(0, 0), row(0, 1), row(1, 1)],
     [row(0, 0), row("0" * 131072 + "5", 0)],
     [row(0, 0, "true"), row(1, 0), row(2, 0, "true"), row(2, 1, "true")],
+    # the cells after the epoch cell, the row's tail, shown by an earlier row at another epoch
+    [row(0, 0), row(0, 1, x=2), row(1, 0, x=2), row(1, 1)],
+    [row(0, 0), row(0, 1), row(0, 2), row(0, '"3"')],
+    LONG_EPOCH,
+    [row(0, epoch) for epoch in range(7)] + [row(0, "007")],
+    [row(0, 0, terrain='"line\nbreak"'), row(0, 1, terrain='"line\nbreak"')],
+    [row(0, 0, "true"), row(0, 1, "true", x=2), row(1, 0), row(1, 1, x=2), row(1, 2, "true")],
 ], ids=["nul-episode", "quoted-leading-cells", "bad-row-after-multi-line", "repeated-row", "open-quote-at-end",
         "blank-line", "long-episode", "episode-beyond-the-field-limit", "epoch-01", "episode-00-mid-episode",
         "reached-flips-to-a-known-rest", "known-rest-at-a-skipped-epoch", "episode-revisited-at-its-next-epoch",
         "reached-flips-to-a-rest-known-at-its-epoch", "episode-back-at-epoch-0", "episode-00-after-0",
         "episode-007-after-7", "episode-7-after-007", "non-ascii-digit-episode", "new-episode-at-a-known-epoch-1",
-        "new-episode-beyond-the-field-limit", "known-epoch-0-rest-of-the-other-reached-goal"])
+        "new-episode-beyond-the-field-limit", "known-epoch-0-rest-of-the-other-reached-goal",
+        "known-tail-at-a-new-epoch-in-a-new-episode", "known-tail-under-quoted-epoch-3",
+        "known-tail-under-an-epoch-of-5000-digits", "known-tail-under-epoch-007", "known-tail-spanning-lines",
+        "reached-flips-onto-a-known-tail"])
 def test_trace_rows_read_as_a_record_by_record_csv_reader(rows):
     assert_traces_read_alike(("\r\n".join([",".join(TRACE_HEADER)] + rows) + "\r\n").encode("utf-8"))
+
+
+def test_an_epoch_too_long_for_int_is_a_bad_row_where_its_tail_is_known(tmp_path):
+    """Input error (exit 3) with csv's line, never an internal error."""
+    path = tmp_path / "t.csv"
+    path.write_text("\r\n".join([",".join(TRACE_HEADER)] + LONG_EPOCH) + "\r\n")
+    with pytest.raises(InputFormatError) as info:
+        load_traces(path, SCHEMA)
+    assert info.value.code == "BadRow" and " line 3: " in info.value.message
 
 
 def test_a_last_row_that_is_a_known_rest_without_its_line_end_reads_as_a_record_by_record_csv_reader():

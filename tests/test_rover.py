@@ -17,12 +17,14 @@ import rollout_reference
 from helpers import (
     fixed_policy,
     loop_config,
+    save_world,
     striped_world,
     terrain_policy,
     tiny_world,
     uniform_hazard_world,
     up_left_world,
     wide_world,
+    world_to_json,
 )
 from metamine.cli import EXIT_OK, EXIT_SCHEMA, main
 from metamine.cycle import evaluate_candidate, run_experiment
@@ -48,10 +50,8 @@ from metamine.rover import (
     run_episodes,
     run_seeded,
     save_traces,
-    save_world,
     world_from_json,
     world_schema,
-    world_to_json,
 )
 from metamine.seeds import derive_seeds
 
@@ -553,6 +553,12 @@ class TestWorldSchema:
         assert schema.attribute("terrain").domain == ("sand", "rock", "ice")
         assert schema.attribute("strategy").scope == "self"
         assert schema.attribute("outcome").domain == ("success", "failure")
+
+    def test_a_world_builds_its_schema_once(self):
+        world = striped_world()
+        assert world_schema(world) is world_schema(world)
+        assert world_schema(world) == world_schema(striped_world())
+        assert world_schema(striped_world("stone")).attribute("terrain").domain == ("sand", "stone", "ice")
 
 
 class TestWorldSerialization:
