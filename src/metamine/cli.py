@@ -22,7 +22,7 @@ from .cycle import (
     experiment_to_json,
     run_experiment,
 )
-from .errors import InputFormatError, MetamineError
+from .errors import ConsistencyError, InputFormatError, MetamineError
 from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_field, expect_object, read_json, write_json
 from .knowledge import format_value, load_schema, save_schema
@@ -178,6 +178,9 @@ def _typed_action(value: str, schema, control: str, model) -> Any:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     model = load_model(args.model)
+    if model.bin_edges:  # a policy matches raw observations, which no rule over bin_k labels matches
+        raise ConsistencyError("BinnedModel", f"the model tests binned attributes {sorted(model.bin_edges)}; "
+                                              "a policy cannot act on bins")
     schema = load_schema(args.schema) if args.schema else None
     control = schema.class_attribute if schema is not None else model.label_attribute
     rules = tree_to_rules(model.tree, control) if model.kind == "tree" else rules_to_ruleset(model.rules, control)

@@ -3,15 +3,18 @@
 featurise is the data-preparation step: given which attributes a dataset
 shows and how each row is labeled, it projects every decision the rover
 took into one row and discretizes any numeric attributes, so the miners
-only ever see finite domains. The resulting Dataset records its bin
-boundaries, which say what range each bin_k label stands for. Nothing
-maps a raw value to its bin later, so rules over a binned attribute
-never match a numeric observation.
+only ever see finite domains. A Dataset is its distinct rows with their
+counts, in memory and in its CSV file. It records its bin boundaries,
+which say what range each bin_k label stands for. Nothing maps a raw
+value to its bin later, so rules over a binned attribute never match a
+numeric observation: a model keeps the boundaries of the binned
+attributes it uses, and compile refuses it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -35,25 +38,32 @@ LABEL_RULES = ("outcome-as-class", "strategy-as-class")
 # The most equal-width bins a numeric attribute may be cut into; each bin
 # is a domain value that the dataset and its sidecar list.
 MAX_BINS = 1000
+# The last column of a dataset CSV: how many instances its row stands for,
+# in at most as many digits as sys.maxsize has.
+COUNT_COLUMN = "count"
+MAX_COUNT_DIGITS = len(str(sys.maxsize))
 
 
 @dataclass(frozen=True)
 class Dataset:
     """Non-empty finite-domain training table; the class attribute is last.
 
-    rows holds one value tuple per instance, in attribute order. Values
-    are checked where rows enter (the trace and dataset CSV readers), so
-    the dataset checks its columns and that it has rows, then counts the
-    rows once for every learner (patterns()). bin_edges holds, per
-    formerly numeric attribute, the interior interval boundaries used to
-    discretize it (empty when every value was identical, so all went to bin_0).
+    counts holds each distinct row (one value tuple, in attribute order)
+    once, with how many instances it stands for, a positive int, in
+    first-occurrence order: the order the learners' tie-breaks read.
+    len() is the total, computed once. Values and counts are checked
+    where they enter (featurise and the dataset CSV reader), so the
+    dataset checks its columns, that it has rows and that len() can
+    return their total. bin_edges holds, per formerly numeric attribute,
+    the interior interval boundaries used to discretize it (empty when
+    every value was identical, so all went to bin_0).
     """
 
     attributes: tuple[AttributeDef, ...]
     class_attribute: str
-    rows: tuple[tuple, ...]
+    counts: tuple[tuple[tuple, int], ...]
     bin_edges: dict[str, tuple[float, ...]] = field(default_factory=dict)
-    _patterns: Counter = field(init=False, repr=False, compare=False)
+    _size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         define_schema(self.attributes, self.class_attribute)
@@ -62,12 +72,15 @@ class Dataset:
         for a in self.attributes:
             if not a.is_finite:
                 raise SchemaError("NumericAttribute", f"dataset attribute {a.name!r} is numeric; discretize first")
-        if not self.rows:
+        if not self.counts:
             raise MiningError("EmptyDataset", "a dataset needs at least one row to learn from")
-        object.__setattr__(self, "_patterns", Counter(self.rows))
+        size = sum(count for _, count in self.counts)
+        if size > sys.maxsize:
+            raise MiningError("TooManyInstances", f"a dataset holds at most {sys.maxsize} instances, got {size}")
+        object.__setattr__(self, "_size", size)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return self._size
 
     @property
     def feature_attributes(self) -> tuple[AttributeDef, ...]:
@@ -80,7 +93,7 @@ class Dataset:
     def patterns(self) -> Counter:
         """The distinct rows with their counts, in first-occurrence order;
         a copy, so editing it leaves the dataset unchanged."""
-        return Counter(self._patterns)
+        return Counter(dict(self.counts))
 
 
 def bin_label(index: int) -> str:
@@ -120,9 +133,10 @@ def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, b
     any other attribute what the rover observed. Numeric attributes are
     cut into `bins` (1 to MAX_BINS) equal-width intervals over the
     observed [min, max]; a constant column maps everything to bin_0.
-    Rows keep their input order and their duplicates; equal rows share
+    The rows are counted once, in first-occurrence order; equal rows share
     one tuple, since a dataset repeats a few patterns many times, and a
-    record object the traces share is projected once.
+    record object the traces share is projected once. Binning merges the
+    counts of distinct rows that fall into the same bins.
     """
     if label_rule not in LABEL_RULES:
         raise SchemaError("BadLabelRule", f"label_rule must be one of {LABEL_RULES}, got {label_rule!r}")
@@ -164,6 +178,7 @@ def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, b
                 rows.append(known[1])
     if not rows:
         raise MiningError("EmptyDataset", "the traces hold no decisions to learn from")
+    counts = Counter(rows)
 
     defs: list[AttributeDef] = []
     edges_by_attr: dict[str, tuple[float, ...]] = {}
@@ -172,39 +187,30 @@ def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, b
         if attr.is_finite:
             defs.append(attr)
             continue
-        values = [row[col] for row in shared]
+        values = [row[col] for row in counts]
         edges_by_attr[name] = equal_width_edges(min(values), max(values), bins)
         defs.append(AttributeDef(name, "categorical", attr.scope, tuple(bin_label(i) for i in range(bins))))
 
     if edges_by_attr:
         cuts = [edges_by_attr.get(name) for name in column_names]
-        binned = {key: tuple(v if edges is None else assign_bin(edges, v) for edges, v in zip(cuts, key))
-                  for key in shared}
-        canonical = {row: row for row in binned.values()}
-        rows = [canonical[binned[row]] for row in rows]
-    return Dataset(tuple(defs), label, tuple(rows), edges_by_attr)
+        binned: Counter = Counter()
+        for key, count in counts.items():
+            binned[tuple(v if edges is None else assign_bin(edges, v) for edges, v in zip(cuts, key))] += count
+        counts = binned
+    return Dataset(tuple(defs), label, tuple(counts.items()), edges_by_attr)
 
 
 def dataset_meta_path(csv_path: str | Path) -> Path:
     return Path(str(csv_path) + ".meta.json")
 
 
-# Rows per write of a dataset CSV: as fast as one string for the whole file,
-# which raised mine's peak memory by 2.6 MB on a 3000-episode trace's dataset.
-ROWS_PER_WRITE = 1 << 12
-
-
 def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
-    """Write rows as CSV plus a sidecar with attribute definitions
-    and bin boundaries (<csv_path>.meta.json). Each distinct row's line
-    is rendered once, and each ROWS_PER_WRITE rows are written as one
-    string."""
-    text = {row: csv_record(map(format_value, row)) for row in dataset.patterns()}
-    rows = dataset.rows
+    """Write the dataset as CSV, its attribute names then count in the
+    header and one line per distinct row, plus a sidecar with attribute
+    definitions and bin boundaries (<csv_path>.meta.json)."""
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_record([a.name for a in dataset.attributes]))
-        for i in range(0, len(rows), ROWS_PER_WRITE):
-            fh.write("".join(map(text.__getitem__, rows[i:i + ROWS_PER_WRITE])))
+        fh.write(csv_record([a.name for a in dataset.attributes] + [COUNT_COLUMN]))
+        fh.writelines(csv_record([*map(format_value, row), count]) for row, count in dataset.counts)
     write_json(dataset_meta_path(csv_path), {
         "attributes": [attribute_to_json(a) for a in dataset.attributes],
         "class_attribute": dataset.class_attribute,
@@ -213,7 +219,13 @@ def save_dataset(dataset: Dataset, csv_path: str | Path) -> None:
 
 
 def load_dataset(csv_path: str | Path) -> Dataset:
-    meta = expect_object(read_json(dataset_meta_path(csv_path)), "dataset metadata")
+    """Read a dataset CSV and its sidecar. The header must be the
+    sidecar's attribute names then count, so a file of one line per
+    instance is a BadHeader. Each line is parsed with csv; its cells must
+    lie in their attributes' domains, and its count must be a whole number
+    from 1 to sys.maxsize in ASCII digits without leading zeros (BadRow).
+    A row on two lines adds its counts up at its first line."""
+    meta =expect_object(read_json(dataset_meta_path(csv_path)), "dataset metadata")
     defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
     edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
@@ -225,23 +237,19 @@ def load_dataset(csv_path: str | Path) -> Dataset:
         # only a few floats wide round to them
         if not all(type(v) in (int, float) for v in cuts) or cuts != tuple(sorted(cuts)):
             raise InputFormatError("BadField", f"bin_edges of {name!r} must be numbers in ascending order")
-    # a record's cells -> its row, and a one-line record's bytes -> its row: equal rows share one tuple
-    parsed: dict[tuple, tuple] = {}
-    known: dict[bytes, tuple] = {}
-    rows = []
-    with open_table(csv_path, [a.name for a in defs]) as (lines, cells):
-        for raw in lines:
-            row = known.get(raw)
-            if row is None:
-                values, whole = cells(len(rows) + 2, raw)
-                key = tuple(values)
-                row = parsed.get(key)
-                if row is None:
-                    try:
-                        row = parsed[key] = tuple(a.parse(cell) for a, cell in zip(defs, values))
-                    except (InputFormatError, SchemaError) as exc:
-                        raise located(exc, csv_path, len(rows) + 2) from exc
-                if whole:
-                    known[raw] = row
-            rows.append(row)
-    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(rows), edges)
+    counts: dict[tuple, int] = {}
+    with open_table(csv_path, [a.name for a in defs] + [COUNT_COLUMN]) as (lines, cells):
+        for line, raw in enumerate(lines, start=2):
+            *values, count = cells(line, raw)[0]
+            try:
+                row = tuple(a.parse(cell) for a, cell in zip(defs, values))
+                # int() refuses over 4300 digits, and len() a total past sys.maxsize
+                n = int(count) if count.isascii() and count.isdigit() and len(count) <= MAX_COUNT_DIGITS else 0
+                if not 0 < n <= sys.maxsize or count[0] == "0":
+                    raise InputFormatError("BadRow", f"count must be a whole number from 1 to {sys.maxsize} in "
+                                                     f"ASCII digits without leading zeros, got {count[:40]!r}")
+            except (InputFormatError, SchemaError) as exc:
+                raise located(exc, csv_path, line) from exc
+            counts[row] = counts.get(row, 0) + n
+    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(counts.items()),
+                   edges)

@@ -7,8 +7,8 @@ UTF-8 text, no NaN/Infinity, one trailing newline.
 
 CSV files (traces, datasets) are read through open_table, which checks
 the file and its header and hands out each record's first line as bytes,
-for the readers to look up as they stand and to decode and parse with csv
-(checking its width) once per distinct line; the cells themselves are
+for a reader to look up as they stand (the trace reader does) and to
+decode and parse with csv, checking its width; the cells themselves are
 parsed by the attribute codec in knowledge.
 
 Every reader checks shape here: objects are objects, lists are lists and

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from pathlib import Path
 from random import Random
@@ -347,6 +347,9 @@ class MetaModel:
 
     scope reflects the attributes the model actually uses: world when all
     are world-scoped, self when all are self-scoped, mixed otherwise.
+    bin_edges holds the dataset's bin boundaries of the binned attributes
+    the model uses, so that a model over bins can be told from one over
+    raw values.
     """
 
     kind: str
@@ -356,6 +359,7 @@ class MetaModel:
     tree: DecisionTree | None = None
     rules: tuple[AssociationRule, ...] = ()
     frequent: tuple[tuple[frozenset, int], ...] = ()
+    bin_edges: dict[str, tuple[float, ...]] = field(default_factory=dict)
 
 
 def scope_of(dataset: Dataset, names: Collection[str]) -> str:
@@ -366,6 +370,11 @@ def scope_of(dataset: Dataset, names: Collection[str]) -> str:
     if scopes == {"self"}:
         return "self"
     return "mixed"
+
+
+def _used_edges(dataset: Dataset, names: Collection[str]) -> dict[str, tuple[float, ...]]:
+    """The dataset's bin boundaries of the named attributes."""
+    return {name: edges for name, edges in dataset.bin_edges.items() if name in names}
 
 
 def _base_evaluation(dataset: Dataset, config: MiningConfig) -> dict:
@@ -380,6 +389,7 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     """Induce a tree on the full dataset; attach CV scores when the
     dataset supports them (enough rows, at least two classes)."""
     tree = induce_tree(dataset, config)
+    used = tree.split_attributes()
     evaluation = _base_evaluation(dataset, config)
     evaluation["training_accuracy"] = training_accuracy(tree, dataset)
     if config.cv_folds <= len(dataset) and len({row[-1] for row in dataset.patterns()}) >= 2:
@@ -388,9 +398,10 @@ def fit_tree_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
     return MetaModel(
         kind="tree",
         label_attribute=dataset.class_attribute,
-        scope=scope_of(dataset, tree.split_attributes() | {dataset.class_attribute}),
+        scope=scope_of(dataset, used | {dataset.class_attribute}),
         evaluation=evaluation,
         tree=tree,
+        bin_edges=_used_edges(dataset, used),
     )
 
 
@@ -414,6 +425,7 @@ def fit_rules_model(dataset: Dataset, config: MiningConfig) -> MetaModel:
         evaluation=evaluation,
         rules=rules,
         frequent=tuple((itemset, count) for itemset, count in frequent.items()),
+        bin_edges=_used_edges(dataset, used),
     )
 
 
@@ -480,17 +492,21 @@ def model_to_json(model: MetaModel) -> dict:
             }
             for rule in model.rules
         ]
+    if model.bin_edges:
+        out["bin_edges"] = {name: list(edges) for name, edges in sorted(model.bin_edges.items())}
     return out
 
 
 def model_from_json(obj: Any) -> MetaModel:
     obj = expect_object(obj, "model")
     kind = expect_field(obj, "kind", "model")
+    edges = expect_object(obj.get("bin_edges", {}), "model bin_edges")
     common = {
         "kind": kind,
         "label_attribute": expect_field(obj, "label_attribute", "model", ATOM),
         "scope": expect_field(obj, "scope", "model", ATOM),
         "evaluation": expect_field(obj, "evaluation", "model", dict),
+        "bin_edges": {name: tuple(expect_field(edges, name, "model bin_edges", list)) for name in edges},
     }
     if kind == "tree":
         tree_json = expect_field(obj, "tree", "model", dict)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 
 from metamine.cycle import AcceptanceGates, CycleConfig
 from metamine.introspection import Dataset
@@ -17,11 +18,18 @@ def cat(name, domain, scope="world"):
     return AttributeDef(name, "categorical", scope, tuple(domain))
 
 
+def count_rows(rows):
+    """Instance rows as a Dataset's counts: each distinct row with how
+    often it occurs, in first-occurrence order."""
+    return tuple(Counter(rows).items())
+
+
 def make_dataset(features, class_domain, rows, class_name="label"):
-    """Categorical dataset from {name: domain} plus rows as plain dicts."""
+    """Categorical dataset from {name: domain} plus rows as plain dicts,
+    counted."""
     defs = [cat(n, d) for n, d in features.items()]
     defs.append(cat(class_name, class_domain, scope="self"))
-    return Dataset(tuple(defs), class_name, tuple(tuple(r[d.name] for d in defs) for r in rows))
+    return Dataset(tuple(defs), class_name, count_rows(tuple(r[d.name] for d in defs) for r in rows))
 
 
 def fixed_policy(action, control="strategy"):

@@ -26,17 +26,19 @@ def info_gain(dataset, attribute):
     return _partition_gain(dataset.patterns(), [a.name for a in dataset.feature_attributes].index(attribute))
 
 
-def stratified_folds(dataset, k, seed):
-    """Seeded stratified partition into k test folds of instance indices.
+def stratified_folds(dataset, rows, k, seed):
+    """Seeded stratified partition into k test folds of indices into rows,
+    the dataset's instances in any order.
 
     Each distinct row's indices go round-robin, in row order, from its
     start fold; fold sizes, class and row counts are within one across
     folds. Fewer than two folds is BadConfig, more folds than rows
     TooFewInstances.
     """
+    assert Counter(rows) == dataset.patterns(), "rows must be the dataset's instances"
     cursor = _start_folds(dataset, k, seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for i, row in enumerate(dataset.rows):
+    for i, row in enumerate(rows):
         folds[cursor[row]].append(i)
         cursor[row] = (cursor[row] + 1) % k
     return folds

@@ -1,22 +1,27 @@
 """Reference trace and dataset readers that parse every record with csv,
-and a reference dataset writer that writes one row at a time.
+and a reference dataset writer that writes one record at a time.
 
-The readers are as they were before the package learned to parse each
-distinct line once: one csv.reader runs over the whole file in text
-mode, every record's cells are checked, and only the attribute parses are
-shared between records whose cells read the same. The differential tests
+The trace reader is load_traces as it was before the package learned to
+parse each distinct line once: one csv.reader runs over the whole file in
+text mode, every record's cells are checked, and only the attribute
+parses are shared between records whose cells read the same. The dataset
+reader runs one csv.reader the same way over a counted dataset file,
+parses every record's cells and checks its count cell against a regular
+expression, adding the counts of repeated rows up. The differential tests
 hold load_traces and load_dataset to them: the same value, or the same
-error class and message, on any file. The writer is save_dataset as it
-was before it wrote its rows in blocks; save_dataset must write its bytes.
+error class and message, on any file. The writer writes each distinct
+row and its count through csv.writer; save_dataset must write its bytes.
 """
 
 from __future__ import annotations
 
 import csv
+import re
+import sys
 
 from metamine.errors import InputFormatError, SchemaError
 from metamine.introspection import Dataset, dataset_meta_path
-from metamine.jsonio import ATOM, csv_record, expect_field, expect_object, located, read_json, write_json
+from metamine.jsonio import ATOM, expect_field, expect_object, located, read_json, write_json
 from metamine.knowledge import attribute_from_json, attribute_to_json, format_value
 from metamine.rover import (
     OUTCOME_ATTR,
@@ -85,25 +90,27 @@ def load_dataset(csv_path):
     defs = tuple(attribute_from_json(a) for a in expect_field(meta, "attributes", "dataset metadata", list))
     edges_json = expect_object(meta.get("bin_edges", {}), "bin_edges")
     edges = {name: tuple(expect_field(edges_json, name, "bin_edges", list)) for name in edges_json}
-    parsed = {}
-    rows = []
-    for line, cells in read_table(csv_path, [a.name for a in defs]):
-        key = tuple(cells)
-        row = parsed.get(key)
-        if row is None:
-            try:
-                row = parsed[key] = tuple(a.parse(cell) for a, cell in zip(defs, cells))
-            except (InputFormatError, SchemaError) as exc:
-                raise located(exc, csv_path, line) from exc
-        rows.append(row)
-    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(rows), edges)
+    counts = {}
+    for line, cells in read_table(csv_path, [a.name for a in defs] + ["count"]):
+        try:
+            row = tuple(a.parse(cell) for a, cell in zip(defs, cells))
+            count = cells[-1]
+            if not re.fullmatch("[1-9][0-9]*", count) or len(count) > 19 or int(count) > sys.maxsize:
+                raise InputFormatError("BadRow", f"count must be a whole number from 1 to {sys.maxsize} in "
+                                                 f"ASCII digits without leading zeros, got {count[:40]!r}")
+        except (InputFormatError, SchemaError) as exc:
+            raise located(exc, csv_path, line) from exc
+        counts[row] = counts.get(row, 0) + int(count)
+    return Dataset(defs, expect_field(meta, "class_attribute", "dataset metadata", ATOM), tuple(counts.items()),
+                   edges)
 
 
 def save_dataset(dataset, csv_path):
-    text = {row: csv_record(map(format_value, row)) for row in dataset.patterns()}
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(csv_record([a.name for a in dataset.attributes]))
-        fh.writelines(map(text.__getitem__, dataset.rows))
+        writer = csv.writer(fh)
+        writer.writerow([a.name for a in dataset.attributes] + ["count"])
+        for row, count in dataset.counts:
+            writer.writerow([format_value(v) for v in row] + [count])
     write_json(dataset_meta_path(csv_path), {
         "attributes": [attribute_to_json(a) for a in dataset.attributes],
         "class_attribute": dataset.class_attribute,

@@ -138,7 +138,7 @@ def test_criterion_4_stratified_folds_and_leave_one_out():
         rows = [{"c": "x", "label": "+"} for _ in range(n_pos)]
         rows += [{"c": "x", "label": "-"} for _ in range(n_neg)]
         dataset = make_dataset({"c": ("x",)}, ("+", "-"), rows)
-        folds = stratified_folds(dataset, k, seed)
+        folds = stratified_folds(dataset, [(r["c"], r["label"]) for r in rows], k, seed)
         if sorted(i for fold in folds for i in fold) != list(range(n_pos + n_neg)):
             balanced = False
         sizes = [len(fold) for fold in folds]

@@ -16,12 +16,14 @@ import csv
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from metamine.cli import EXIT_INPUT, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
+from metamine.introspection import load_dataset
 
 WORLD = {
     "width": 3, "height": 2, "terrains": ["flat", "dune"],
@@ -269,6 +271,81 @@ def test_csv_fields_beyond_the_parser_limit_are_input_errors(valid, broken):
 ], ids=["out-of-domain", "short-row"])
 def test_malformed_dataset_rows_are_rejected_when_read(valid, old, new, code):
     assert run_with_one_file_changed(valid, "d.csv", old, new) == code
+
+
+def dataset_rows(valid):
+    with open(valid / "d.csv", newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+def write_dataset(valid, rows):
+    """The dataset rows as work/d.csv, with the valid dataset's sidecar."""
+    target = valid / "work" / "d.csv"
+    with open(target, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    (valid / "work" / "d.csv.meta.json").write_bytes((valid / "d.csv.meta.json").read_bytes())
+    return target
+
+
+def mine_exits(valid, rows):
+    """(exit code, stderr) of mine --algo tree and --algo apriori on the
+    dataset rows."""
+    target = write_dataset(valid, rows)
+    return [run("mine", "--data", target, "--algo", "tree", "--seed", "1", "--out", valid / "work" / "m.json"),
+            run("mine", "--data", target, "--algo", "apriori", "--out", valid / "work" / "m.json")]
+
+
+# A count cell is a whole number from 1 to sys.maxsize in ASCII digits,
+# without leading zeros: the Arabic-Indic three passes str.isdigit() and
+# int(), and int() raises a bare ValueError past 4300 digits.
+BAD_COUNTS = ["0", "-1", "+1", "1.0", "1e3", "", " 1", "\u0663", "1" * 5000, "01", "00", str(sys.maxsize + 1),
+              "9" * 20]
+
+
+@pytest.mark.parametrize("count", BAD_COUNTS, ids=["zero", "negative", "plus-sign", "decimal-point", "exponent",
+                                                    "empty", "leading-space", "arabic-indic-three", "5000-digits",
+                                                    "leading-zero", "double-zero", "past-maxsize", "20-digits"])
+def test_malformed_count_cells_are_bad_rows_at_their_line(valid, count):
+    rows = dataset_rows(valid)
+    rows[2][-1] = count
+    for code, err in mine_exits(valid, rows):
+        assert code == EXIT_INPUT, err
+        assert "BadRow" in err and "d.csv line 3: count must be" in err
+
+
+def test_counts_that_sum_past_what_len_can_return_are_schema_errors(valid):
+    rows = dataset_rows(valid)
+    rows[1][-1] = rows[2][-1] = str(sys.maxsize // 2 + 1)
+    for code, err in mine_exits(valid, rows):
+        assert code == EXIT_SCHEMA, err
+        assert "TooManyInstances" in err
+
+
+def test_a_repeated_row_adds_its_count_at_its_first_line(valid):
+    rows = dataset_rows(valid)
+    rows.append(rows[2][:-1] + ["5"])
+    counts = load_dataset(write_dataset(valid, rows)).counts
+    assert [count for _, count in counts] == [int(rows[1][-1]), int(rows[2][-1]) + 5] + [int(r[-1]) for r in rows[3:-1]]
+    assert [list(row) for row, _ in counts] == [r[:-1] for r in rows[1:-1]]
+
+
+def test_a_dataset_of_one_row_per_instance_is_a_bad_header(valid):
+    """The form collect wrote before datasets were counted."""
+    rows = dataset_rows(valid)
+    old = [rows[0][:-1]] + [row[:-1] for row in rows[1:] for _ in range(int(row[-1]))]
+    for code, err in mine_exits(valid, old):
+        assert code == EXIT_INPUT, err
+        assert "BadHeader" in err and "'count'" in err
+
+
+@given(data=st.data())
+def test_bad_dataset_cells_never_exit_internal(valid, data):
+    rows = dataset_rows(valid)
+    r = data.draw(st.integers(1, len(rows) - 1), label="row")
+    c = data.draw(st.integers(0, len(rows[0]) - 1), label="column")
+    rows[r][c] = data.draw(st.sampled_from(BAD_CELLS + BAD_COUNTS + ["1", "2", str(sys.maxsize)]), label="cell")
+    for code, err in mine_exits(valid, rows):
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_SCHEMA), f"mine exited {code}: {err}"
 
 
 @pytest.mark.parametrize("edges", [

@@ -226,7 +226,7 @@ class TestPipeline:
         default, selected = workdir / "default.csv", workdir / "selected.csv"
         assert main(base + ["--out", str(default)]) == EXIT_OK
         assert main(base + ["--select", " outcome,strategy , terrain", "--out", str(selected)]) == EXIT_OK
-        assert selected.read_text().splitlines()[0] == "terrain,strategy,outcome"
+        assert selected.read_text().splitlines()[0] == "terrain,strategy,outcome,count"
         assert selected.read_bytes() == default.read_bytes()
         code = main(base + ["--select", "strategy,outcome", "--out", str(workdir / "none.csv")])
         assert code == EXIT_SCHEMA
@@ -316,7 +316,7 @@ class TestPipeline:
         """A model of a boolean `careful` control, and the schema that types it."""
         terrain, careful = cat("terrain", ("sand", "rock")), AttributeDef("careful", "boolean", "self")
         save_schema(define_schema((terrain, careful), "careful"), workdir / "bool.schema.json")
-        save_dataset(Dataset((terrain, careful), "careful", (("sand", True), ("rock", False)) * 4),
+        save_dataset(Dataset((terrain, careful), "careful", ((("sand", True), 4), (("rock", False), 4))),
                      workdir / "bool.csv")
         model = workdir / "bool.model.json"
         assert main(["mine", "--data", str(workdir / "bool.csv"), "--algo", algo, "--seed", "0",
@@ -376,7 +376,7 @@ class TestPipeline:
     def test_mining_a_header_only_dataset_is_a_schema_error(self, workdir, capsys, algo):
         data = workdir / "empty.csv"
         save_dataset(Dataset((cat("terrain", ("sand",)), cat("strategy", ("FAST",), scope="self")), "strategy",
-                             (("sand", "FAST"),)), data)
+                             ((("sand", "FAST"), 1),)), data)
         data.write_text(data.read_text().splitlines()[0] + "\n", encoding="utf-8")
         code = main(["mine", "--data", str(data), "--algo", algo, "--seed", "0", "--out", str(workdir / "m.json")])
         assert code == EXIT_SCHEMA

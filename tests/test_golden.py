@@ -10,13 +10,14 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import json
 import random
 from pathlib import Path
 
 import pytest
 
 from helpers import loop_config, save_world, striped_world, terrain_policy, up_left_world, wide_world
-from metamine.cli import EXIT_OK, main
+from metamine.cli import EXIT_OK, EXIT_SCHEMA, main
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef, define_schema, save_schema
 from metamine.rover import run_episodes, save_traces, world_schema
@@ -43,11 +44,11 @@ LOOP_DIGESTS = {
 }
 
 CHAIN_DIGESTS = {
-    "decision.csv": "ecb96657933c9b32dd1972301b382cdb89e93d6bc2b43641b6184e7c92b27472",
+    "decision.csv": "d765eeb996e1c115c3c94b7bdf2c9b25075f3f9b2d13e902546a7216e5d935c1",
     "decision.csv.meta.json": "297f93073e8691b667f7336084e887bb552958b124da3c325ca46b26901c76d8",
     "decision.rules.json": "a879651da52556f549868293f32a1899c86a13e97e0bd7fe46c82fa920e40e3c",
     "decision.tree.json": "961e7b92a0d8b7bd8e78ee88e2678c3b9666321780589159e89c752fe20655a1",
-    "perf.csv": "8a397901165dca7bb7b9bad27c79540663f81dbc9a1e891a61ab4486ab7137e4",
+    "perf.csv": "26d5b7cd6e513f600c72cd3ea42e4f1eb5642a0612f216067109401b7ec286c7",
     "perf.csv.meta.json": "fd1c794202f453b7321269e331507058d57fdbbd97034244e93b65b54e3497fd",
     "perf.tree.json": "f93140944257825db820907207a790d296b861dd7d7a7341ca46cd353d78c9f5",
     "rules.policy.json": "27bd893f22901d8e946a3ea91af87e12cdb63c801a86c77e3c4e8f6d30a6e180",
@@ -62,9 +63,9 @@ SIMULATE_DIGESTS = {
 }
 
 NUMERIC_COLLECT_DIGESTS = {
-    "decision.csv": "0eb79a976c417c6f9f4160cca16dc14dc8b97261fa5722236849a0914160fbbf",
+    "decision.csv": "54ad4557b41f7877282fab5f0968533aada9ca784816b27bbb540addca2f69b8",
     "decision.csv.meta.json": "b5e4c812ed095b34eb4688ea2bd93dc12dac5aa6798e12c3e266498c52eee1a9",
-    "perf.csv": "43f1c039014c7e73b20966736f21a56808d1bc63fb1e4c0cac1355f6ad754f33",
+    "perf.csv": "904b74f3ef6311a109645b82e93645f96f1f8573cfde0c62044e0b99c90ca3f2",
     "perf.csv.meta.json": "0de3965a359a2fd6f43dd26e4bcb9ab3dabcdef83a2cdfbb3b2b2aa5d324e2db",
     "schema.json": "cd008d43628ba9c4cf50d8cd721550cc53a0b6885cc4f2e28a311f7234766d84",
     "traces.csv": "c1e23394d132b7e67866f2fb3d02ae541938d610ef343b0b510d0b46de9c03a4",
@@ -157,3 +158,24 @@ def test_numeric_collect_outputs(tmp_path):
         run("collect", "--traces", traces, "--schema", out / "schema.json", "--label-rule", rule,
             "--bins", "3", "--out", out / f"{name}.csv")
     check(out, NUMERIC_COLLECT_DIGESTS)
+
+
+@pytest.mark.parametrize("schema", [False, True], ids=["without-schema", "with-schema"])
+def test_compile_refuses_a_tree_over_binned_slopes(tmp_path, capsys, schema):
+    """A rule over bin_k labels never matches a raw slope reading, so
+    compile refuses the model rather than write a policy that cannot act."""
+    out = tmp_path / "out"
+    out.mkdir()
+    traces = numeric_trace_file(out)
+    run("collect", "--traces", traces, "--schema", out / "schema.json", "--label-rule", "strategy-as-class",
+        "--select", "slope,strategy", "--bins", "3", "--out", out / "slope.csv")
+    run("mine", "--data", out / "slope.csv", "--algo", "tree", "--seed", "3", "--out", out / "slope.tree.json")
+    model = json.loads((out / "slope.tree.json").read_text())
+    assert model["tree"]["root"]["attribute"] == "slope"
+    assert model["bin_edges"] == json.loads((out / "slope.csv.meta.json").read_text())["bin_edges"]
+    capsys.readouterr()
+    argv = ["compile", "--model", out / "slope.tree.json", "--default", "FAST", "--out", out / "p.json"]
+    argv += ["--schema", out / "schema.json"] * schema
+    assert main([str(a) for a in argv]) == EXIT_SCHEMA
+    assert "BinnedModel" in capsys.readouterr().err
+    assert not (out / "p.json").exists()

@@ -2,12 +2,14 @@
 
 import csv
 import math
+import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import cat, fixed_policy, striped_world, uniform_hazard_world
+from helpers import cat, count_rows, fixed_policy, striped_world, uniform_hazard_world
 from metamine.errors import ConsistencyError, MiningError, SchemaError
 from metamine.introspection import (
     MAX_BINS,
@@ -99,21 +101,23 @@ class TestCollectReport:
         dataset = featurise([trace], schema, "outcome-as-class", 4, SELECTED)
         assert len(dataset) == len(trace.records)
         assert dataset.class_attribute == "outcome"
-        assert dataset.rows == tuple((rec.observed["terrain"], rec.strategy, rec.outcome) for rec in trace.records)
+        assert dataset.counts == count_rows((rec.observed["terrain"], rec.strategy, rec.outcome)
+                                            for rec in trace.records)
 
     def test_strategy_rows_keep_only_successes(self):
         trace, schema = sample_trace()
         dataset = featurise([trace], schema, "strategy-as-class", 4, SELECTED)
         successes = [r for r in trace.records if r.outcome == OUTCOME_SUCCESS]
         assert 0 < len(dataset) == len(successes) < len(trace.records)
-        assert dataset.rows == tuple((rec.observed["terrain"], rec.strategy) for rec in successes)
+        assert dataset.counts == count_rows((rec.observed["terrain"], rec.strategy) for rec in successes)
 
     def test_rows_validate_against_the_schema_and_are_reflective(self):
         trace, schema = sample_trace()
         for rule in ("outcome-as-class", "strategy-as-class"):
             dataset = featurise([trace], schema, rule, 4, SELECTED)
             assert dataset.attributes == tuple(schema.attribute(a.name) for a in dataset.attributes)
-            for row in dataset.rows:
+            for row, count in dataset.counts:
+                assert type(count) is int and count > 0
                 assert all(a.contains(v) for a, v in zip(dataset.attributes, row))
             assert any(a.scope == "self" for a in dataset.attributes)
 
@@ -145,7 +149,7 @@ class TestDatasetInvariants:
     def test_class_attribute_must_be_last(self):
         defs = (cat("label", ("a", "b"), scope="self"), cat("x", ("u", "v")))
         with pytest.raises(SchemaError) as err:
-            Dataset(defs, "label", (("a", "u"),))
+            Dataset(defs, "label", ((("a", "u"), 1),))
         assert err.value.code == "ClassNotLast"
 
     def test_numeric_attributes_are_rejected(self):
@@ -156,12 +160,26 @@ class TestDatasetInvariants:
 
     def test_accessors(self):
         defs = (cat("x", ("u", "v")), cat("label", ("a", "b"), scope="self"))
-        ds = Dataset(defs, "label", (("v", "b"), ("u", "a"), ("v", "b")))
+        ds = Dataset(defs, "label", ((("v", "b"), 2), (("u", "a"), 1)))
         assert len(ds) == 3
         assert [a.name for a in ds.feature_attributes] == ["x"]
         assert ds.class_def.name == "label"
-        assert [row[-1] for row in ds.rows] == ["b", "a", "b"]
         assert list(ds.patterns().items()) == [(("v", "b"), 2), (("u", "a"), 1)]
+
+    def test_equality_keeps_the_order_of_the_rows(self):
+        """The learners' tie-breaks read the first-occurrence order, so two
+        datasets with the same counts in another order differ."""
+        defs = (cat("x", ("u", "v")), cat("label", ("a", "b"), scope="self"))
+        ds = Dataset(defs, "label", ((("v", "b"), 2), (("u", "a"), 1)))
+        assert ds == Dataset(defs, "label", ((("v", "b"), 2), (("u", "a"), 1)))
+        assert ds != Dataset(defs, "label", ((("u", "a"), 1), (("v", "b"), 2)))
+
+    def test_more_instances_than_len_can_count_is_an_error(self):
+        defs = (cat("x", ("u", "v")), cat("label", ("a", "b"), scope="self"))
+        assert len(Dataset(defs, "label", ((("v", "b"), sys.maxsize - 1), (("u", "a"), 1)))) == sys.maxsize
+        with pytest.raises(MiningError) as err:
+            Dataset(defs, "label", ((("v", "b"), sys.maxsize), (("u", "a"), 1)))
+        assert err.value.code == "TooManyInstances"
 
     def test_an_empty_dataset_is_an_error(self):
         defs = (cat("x", ("u", "v")), cat("label", ("a", "b"), scope="self"))
@@ -171,7 +189,7 @@ class TestDatasetInvariants:
 
     def test_editing_the_patterns_leaves_the_dataset_unchanged(self):
         defs = (cat("x", ("u", "v")), cat("label", ("a", "b"), scope="self"))
-        ds = Dataset(defs, "label", (("v", "b"), ("u", "a"), ("v", "b")))
+        ds = Dataset(defs, "label", ((("v", "b"), 2), (("u", "a"), 1)))
         edited = ds.patterns()
         edited[("v", "b")] += 5
         del edited[("u", "a")]
@@ -197,21 +215,16 @@ def featurise_numeric(values, bins):
     return featurise([numeric_report(values)], NUMERIC_SCHEMA, "strategy-as-class", bins)
 
 
-def assert_equal_rows_are_shared(dataset):
-    assert len({id(row) for row in dataset.rows}) == len(set(dataset.rows))
-
-
 class TestFeaturise:
     def test_equal_width_binning_for_the_worked_example(self):
         dataset = featurise_numeric([1, 2, 9, 10], bins=2)
-        assert [row[0] for row in dataset.rows] == ["bin_0", "bin_0", "bin_1", "bin_1"]
-        assert_equal_rows_are_shared(dataset)
+        assert dataset.counts == ((("bin_0", "GO"), 2), (("bin_1", "GO"), 2))
         assert dataset.bin_edges == {"v": (5.5,)}
         assert dataset.attributes[0].domain == ("bin_0", "bin_1")
 
     def test_constant_column_goes_to_bin_zero(self):
         dataset = featurise_numeric([4.0, 4.0, 4.0], bins=3)
-        assert {row[0] for row in dataset.rows} == {"bin_0"}
+        assert dataset.counts == ((("bin_0", "GO"), 3),)
         assert dataset.bin_edges == {"v": ()}
 
     def test_boundary_values_fall_in_the_upper_bin(self):
@@ -226,7 +239,8 @@ class TestFeaturise:
         dataset = featurise([trace_a, trace_b], schema, "outcome-as-class", 4, SELECTED)
         assert len(dataset) == len(trace_a.records) + len(trace_b.records)
         assert [a.name for a in dataset.attributes] == ["terrain", "strategy", "outcome"]
-        assert dataset.rows[: len(trace_a.records)] == featurise([trace_a], schema, "outcome-as-class", 4, SELECTED).rows
+        first, second = (featurise([t], schema, "outcome-as-class", 4, SELECTED).patterns() for t in (trace_a, trace_b))
+        assert dataset.counts == tuple((first + second).items())
 
     def test_no_traces_or_no_rows_is_an_error(self):
         with pytest.raises(MiningError) as err:
@@ -256,7 +270,8 @@ class TestFeaturise:
         assert domain == tuple(f"bin_{i}" for i in range(bins))
         edges = dataset.bin_edges["v"]
         assert all(math.isfinite(e) for e in edges) and list(edges) == sorted(edges)
-        indexed = sorted(zip(values, (row[0] for row in dataset.rows)))
+        assert dataset.patterns() == Counter((assign_bin(edges, v), "GO") for v in values)
+        indexed = sorted((v, assign_bin(edges, v)) for v in values)
         bins_in_order = [int(label.split("_")[1]) for _, label in indexed]
         assert bins_in_order == sorted(bins_in_order)
         assert all(0 <= b < bins for b in bins_in_order)
@@ -325,8 +340,7 @@ class TestProjectionReference:
             return
         dataset = featurise(traces, RANDOM_SCHEMA, rule, bins, selected)
         assert [a.name for a in dataset.attributes] == columns
-        assert list(dataset.rows) == rows
-        assert_equal_rows_are_shared(dataset)
+        assert dataset.counts == count_rows(rows)
 
 
 class TestDatasetFiles:
@@ -335,12 +349,14 @@ class TestDatasetFiles:
         schema = world_schema(world)
         traces = run_episodes(world, fixed_policy("FAST"), 6, master_seed=4, explore=0.5)
         dataset = featurise(traces, schema, "outcome-as-class", 4, SELECTED)
-        assert_equal_rows_are_shared(dataset)
         path = tmp_path / "data.csv"
         save_dataset(dataset, path)
+        with open(path, newline="") as fh:
+            records = list(csv.reader(fh))
+        assert records == [["terrain", "strategy", "outcome", "count"]] + [[*row, str(count)]
+                                                                         for row, count in dataset.counts]
         loaded = load_dataset(path)
         assert loaded == dataset
-        assert_equal_rows_are_shared(loaded)
         again = tmp_path / "again.csv"
         save_dataset(loaded, again)
         assert again.read_bytes() == path.read_bytes()

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from helpers import cat, make_dataset, striped_world
+from helpers import cat, count_rows, make_dataset, striped_world
 from metamine.errors import ConsistencyError, InputFormatError, MiningError
 from metamine.introspection import Dataset, featurise
 from metamine.jsonio import canonical_dumps, decode
@@ -53,7 +53,12 @@ def xor_dataset():
         cat("label", ("+", "-"), scope="self"),
     )
     rows = tuple((p, q, "+" if p != q else "-") for p in (False, True) for q in (False, True))
-    return Dataset(defs, "label", rows)
+    return Dataset(defs, "label", count_rows(rows))
+
+
+def labeled_rows(labels, feature="k"):
+    """The instance rows of labeled(labels, feature), in label order."""
+    return [(feature, label) for label in labels]
 
 
 def labeled(labels, feature="k"):
@@ -127,7 +132,7 @@ class TestInfoGain:
             {"a": "x", "label": "+"},
             {"a": "y", "label": "-"},
         ])
-        assert info_gain(ds, "a") == pytest.approx(entropy(row[-1] for row in ds.rows), abs=TOL)
+        assert info_gain(ds, "a") == pytest.approx(entropy("++-"), abs=TOL)
 
     @given(st.lists(st.tuples(st.sampled_from("xy"), st.sampled_from("uv"),
                               st.sampled_from("+-")), min_size=1, max_size=30))
@@ -384,23 +389,23 @@ class TestDeriveRules:
 
 class TestStratifiedFolds:
     def test_leave_one_out_partition(self):
-        folds = stratified_folds(labeled("++--"), 4, seed=7)
+        folds = stratified_folds(labeled("++--"), labeled_rows("++--"), 4, seed=7)
         assert sorted(i for f in folds for i in f) == [0, 1, 2, 3]
         assert all(len(f) == 1 for f in folds)
 
     def test_same_seed_same_folds(self):
-        ds = labeled("+++---++")
-        assert stratified_folds(ds, 3, seed=5) == stratified_folds(ds, 3, seed=5)
+        ds, rows = labeled("+++---++"), labeled_rows("+++---++")
+        assert stratified_folds(ds, rows, 3, seed=5) == stratified_folds(ds, rows, 3, seed=5)
 
     def test_more_folds_than_rows_is_an_error(self):
         with pytest.raises(MiningError) as err:
-            stratified_folds(labeled("++"), 3, seed=0)
+            stratified_folds(labeled("++"), labeled_rows("++"), 3, seed=0)
         assert err.value.code == "TooFewInstances"
 
     @pytest.mark.parametrize("k", [1, 0, -2])
     def test_fewer_than_two_folds_is_an_error(self, k):
         with pytest.raises(MiningError) as err:
-            stratified_folds(labeled("++--"), k, seed=0)
+            stratified_folds(labeled("++--"), labeled_rows("++--"), k, seed=0)
         assert err.value.code == "BadConfig"
 
     @given(st.lists(st.sampled_from("+-"), min_size=2, max_size=40),
@@ -408,13 +413,13 @@ class TestStratifiedFolds:
     def test_partition_and_class_balance(self, labels, k, seed):
         if k > len(labels):
             return
-        ds = labeled("".join(labels))
-        folds = stratified_folds(ds, k, seed)
+        rows = labeled_rows(labels)
+        folds = stratified_folds(labeled("".join(labels)), rows, k, seed)
         flat = sorted(i for f in folds for i in f)
         assert flat == list(range(len(labels)))
         assert all(f for f in folds)
         for value in "+-":
-            counts = [sum(1 for i in f if ds.rows[i][-1] == value) for f in folds]
+            counts = [sum(1 for i in f if rows[i][-1] == value) for f in folds]
             assert max(counts) - min(counts) <= 1
 
     @given(st.data())
@@ -436,7 +441,7 @@ class TestStratifiedFolds:
                     if row == distinct:
                         folds[cursor % k].append(i)
                         cursor += 1
-        assert stratified_folds(ds, k, seed) == [sorted(f) for f in folds]
+        assert stratified_folds(ds, rows, k, seed) == [sorted(f) for f in folds]
 
     @given(st.lists(st.integers(1, 400), min_size=1, max_size=6), st.integers(2, 10),
            st.integers(0, 99), st.randoms(use_true_random=False))
@@ -449,9 +454,9 @@ class TestStratifiedFolds:
         assume(k <= len(rows))
         rng.shuffle(rows)
         ds = make_dataset({"c": values}, ("+", "-"), [{"c": c, "label": l} for c, l in rows])
-        folds = stratified_folds(ds, k, seed)
+        folds = stratified_folds(ds, rows, k, seed)
         for row in distinct:
-            per_fold = [sum(1 for i in fold if ds.rows[i] == row) for fold in folds]
+            per_fold = [sum(1 for i in fold if rows[i] == row) for fold in folds]
             assert max(per_fold) - min(per_fold) <= 1
 
 
@@ -491,12 +496,12 @@ class TestCrossValidate:
                                         min_size=5, max_size=40)))
         config = MiningConfig(max_depth=data.draw(st.integers(1, 4)), min_leaf_instances=data.draw(st.integers(1, 4)),
                               cv_folds=data.draw(st.integers(2, 5)), seed=data.draw(st.integers(0, 99)))
-        ds = Dataset(defs, "label", rows)
+        ds = Dataset(defs, "label", count_rows(rows))
         assume(config.cv_folds <= len(ds) and len({row[-1] for row in rows}) >= 2)
         names = [a.name for a in defs]
         expected = []
-        for fold in stratified_folds(ds, config.cv_folds, config.seed):
-            train = Dataset(defs, "label", tuple(row for i, row in enumerate(rows) if i not in fold))
+        for fold in stratified_folds(ds, rows, config.cv_folds, config.seed):
+            train = Dataset(defs, "label", count_rows(row for i, row in enumerate(rows) if i not in fold))
             tree = induce_tree(train, config)
             expected.append(sum(classify(tree, dict(zip(names, rows[i]))) == rows[i][-1] for i in fold) / len(fold))
         assert cross_validate(ds, config) == tuple(expected)
@@ -504,22 +509,28 @@ class TestCrossValidate:
 
 class TestCountedFolds:
     """cross_validate deals counts, the reference stratified_folds deals
-    indices, both from _start_folds; the folds and scores are the same
-    either way."""
+    indices of the instance rows, both from _start_folds; the folds and
+    scores are the same either way."""
 
     @pytest.fixture(scope="class")
     def loop_dataset(self):
+        """A loop-shaped dataset and its instance rows, each decision of
+        the traces projected in trace order."""
         world = striped_world()
         schema = world_schema(world)
         traces = run_seeded(world, initial_policy(schema), range(60), 0.8)
-        return featurise(traces, schema, "outcome-as-class", 4)
+        ds = featurise(traces, schema, "outcome-as-class", 4)
+        names = [a.name for a in ds.attributes]
+        rows = [tuple(rec.outcome if n == "outcome" else rec.strategy if n == schema.class_attribute
+                      else rec.observed[n] for n in names) for trace in traces for rec in trace.records]
+        return ds, rows
 
     @pytest.mark.parametrize("k, seed", [(2, 0), (3, 7), (5, 0), (5, 1), (10, 42)])
     def test_fold_multisets_and_scores_match_the_index_folds(self, loop_dataset, monkeypatch, k, seed):
-        ds = loop_dataset
-        folds = stratified_folds(ds, k, seed)
+        ds, rows = loop_dataset
+        folds = stratified_folds(ds, rows, k, seed)
         for row, fold in _start_folds(ds, k, seed).items():
-            assert ds.rows.index(row) in folds[fold]
+            assert rows.index(row) in folds[fold]
         held_out = []
 
         def hits(tree, dataset, test):
@@ -529,11 +540,11 @@ class TestCountedFolds:
         monkeypatch.setattr(mining, "_hits", hits)
         config = MiningConfig(max_depth=4, min_leaf_instances=5, cv_folds=k, seed=seed)
         scores = cross_validate(ds, config)
-        assert held_out == [Counter(ds.rows[i] for i in fold) for fold in folds]
+        assert held_out == [Counter(rows[i] for i in fold) for fold in folds]
         total = ds.patterns()
         expected = []
         for fold in folds:
-            test = Counter(ds.rows[i] for i in fold)
+            test = Counter(rows[i] for i in fold)
             expected.append(_hits(_grow_tree(ds, total - test, config), ds, test) / len(fold))
         assert scores == tuple(expected)
 
@@ -542,7 +553,7 @@ class TestModels:
     def strategy_dataset(self):
         rows = [("sand", "CAREFUL")] * 8 + [("rock", "FAST")] * 8 + [("sand", "FAST")] * 2
         defs = (cat("terrain", ("sand", "rock")), cat("strategy", ("FAST", "CAREFUL"), scope="self"))
-        return Dataset(defs, "strategy", tuple(rows))
+        return Dataset(defs, "strategy", count_rows(rows))
 
     def test_tree_model_evaluation_record(self):
         model_config = MiningConfig(cv_folds=3, seed=2)
@@ -563,7 +574,7 @@ class TestModels:
 
     def test_tree_model_on_world_attributes_has_world_scope(self):
         defs = (cat("row", ("top", "bottom")), cat("terrain", ("sand", "rock")))
-        ds = Dataset(defs, "terrain", (("top", "sand"), ("bottom", "rock")) * 3)
+        ds = Dataset(defs, "terrain", count_rows((("top", "sand"), ("bottom", "rock")) * 3))
         model = fit_tree_model(ds, MiningConfig(cv_folds=2, seed=0))
         assert model.tree.split_attributes() == {"row"}
         assert model.scope == "world"
@@ -596,6 +607,21 @@ class TestModels:
             again = tmp_path / f"{model.kind}.again.json"
             save_model(loaded, again)
             assert again.read_bytes() == path.read_bytes()
+
+    def test_a_model_carries_the_bin_edges_of_the_binned_attributes_it_uses(self, tmp_path):
+        defs = (cat("slope", ("bin_0", "bin_1")), cat("wind", ("bin_0", "bin_1")),
+                cat("strategy", ("FAST", "CAREFUL"), scope="self"))
+        rows = [("bin_0", "bin_0", "FAST")] * 4 + [("bin_1", "bin_0", "CAREFUL")] * 4
+        ds = Dataset(defs, "strategy", count_rows(rows), {"slope": (2.5,), "wind": ()})
+        config = MiningConfig(cv_folds=2, seed=0, min_support=0.4, min_confidence=0.9)
+        tree, rules = fit_tree_model(ds, config), fit_rules_model(ds, config)
+        assert tree.bin_edges == {"slope": (2.5,)}
+        assert rules.bin_edges == {"slope": (2.5,), "wind": ()}
+        for model in (tree, rules):
+            assert model_to_json(model)["bin_edges"] == {name: list(e) for name, e in model.bin_edges.items()}
+            save_model(model, tmp_path / "m.json")
+            assert load_model(tmp_path / "m.json") == model
+        assert "bin_edges" not in model_to_json(fit_tree_model(self.strategy_dataset(), config))
 
     def test_keys_the_reader_does_not_use_are_ignored(self):
         config = MiningConfig(cv_folds=3, seed=2, min_support=0.2, min_confidence=0.6)

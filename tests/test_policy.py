@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import cat, make_dataset
+from helpers import cat, count_rows, make_dataset
 from metamine.errors import ConsistencyError, PolicyError
 from metamine.jsonio import canonical_dumps, content_id
 from metamine.knowledge import AttributeDef, define_schema
@@ -276,7 +276,7 @@ class TestCompilePolicy:
                 cat("strategy", ("FAST", "CAREFUL"), scope="self"))
         from metamine.introspection import Dataset
 
-        ds = Dataset(defs, "strategy", tuple(rows))
+        ds = Dataset(defs, "strategy", count_rows(rows))
         tree = induce_tree(ds, MiningConfig())
         policy = compile_policy(tree_to_rules(tree), "strategy", "FAST", schema=control_schema())
         for t, w in product(("sand", "rock", "ice"), (False, True)):

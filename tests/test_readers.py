@@ -1,7 +1,7 @@
 """The trace and dataset readers against the reference readers that parse
 every record with csv (table_reference): on any file, the same value, or
 the same error class and exact message; and the dataset writer against
-the reference writer that writes one row at a time.
+the reference writer that writes one record at a time.
 
 The generated files mix what a reader can meet: quoted cells, quoted
 leading cells, cells that span lines, blank lines, NUL bytes, LF, CR and
@@ -10,7 +10,10 @@ quotes, commas and line breaks, and bytes that are not UTF-8. Trace files
 also mix numbers with leading zeros, episodes that come back after another,
 records that come back at other epochs and in other episodes, episodes of
 both reached_goal values over the same rows, and rows whose reached_goal
-differs from their episode's. Both properties also run with the readers'
+differs from their episode's. Dataset files also mix odd count cells
+(signs, exponents, leading zeros, non-ASCII digits, counts too long for
+int() and counts whose sum len() cannot return) and rows repeated under
+their own counts. Both properties also run with the readers'
 block size cut to a few bytes, so lines, line ends and quoted cells fall
 across block boundaries.
 """
@@ -18,6 +21,7 @@ across block boundaries.
 from __future__ import annotations
 
 import os
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -29,7 +33,7 @@ from hypothesis import strategies as st
 import table_reference
 from metamine import jsonio
 from metamine.errors import InputFormatError
-from metamine.introspection import ROWS_PER_WRITE, Dataset, load_dataset, save_dataset
+from metamine.introspection import Dataset, load_dataset, save_dataset
 from metamine.knowledge import AttributeDef, define_schema
 from metamine.rover import OUTCOME_DEF, load_traces
 
@@ -40,12 +44,13 @@ SCHEMA = define_schema((AttributeDef("terrain", "categorical", "world", TERRAINS
                         AttributeDef("strategy", "categorical", "self", STRATEGIES), OUTCOME_DEF), "strategy")
 TRACE_HEADER = ["episode", "epoch", "x", "y", "terrain", "slope", "strategy", "outcome", "reward", "reached_goal"]
 DATASET = Dataset((AttributeDef("terrain", "categorical", "world", TERRAINS), AttributeDef("wet", "boolean", "world"),
-                   AttributeDef("strategy", "categorical", "self", STRATEGIES)), "strategy", (("plain", True, "FAST"),))
-DATASET_HEADER = ["terrain", "wet", "strategy"]
+                   AttributeDef("strategy", "categorical", "self", STRATEGIES)), "strategy",
+                  ((("plain", True, "FAST"), 1),))
+DATASET_HEADER = ["terrain", "wet", "strategy", "count"]
 
 # Cells that are not what the writers write; most fail a check.
 ODD = ["", " 0", '"0"', "0\0", "-0", "00", "01", "007", "٣", "0" * 45, "x", "1.5", "nan", "inf", "mud", "WALK", "yes",
-       "9", "a\rb", "a\nb"]
+       "9", "a\rb", "a\nb", "0", "-1", "+1", "1.0", "1e3", "1" * 5000, str(sys.maxsize), str(sys.maxsize + 1)]
 
 
 def quoted(cell: str, style: str) -> str:
@@ -155,7 +160,8 @@ route_trace = table_text(TRACE_HEADER, route_trace_rows(), alike=st.sampled_from
 traces = st.tuples(table_text(TRACE_HEADER, free_trace_rows()), route_trace, route_trace)
 
 dataset_rows = st.lists(st.tuples(st.sampled_from(TERRAINS), st.sampled_from(["true", "false"]),
-                                  st.sampled_from(STRATEGIES)).map(list), max_size=12)
+                                  st.sampled_from(STRATEGIES), st.sampled_from(["1", "2", "3", "17"])).map(list),
+                        max_size=12)
 
 
 def outcome(load, *args):
@@ -280,8 +286,8 @@ def test_a_last_row_that_is_a_known_rest_without_its_line_end_reads_as_a_record_
 TABLES = {
     "traces": [",".join(TRACE_HEADER), ROW.format(0), ROW.format(1).replace("plain", '"line\nbreak"'), ROW.format(2),
                ROW.format(3)],
-    "dataset": [",".join(DATASET_HEADER), "plain,true,FAST", '"line\nbreak",false,"CA,RE"', "plain,true,FAST",
-                '"sand, wet",true,FAST'],
+    "dataset": [",".join(DATASET_HEADER), "plain,true,FAST,3", '"line\nbreak",false,"CA,RE",1', "plain,true,FAST,2",
+                '"sand, wet",true,FAST,40'],
 }
 # Files to read with every block size up to their length, so that every
 # byte starts a block once: CRLFs and quoted line breaks split between two.
@@ -343,12 +349,18 @@ def test_a_trace_piped_in_reads_as_the_same_file_on_disk(tmp_path):
     assert len(piped[0][0].records) == 3
 
 
-@pytest.mark.parametrize("n", [1, ROWS_PER_WRITE, ROWS_PER_WRITE + 1],
-                         ids=["one-row", "one-block", "a-block-and-a-row"])
-def test_save_dataset_writes_what_a_row_by_row_writer_writes(tmp_path, n):
-    patterns = [(t, w, s) for t in TERRAINS for w in (True, False) for s in STRATEGIES]
-    dataset = Dataset(DATASET.attributes, "strategy", tuple(patterns[i * 5 % len(patterns)] for i in range(n)))
+PATTERNS = [(t, w, s) for t in TERRAINS for w in (True, False) for s in STRATEGIES]
+
+
+@pytest.mark.parametrize("counts", [
+    [1],
+    [i * 5 % 7 + 1 for i in range(len(PATTERNS))],
+    [sys.maxsize - len(PATTERNS) + 1] + [1] * (len(PATTERNS) - 1),
+], ids=["one-row", "every-pattern", "counts-summing-to-maxsize"])
+def test_save_dataset_writes_what_a_row_by_row_writer_writes(tmp_path, counts):
+    dataset = Dataset(DATASET.attributes, "strategy", tuple(zip(PATTERNS[::-1], counts)))
     save_dataset(dataset, tmp_path / "d.csv")
     table_reference.save_dataset(dataset, tmp_path / "r.csv")
     for suffix in ("", ".meta.json"):
         assert (tmp_path / f"d.csv{suffix}").read_bytes() == (tmp_path / f"r.csv{suffix}").read_bytes()
+    assert load_dataset(tmp_path / "d.csv") == dataset
