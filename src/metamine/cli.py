@@ -22,7 +22,7 @@ from .cycle import (
     experiment_to_json,
     run_experiment,
 )
-from .errors import ConsistencyError, InputFormatError, MetamineError
+from .errors import ConsistencyError, InputFormatError, MetamineError, PolicyError
 from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_field, expect_object, read_json, write_json
 from .knowledge import format_value, load_schema, save_schema
@@ -183,6 +183,9 @@ def cmd_compile(args: argparse.Namespace) -> int:
                                               "a policy cannot act on bins")
     schema = load_schema(args.schema) if args.schema else None
     control = schema.class_attribute if schema is not None else model.label_attribute
+    if model.label_attribute != control:  # its rules may test what the rover only learns after deciding
+        raise PolicyError("NotControlAttribute", f"the model predicts {model.label_attribute!r}, "
+                                                 f"not the control attribute {control!r}")
     rules = tree_to_rules(model.tree, control) if model.kind == "tree" else rules_to_ruleset(model.rules, control)
     default = _typed_action(args.default, schema, control, model)
     policy = compile_policy(rules, control, default, schema=schema,

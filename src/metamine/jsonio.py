@@ -5,11 +5,11 @@ All JSON the package emits goes through canonical_dumps so that equal
 objects serialize to identical bytes: sorted keys, two-space indent,
 UTF-8 text, no NaN/Infinity, one trailing newline.
 
-CSV files (traces, datasets) are read through open_table, which checks
-the file and its header and hands out each record's first line as bytes,
-for a reader to look up as they stand (the trace reader does) and to
-decode and parse with csv, checking its width; the cells themselves are
-parsed by the attribute codec in knowledge.
+CSV files (traces, datasets) are read through open_table, which reads
+the file as bytes in blocks, checks its header and hands out each
+record's first line as bytes, for a reader to look up as they stand (the
+trace reader does) and to decode and parse with csv, checking its width;
+the cells themselves are parsed by the attribute codec in knowledge.
 
 Every reader checks shape here: objects are objects, lists are lists and
 names, values and labels are JSON atoms. Types and ranges of the values
@@ -19,16 +19,13 @@ fields double as the table of keys a record may carry (see decode).
 
 from __future__ import annotations
 
-import codecs
 import csv
 import dataclasses
 import hashlib
-import io
 import itertools
 import json
 import math
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator
@@ -81,20 +78,6 @@ Cells = Callable[[int, bytes], tuple[list[str], bool]]
 BLOCK_SIZE = 1 << 16
 
 
-def _is_utf8(fh) -> bool:
-    """Whether a seekable binary file decodes as UTF-8; it is left at its start."""
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    try:
-        for block in iter(partial(fh.read, BLOCK_SIZE), b""):
-            decoder.decode(block)
-        decoder.decode(b"", True)
-    except UnicodeDecodeError:
-        return False
-    finally:
-        fh.seek(0)
-    return True
-
-
 def _line_blocks(fh) -> Iterator[list[bytes]]:
     """The lines of a binary file, block by block, ended at LF, CRLF or CR
     as text mode with newline="" ends them. A block's last line goes on
@@ -121,11 +104,12 @@ def open_table(path: str | Path, header: list[str]) -> Iterator[tuple[Iterator[b
     record): equal whole-record lines parse alike. line is the record
     number for the error message, 2 plus the rows read before it.
 
-    A file that is UTF-8 throughout, checked block by block before any
-    line is handed out, is split in blocks as bytes; any other, and a pipe,
-    goes through the text-mode reader, each line encoded again, so a decode
-    error reads and fires as a text reader's does. The file closes when the
-    block ends; one that cannot be read or decoded is an UnreadableFile.
+    Every line a reader parses is decoded as UTF-8 there, and a row the
+    trace reader takes without parsing is ASCII-digit cells in front of
+    bytes it decoded in an earlier row, so a byte that is not UTF-8 is
+    refused at the record that holds it, its position counted within its
+    line. The file closes when the block ends; one that cannot be read or
+    decoded is an UnreadableFile.
     """
     name = str(path)
     width = len(header)
@@ -139,10 +123,7 @@ def open_table(path: str | Path, header: list[str]) -> Iterator[tuple[Iterator[b
 
     try:
         with open(path, "rb") as fh:
-            # a pipe cannot be read twice, so it goes through the text reader
-            utf8 = fh.seekable() and _is_utf8(fh)
-            lines = (itertools.chain.from_iterable(_line_blocks(fh)) if utf8
-                     else map(str.encode, io.TextIOWrapper(fh, encoding="utf-8", newline="")))
+            lines = itertools.chain.from_iterable(_line_blocks(fh))
             first = next(csv.reader(map(bytes.decode, lines)), None)
             if first != header:
                 raise InputFormatError("BadHeader", f"{name}: expected columns {header}, got {first or 'nothing'}")

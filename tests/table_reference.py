@@ -1,16 +1,20 @@
 """Reference trace and dataset readers that parse every record with csv,
 and a reference dataset writer that writes one record at a time.
 
-The trace reader is load_traces as it was before the package learned to
-parse each distinct line once: one csv.reader runs over the whole file in
-text mode, every record's cells are checked, and only the attribute
-parses are shared between records whose cells read the same. The dataset
-reader runs one csv.reader the same way over a counted dataset file,
-parses every record's cells and checks its count cell against a regular
-expression, adding the counts of repeated rows up. The differential tests
-hold load_traces and load_dataset to them: the same value, or the same
-error class and message, on any file. The writer writes each distinct
-row and its count through csv.writer; save_dataset must write its bytes.
+Both read a file's bytes whole, split them into lines at LF, CRLF and CR
+and decode each line as UTF-8 only when csv asks for it, so a byte that
+is not UTF-8 is refused at the record that holds it, its position counted
+within its line. The trace reader is load_traces as it was before the
+package learned to parse each distinct line once: one csv.reader runs
+over the whole file, every record's cells are checked, and only the
+attribute parses are shared between records whose cells read the same.
+The dataset reader runs one csv.reader the same way over a counted
+dataset file, parses every record's cells and checks its count cell
+against a regular expression, adding the counts of repeated rows up. The
+differential tests hold load_traces and load_dataset to them: the same
+value, or the same error class and message, on any file. The writer
+writes each distinct row and its count through csv.writer; save_dataset
+must write its bytes.
 """
 
 from __future__ import annotations
@@ -40,15 +44,16 @@ def read_table(path, header):
     name = str(path)
     width = len(header)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            first = next(reader, None)
-            if first != header:
-                raise InputFormatError("BadHeader", f"{name}: expected columns {header}, got {first or 'nothing'}")
-            for line, row in enumerate(reader, start=2):
-                if len(row) != width:
-                    raise InputFormatError("BadRow", f"{name} line {line}: expected {width} cells, got {len(row)}")
-                yield line, row
+        with open(path, "rb") as fh:
+            data = fh.read()
+        reader = csv.reader(map(bytes.decode, data.splitlines(True)))
+        first = next(reader, None)
+        if first != header:
+            raise InputFormatError("BadHeader", f"{name}: expected columns {header}, got {first or 'nothing'}")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                raise InputFormatError("BadRow", f"{name} line {line}: expected {width} cells, got {len(row)}")
+            yield line, row
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputFormatError("UnreadableFile", f"cannot read {name}: {exc}") from exc
 

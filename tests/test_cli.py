@@ -299,18 +299,23 @@ class TestPipeline:
         assert not (workdir / "m.json").exists()
         capsys.readouterr()
 
-    def test_compiling_a_non_control_model_is_a_schema_error(self, workdir, capsys):
+    @pytest.mark.parametrize("algo", ["tree", "apriori"])
+    def test_compiling_a_non_control_model_is_a_schema_error(self, workdir, capsys, algo):
+        """An outcome model's rules that decide the control attribute test
+        outcome, which the rover learns only after it decides."""
         traces = self.simulate(workdir)
         data = workdir / "outcome.csv"
         assert main(["collect", "--traces", str(traces), "--world", str(workdir / "world.json"),
                      "--label-rule", "outcome-as-class", "--out", str(data)]) == EXIT_OK
         model = workdir / "outcome.model.json"
-        assert main(["mine", "--data", str(data), "--algo", "tree", "--seed", "0",
+        assert main(["mine", "--data", str(data), "--algo", algo, "--seed", "0",
                      "--out", str(model)]) == EXIT_OK
+        capsys.readouterr()
         code = main(["compile", "--model", str(model), "--default", "FAST",
                      "--schema", str(workdir / "schema.json"), "--out", str(workdir / "p.json")])
         assert code == EXIT_SCHEMA
-        capsys.readouterr()
+        assert "NotControlAttribute" in capsys.readouterr().err
+        assert not (workdir / "p.json").exists()
 
     def boolean_model(self, workdir, algo):
         """A model of a boolean `careful` control, and the schema that types it."""

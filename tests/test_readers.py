@@ -6,8 +6,9 @@ the reference writer that writes one record at a time.
 The generated files mix what a reader can meet: quoted cells, quoted
 leading cells, cells that span lines, blank lines, NUL bytes, LF, CR and
 CRLF line ends, a missing final newline, rows repeated verbatim, stray
-quotes, commas and line breaks, and bytes that are not UTF-8. Trace files
-also mix numbers with leading zeros, episodes that come back after another,
+quotes, commas and line breaks, and bytes that are not UTF-8, some in
+lines that repeat an earlier line byte for byte. Trace files also mix
+numbers with leading zeros, episodes that come back after another,
 records that come back at other epochs and in other episodes, episodes of
 both reached_goal values over the same rows, and rows whose reached_goal
 differs from their episode's. Dataset files also mix odd count cells
@@ -32,7 +33,7 @@ from hypothesis import strategies as st
 
 import table_reference
 from metamine import jsonio
-from metamine.errors import InputFormatError
+from metamine.errors import InputFormatError, SchemaError
 from metamine.introspection import Dataset, load_dataset, save_dataset
 from metamine.knowledge import AttributeDef, define_schema
 from metamine.rover import OUTCOME_DEF, load_traces
@@ -68,8 +69,9 @@ def rarely(k: int):
 def table_text(draw, header, rows, alike=st.just(False)):
     """A CSV text of header and rows, each line quoted and ended its own
     way, with odd cells and stray characters put in and lines repeated or
-    blank; about one file in three is well formed. Where alike draws True,
-    every line is quoted and ended as the first row is."""
+    blank; about one file in three is well formed. About one file in
+    twenty gets a raw 0xff byte, half the time in a repeated line. Where
+    alike draws True, every line is quoted and ended as the first row is."""
     records = [list(header)] + draw(rows)
     if len(records) > 1 and draw(rarely(2)):
         for i, k, cell in draw(st.lists(st.tuples(st.integers(1, 60), st.integers(0, 20), st.sampled_from(ODD)),
@@ -94,7 +96,15 @@ def table_text(draw, header, rows, alike=st.just(False)):
         text = text.rstrip("\r\n")
     data = text.encode("utf-8")
     if draw(rarely(20)):
-        at = draw(st.integers(0, len(data)))
+        # half the time into a line that repeats an earlier one byte for byte, whose
+        # leading cells a trace reader that knows the rest of the line may not parse
+        repeats = [i for i, line in enumerate(lines) if line in lines[:i]]
+        start, end = 0, len(data)
+        if repeats and draw(st.booleans()):
+            i = draw(st.sampled_from(repeats))
+            start = min(len("".join(lines[:i]).encode("utf-8")), end)
+            end = min(start + len(lines[i].encode("utf-8")), end)
+        at = draw(st.integers(start, end))
         data = data[:at] + b"\xff" + data[at:]
     return data
 
@@ -279,6 +289,44 @@ def test_an_epoch_too_long_for_int_is_a_bad_row_where_its_tail_is_known(tmp_path
     assert info.value.code == "BadRow" and " line 3: " in info.value.message
 
 
+# A raw 0xff byte, which no UTF-8 text holds, where a line is encoded with
+# surrogateescape (the character \xff, "ÿ", would encode as valid UTF-8).
+FF = "\udcff"
+HEADER_LINE = ",".join(TRACE_HEADER)
+BAD_BYTE_FILES = {
+    # the first row's rest behind the episode cell b"1\xff", and its tail behind the epoch cell b"1\xff"
+    "episode-cell-of-a-known-rest": [HEADER_LINE, row(0, 0), "1" + FF + row(0, 0)[1:]],
+    "epoch-cell-of-a-known-tail": [HEADER_LINE, row(0, 0), row(0, "1" + FF)],
+    "tail-of-a-plain-row": [HEADER_LINE, row(0, 0), row(0, 1, terrain="pl" + FF + "ain")],
+    "continuation-line-of-a-quoted-cell": [HEADER_LINE, row(0, 0), row(0, 1, terrain='"line\n' + FF + 'break"')],
+    "header": [HEADER_LINE.replace("terrain", "terr" + FF + "ain"), row(0, 0)],
+    "out-of-domain-row-before-a-bad-byte": [HEADER_LINE, row(0, 0), row(0, 1, terrain="mud"),
+                                            row(0, 2, terrain=FF)],
+}
+
+
+def bad_byte_file(case):
+    return ("\r\n".join(BAD_BYTE_FILES[case]) + "\r\n").encode("utf-8", "surrogateescape")
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BYTE_FILES))
+def test_a_byte_that_is_not_utf8_is_refused_at_its_record_as_a_record_by_record_csv_reader(case):
+    """Rows whose rest or tail is known skip csv, so their leading cells
+    must be checked as ASCII digits before they are taken as they stand."""
+    data = bad_byte_file(case)
+    assert b"\xff" in data
+    assert_traces_read_alike(data)
+
+
+def test_a_malformed_row_before_a_bad_byte_is_reported_first(tmp_path):
+    """Schema error (exit 4) at line 3, not the 0xff on line 4."""
+    path = tmp_path / "t.csv"
+    path.write_bytes(bad_byte_file("out-of-domain-row-before-a-bad-byte"))
+    with pytest.raises(SchemaError) as info:
+        load_traces(path, SCHEMA)
+    assert info.value.code == "OutOfDomainValue" and " line 3: " in info.value.message
+
+
 def test_a_last_row_that_is_a_known_rest_without_its_line_end_reads_as_a_record_by_record_csv_reader():
     assert_traces_read_alike(("\r\n".join([",".join(TRACE_HEADER), ROW.format(0), ROW.format(1)])).encode("utf-8"))
 
@@ -323,9 +371,9 @@ def test_files_split_at_any_byte_read_as_a_record_by_record_csv_reader(kind, cas
 
 
 @pytest.mark.parametrize("kind", sorted(TABLES))
-def test_a_byte_that_is_not_utf8_past_the_first_text_chunk_reads_as_a_record_by_record_csv_reader(kind):
-    """The text reader decodes 8 KB at a time and names the bad byte's
-    place in its chunk; the fallback must say the same."""
+def test_a_byte_that_is_not_utf8_deep_in_a_file_reads_as_a_record_by_record_csv_reader(kind):
+    """A bad byte 9001 bytes in, many small blocks past the file's start,
+    is refused at its record, its position counted within its line."""
     lines = TABLES[kind]
     rows = [ROW.format(i) for i in range(400)] if kind == "traces" else lines[1:] * 150
     data = ("\r\n".join(lines[:1] + rows) + "\r\n").encode("utf-8")
@@ -334,10 +382,14 @@ def test_a_byte_that_is_not_utf8_past_the_first_text_chunk_reads_as_a_record_by_
 
 
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd to name a pipe")
-def test_a_trace_piped_in_reads_as_the_same_file_on_disk(tmp_path):
-    """A pipe cannot be read twice, so it takes the text reader."""
-    data = ("\r\n".join([",".join(TRACE_HEADER), ROW.format(0), ROW.format(1), ROW.format(2)]) + "\r\n").encode("utf-8")
-    (tmp_path / "t.csv").write_bytes(data)
+@pytest.mark.parametrize("bad_byte", [False, True], ids=["utf8", "bad-byte"])
+def test_a_trace_piped_in_reads_as_the_same_file_on_disk(tmp_path, bad_byte):
+    """A pipe, read once in blocks, takes the same reader as a file on
+    disk, a byte that is not UTF-8 included."""
+    rows = [ROW.format(0), ROW.format(1), row(0, 2, terrain="pl" + FF + "ain" if bad_byte else "plain")]
+    data = ("\r\n".join([HEADER_LINE] + rows) + "\r\n").encode("utf-8", "surrogateescape")
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
     r, w = os.pipe()
     try:
         os.write(w, data)
@@ -345,8 +397,14 @@ def test_a_trace_piped_in_reads_as_the_same_file_on_disk(tmp_path):
         piped = outcome(load_traces, f"/dev/fd/{r}", SCHEMA)
     finally:
         os.close(r)
-    assert piped == outcome(load_traces, tmp_path / "t.csv", SCHEMA)
-    assert len(piped[0][0].records) == 3
+    on_disk = outcome(load_traces, path, SCHEMA)
+    if bad_byte:  # each message names its own file
+        assert piped[:2] == on_disk[:2] == (InputFormatError, "UnreadableFile")
+        assert piped[2].replace(f"/dev/fd/{r}", str(path)) == on_disk[2]
+        assert " in position 10: " in on_disk[2]
+    else:
+        assert piped == on_disk
+        assert len(piped[0][0].records) == 3
 
 
 PATTERNS = [(t, w, s) for t in TERRAINS for w in (True, False) for s in STRATEGIES]
