@@ -22,7 +22,7 @@ from .cycle import (
     experiment_to_json,
     run_experiment,
 )
-from .errors import ConsistencyError, InputFormatError, MetamineError, PolicyError
+from .errors import InputFormatError, MetamineError
 from .introspection import LABEL_RULES, featurise, load_dataset, save_dataset
 from .jsonio import decode, expect_field, expect_object, read_json, write_json
 from .knowledge import format_value, load_schema, save_schema
@@ -32,9 +32,7 @@ from .policy import (
     initial_policy,
     load_policy,
     policy_id,
-    rules_to_ruleset,
     save_policy,
-    tree_to_rules,
 )
 from .rover import load_traces, load_world, run_episodes, save_traces, world_schema
 
@@ -178,17 +176,10 @@ def _typed_action(value: str, schema, control: str, model) -> Any:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    if model.bin_edges:  # a policy matches raw observations, which no rule over bin_k labels matches
-        raise ConsistencyError("BinnedModel", f"the model tests binned attributes {sorted(model.bin_edges)}; "
-                                              "a policy cannot act on bins")
     schema = load_schema(args.schema) if args.schema else None
     control = schema.class_attribute if schema is not None else model.label_attribute
-    if model.label_attribute != control:  # its rules may test what the rover only learns after deciding
-        raise PolicyError("NotControlAttribute", f"the model predicts {model.label_attribute!r}, "
-                                                 f"not the control attribute {control!r}")
-    rules = tree_to_rules(model.tree, control) if model.kind == "tree" else rules_to_ruleset(model.rules, control)
     default = _typed_action(args.default, schema, control, model)
-    policy = compile_policy(rules, control, default, schema=schema,
+    policy = compile_policy([model], control, default, schema=schema,
                             provenance={"sources": [model.kind], "model_scope": model.scope})
     save_policy(policy, args.out)
     print(f"wrote policy {policy_id(policy)} ({len(policy.ruleset.rules)} rules, default {args.default}) to {args.out}")

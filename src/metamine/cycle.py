@@ -34,8 +34,6 @@ from .policy import (
     integrate_policies,
     policy_id,
     policy_to_json,
-    rules_to_ruleset,
-    tree_to_rules,
 )
 from .rover import OUTCOME_SUCCESS, EpisodeTrace, GridWorld, rollout, route_table, run_seeded, world_schema
 from .seeds import derive_seed, derive_seeds
@@ -195,7 +193,7 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
         trace_sink(cycle_index, traces)
     # every record is a performance row, labeled with its outcome; the successful ones are decision rows
     perf_dataset = featurise(traces, schema, "outcome-as-class", config.bins)
-    decision_rows = sum(count for row, count in perf_dataset.patterns().items() if row[-1] == OUTCOME_SUCCESS)
+    decision_rows = sum(count for row, count in perf_dataset.counts if row[-1] == OUTCOME_SUCCESS)
     found["dataset_sizes"] = {"performance": len(perf_dataset), "decision": decision_rows}
     found["training_goal_rate"] = sum(t.reached_goal for t in traces) / len(traces)
 
@@ -220,16 +218,8 @@ def run_cycle(world: GridWorld, incumbent: Policy, config: CycleConfig, cycle_in
                             + [_model_summary("decision", m) for m in decision_models])
 
     # operationalisation: compile the decision models into one candidate
-    mined = []
-    for model in decision_models:
-        if model.kind == "tree":
-            mined.extend(tree_to_rules(model.tree, schema.class_attribute))
-        else:  # fit_rules_model kept only rules at or above min_confidence
-            mined.extend(rules_to_ruleset(model.rules, schema.class_attribute))
-    candidate = compile_policy(mined, schema.class_attribute, incumbent.default_action, schema=schema, provenance={
-        "cycle": cycle_index,
-        "sources": [m.kind for m in decision_models],
-    })
+    candidate = compile_policy(decision_models, schema.class_attribute, incumbent.default_action, schema=schema,
+                               provenance={"cycle": cycle_index, "sources": [m.kind for m in decision_models]})
     found["candidate_rules"] = len(candidate.ruleset.rules)
 
     # evaluation: CV gate first, held-out comparison second

@@ -3,11 +3,12 @@
 A Rule is a conjunction of (attribute = value) literals choosing one
 value for the control attribute. A RuleSet is an ordered rule list; a
 Policy adds a default action, making decisions total. compile_policy is
-the one place mined rules become a policy: it puts them in priority
-order (confidence desc, specificity desc, rule text asc) and drops
-lower-ranked duplicates. Integration concatenates rule blocks whose
-relative order encodes precedence, so integrated sets keep their block
-order, and decide() simply takes the first match.
+the one place mined models become a policy, and refuses those it cannot
+act on; policy_from_rules puts their rules in priority order (confidence
+desc, specificity desc, rule text asc) and drops lower-ranked duplicates.
+Integration concatenates rule blocks whose relative order encodes
+precedence, so integrated sets keep their block order, and decide()
+simply takes the first match.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Any, Iterable, Mapping
 from .errors import ConsistencyError, PolicyError
 from .jsonio import ATOM, content_id, expect_field, expect_object, expect_pairs, read_json, write_json
 from .knowledge import Schema, format_value, is_number
-from .mining import AssociationRule, DecisionTree
+from .mining import AssociationRule, DecisionTree, MetaModel
 
 ORIGINS = ("tree", "association", "default", "manual")
 INTEGRATION_MODES = ("override", "append", "replace")
@@ -81,7 +82,7 @@ def _dedup(rules: Iterable[Rule]) -> list[Rule]:
 class RuleSet:
     """Ordered rules over one control attribute; earlier rules win.
 
-    Mined rules reach a RuleSet through compile_policy; direct
+    Mined rules reach a RuleSet through policy_from_rules; direct
     construction is for explicitly ordered lists (policy integration,
     file loading).
     """
@@ -127,14 +128,9 @@ class Policy:
         return content_id(policy_to_json(self))
 
 
-def tree_to_rules(tree: DecisionTree, control_attribute: str | None = None) -> list[Rule]:
+def tree_to_rules(tree: DecisionTree) -> list[Rule]:
     """One rule per leaf, in path order: path literals => leaf label,
-    confidence = the leaf's majority fraction. The tree must classify the
-    control attribute."""
-    control = control_attribute if control_attribute is not None else tree.class_attribute
-    if tree.class_attribute != control:
-        raise PolicyError("NotControlAttribute",
-                          f"tree classifies {tree.class_attribute!r}, not the control attribute {control!r}")
+    confidence = the leaf's majority fraction."""
     return [Rule(path, leaf.label, leaf.confidence, "tree") for path, leaf in tree.paths()]
 
 
@@ -148,8 +144,28 @@ def rules_to_ruleset(rules: Iterable[AssociationRule], control_attribute: str) -
             for rule in rules if rule.consequent[0] == control_attribute and rule.antecedent]
 
 
-def compile_policy(rules: Iterable[Rule], control_attribute: str, default_action: Any,
+def compile_policy(models: Iterable[MetaModel], control_attribute: str, default_action: Any,
                    schema: Schema | None = None, provenance: dict | None = None) -> Policy:
+    """policy_from_rules of each model's rules, in model order. Refuses a
+    model over bins (no rule over bin_k labels matches a raw observation)
+    and one whose label, or tree's class, is not the control attribute
+    (its rules may test what the rover only learns after deciding)."""
+    rules: list[Rule] = []
+    for model in models:
+        if model.bin_edges:
+            raise ConsistencyError("BinnedModel", f"the model tests binned attributes {sorted(model.bin_edges)}; "
+                                                  "a policy cannot act on bins")
+        is_tree = model.kind == "tree"
+        for predicted in (model.label_attribute, model.tree.class_attribute) if is_tree else (model.label_attribute,):
+            if predicted != control_attribute:
+                raise PolicyError("NotControlAttribute", f"the model predicts {predicted!r}, "
+                                                         f"not the control attribute {control_attribute!r}")
+        rules.extend(tree_to_rules(model.tree) if is_tree else rules_to_ruleset(model.rules, control_attribute))
+    return policy_from_rules(rules, control_attribute, default_action, schema, provenance)
+
+
+def policy_from_rules(rules: Iterable[Rule], control_attribute: str, default_action: Any,
+                      schema: Schema | None = None, provenance: dict | None = None) -> Policy:
     """Turn mined rules into a total policy: rules in priority order, each
     (conditions, action) pair once, its highest-ranked copy kept (the
     first given among equal-priority copies).

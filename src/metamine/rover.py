@@ -235,7 +235,7 @@ def _step_rewards(rewards: Rewards) -> tuple[float, float, float]:
     return -(rewards.step_cost + rewards.failure_penalty), move, move + rewards.goal_reward
 
 
-def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Sequence[int], explore: float = 0.0) -> list[EpisodeTrace]:
+def run_seeded(world: GridWorld, policy: DecisionMaker, seeds: Iterable[int], explore: float = 0.0) -> list[EpisodeTrace]:
     """One episode per seed, in seed order, sharing one route table.
 
     An episode runs from start until the goal or the step budget runs out.

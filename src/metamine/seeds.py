@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from typing import Iterator
 
 _SEED = struct.Struct(">Q")
 
@@ -20,14 +21,12 @@ def derive_seed(*parts: object) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def derive_seeds(*parts: object, n: int) -> list[int]:
-    """[derive_seed(*parts, i) for i in range(n)], hashing the shared
-    prefix once."""
+def derive_seeds(*parts: object, n: int) -> Iterator[int]:
+    """derive_seed(*parts, i) for i in range(n), one at a time as the
+    caller takes them, hashing the shared prefix once."""
     prefix = hashlib.sha256("".join(f"{p}/" for p in parts).encode("utf-8"))
     unpack = _SEED.unpack_from
-    seeds = []
     for i in range(n):
         h = prefix.copy()
         h.update(b"%d" % i)
-        seeds.append(unpack(h.digest())[0])
-    return seeds
+        yield unpack(h.digest())[0]

@@ -10,7 +10,7 @@ from metamine.introspection import Dataset
 from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef
 from metamine.mining import MiningConfig
-from metamine.policy import Policy, Rule, RuleSet, compile_policy
+from metamine.policy import Policy, Rule, RuleSet, policy_from_rules
 from metamine.rover import GridWorld, Rewards
 
 
@@ -41,7 +41,7 @@ def fixed_policy(action, control="strategy"):
 def terrain_policy(mapping, default, control="strategy"):
     """Policy with one terrain=value rule per mapping entry."""
     rules = [Rule((("terrain", t),), a, 1.0, "manual") for t, a in mapping.items()]
-    return compile_policy(rules, control, default, provenance={"sources": ["manual"]})
+    return policy_from_rules(rules, control, default, provenance={"sources": ["manual"]})
 
 
 def tiny_world(**overrides):

@@ -25,7 +25,7 @@ from metamine.cycle import (
 from metamine.jsonio import canonical_dumps
 from metamine.knowledge import float_sum
 from metamine.mining import MiningConfig, apriori, classify, cross_validate, induce_tree, training_accuracy
-from metamine.policy import compile_policy, initial_policy, policy_to_json, tree_to_rules
+from metamine.policy import initial_policy, policy_from_rules, policy_to_json, tree_to_rules
 from metamine.rover import save_traces, world_schema
 from metamine.seeds import derive_seed
 from mining_reference import entropy, info_gain, stratified_folds, tree_depth
@@ -96,7 +96,7 @@ def test_criterion_2_compiled_policy_replays_its_tree():
                               min_leaf_instances=rng.choice([1, 2, 5]),
                               min_support=0.05, min_confidence=0.55, cv_folds=2, seed=0)
         tree = induce_tree(dataset, config)
-        policy = compile_policy(tree_to_rules(tree), tree.class_attribute, class_domain[0])
+        policy = policy_from_rules(tree_to_rules(tree), tree.class_attribute, class_domain[0])
         for point in itertools.product(*features.values()):
             state = dict(zip(features, point))
             if classify(tree, state) != policy.decide(state):

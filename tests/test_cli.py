@@ -1,5 +1,6 @@
 """Command-line surface: pipeline flow, exit codes, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import metamine.cli as cli
-from helpers import cat, make_dataset, save_world, striped_world
+from helpers import cat, loop_config, make_dataset, save_world, striped_world
 from metamine.cli import EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_SCHEMA, EXIT_USAGE, main
 from metamine.introspection import MAX_BINS, Dataset, save_dataset
 from metamine.jsonio import write_json
@@ -317,6 +318,26 @@ class TestPipeline:
         assert "NotControlAttribute" in capsys.readouterr().err
         assert not (workdir / "p.json").exists()
 
+    @pytest.mark.parametrize("schema", [False, True], ids=["without-schema", "with-schema"])
+    def test_compiling_a_tree_that_classifies_another_attribute_is_a_schema_error(self, workdir, capsys, schema):
+        """A hand-edited model file whose label is the control attribute but
+        whose tree classifies something else."""
+        traces = self.simulate(workdir)
+        data = workdir / "decision.csv"
+        assert main(["collect", "--traces", str(traces), "--world", str(workdir / "world.json"),
+                     "--label-rule", "strategy-as-class", "--out", str(data)]) == EXIT_OK
+        model = workdir / "decision.model.json"
+        assert main(["mine", "--data", str(data), "--algo", "tree", "--seed", "0", "--out", str(model)]) == EXIT_OK
+        edited = json.loads(model.read_text())
+        assert edited["label_attribute"] == edited["tree"]["class_attribute"] == "strategy"
+        edited["tree"]["class_attribute"] = "outcome"
+        write_json(model, edited)
+        capsys.readouterr()
+        argv = ["compile", "--model", str(model), "--default", "FAST", "--out", str(workdir / "p.json")]
+        assert main(argv + ["--schema", str(workdir / "schema.json")] * schema) == EXIT_SCHEMA
+        assert "NotControlAttribute" in capsys.readouterr().err
+        assert not (workdir / "p.json").exists()
+
     def boolean_model(self, workdir, algo):
         """A model of a boolean `careful` control, and the schema that types it."""
         terrain, careful = cat("terrain", ("sand", "rock")), AttributeDef("careful", "boolean", "self")
@@ -439,6 +460,31 @@ class TestCycleCommand:
         assert "cycle 1:" in stdout and "cycle 2:" in stdout and "final policy" in stdout
         experiment = json.loads((out / "experiment.json").read_text())
         assert [c["index"] for c in experiment["cycles"]] == [1, 2]
+
+    @pytest.mark.parametrize("model_kind", ["tree", "rules"])
+    def test_a_replacing_cycle_deploys_what_collect_mine_compile_make_of_its_traces(self, workdir, capsys,
+                                                                                   model_kind):
+        """The loop operationalises its models as the file chain does: on the
+        cycle's own trace file, collect, mine with the cycle's mining config
+        and compile against its schema give the rules the cycle deployed."""
+        config = dataclasses.asdict(loop_config(1, integration_mode="replace", model_kind=model_kind))
+        path = workdir / "loop.config.json"
+        write_json(path, {"world": "world.json", "cycles": 1, **config})
+        out = workdir / "run"
+        assert main(["cycle", "--config", str(path), "--out", str(out)]) == EXIT_OK
+        [cycle] = json.loads((out / "experiment.json").read_text())["cycles"]
+        assert cycle["decision"] == "deployed"
+        data, model, policy = workdir / "decision.csv", workdir / "decision.model.json", workdir / "p.json"
+        assert main(["collect", "--traces", str(out / "traces" / "cycle_01.csv"), "--world", str(workdir / "world.json"),
+                     "--label-rule", "strategy-as-class", "--bins", str(config["bins"]), "--out", str(data)]) == EXIT_OK
+        assert main(["mine", "--data", str(data), "--algo", {"tree": "tree", "rules": "apriori"}[model_kind],
+                     "--config", mining_config(workdir, **config["mining"]), "--out", str(model)]) == EXIT_OK
+        assert main(["compile", "--model", str(model), "--default", "FAST", "--schema", str(out / "schema.json"),
+                     "--out", str(policy)]) == EXIT_OK
+        capsys.readouterr()
+        deployed = load_policy(out / "final.policy.json")
+        assert deployed.ruleset.rules
+        assert load_policy(policy).ruleset.rules == deployed.ruleset.rules
 
     def test_cycles_csv_rows_match_the_experiment_json(self, workdir, capsys):
         out = workdir / "run"

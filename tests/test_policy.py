@@ -1,5 +1,6 @@
 """Rule engine: ordering, compilation, integration, serialization."""
 
+import dataclasses
 from collections import Counter
 from itertools import product
 
@@ -11,7 +12,17 @@ from helpers import cat, count_rows, make_dataset
 from metamine.errors import ConsistencyError, PolicyError
 from metamine.jsonio import canonical_dumps, content_id
 from metamine.knowledge import AttributeDef, define_schema
-from metamine.mining import AssociationRule, MiningConfig, apriori, classify, derive_rules, induce_tree
+from metamine.mining import (
+    AssociationRule,
+    MetaModel,
+    MiningConfig,
+    apriori,
+    classify,
+    derive_rules,
+    fit_rules_model,
+    fit_tree_model,
+    induce_tree,
+)
 from metamine.policy import (
     Policy,
     Rule,
@@ -21,6 +32,7 @@ from metamine.policy import (
     integrate_policies,
     load_policy,
     policy_from_json,
+    policy_from_rules,
     policy_id,
     policy_to_json,
     rule_priority,
@@ -178,11 +190,13 @@ class TestTreeToRules:
         assert by_terrain["rock"].confidence == 1.0
 
     def test_control_attribute_must_match_the_tree(self):
+        """Even where the model's own label is the control attribute."""
         ds = make_dataset({"terrain": ("sand",)}, ("+", "-"),
                           [{"terrain": "sand", "label": "+"}], class_name="label")
         tree = induce_tree(ds, MiningConfig())
+        model = MetaModel("tree", "strategy", "world", {}, tree=tree)
         with pytest.raises(PolicyError) as err:
-            tree_to_rules(tree, "strategy")
+            compile_policy([model], "strategy", "FAST")
         assert err.value.code == "NotControlAttribute"
 
 
@@ -214,18 +228,18 @@ class TestAssociationFilter:
         only a malformed model file can carry one."""
         self_test = AssociationRule(frozenset({("strategy", "CAREFUL")}), ("strategy", "FAST"), 0.5, 0.9)
         with pytest.raises(PolicyError) as err:
-            compile_policy(rules_to_ruleset([self_test], "strategy"), "strategy", "FAST")
+            policy_from_rules(rules_to_ruleset([self_test], "strategy"), "strategy", "FAST")
         assert err.value.code == "SelfReference"
 
 
 class TestCompilePolicy:
     def test_empty_ruleset_always_defaults(self):
-        policy = compile_policy([], "strategy", "FAST", schema=control_schema())
+        policy = policy_from_rules([], "strategy", "FAST", schema=control_schema())
         assert policy.decide({"terrain": "sand"}) == "FAST"
         assert policy.decide({}) == "FAST"
 
     def test_first_match_wins(self):
-        policy = compile_policy([
+        policy = policy_from_rules([
             rule([], action="FAST", confidence=0.5),
             rule([("terrain", "sand")], action="CAREFUL", confidence=0.9),
         ], "strategy", "FAST", schema=control_schema())
@@ -236,20 +250,20 @@ class TestCompilePolicy:
         weak = rule([("terrain", "sand")], action="FAST", confidence=0.4)
         strong = rule([("terrain", "sand")], action="FAST", confidence=0.9)
         other = rule([("terrain", "ice")], action="CAREFUL", confidence=0.6)
-        policy = compile_policy([weak, other, strong], "strategy", "FAST")
+        policy = policy_from_rules([weak, other, strong], "strategy", "FAST")
         assert policy.ruleset.rules == (strong, other)
 
     def test_an_equal_priority_duplicate_keeps_the_first_copy_given(self):
         tree = rule([("terrain", "sand")], action="FAST", confidence=0.9, origin="tree")
         association = rule([("terrain", "sand")], action="FAST", confidence=0.9, origin="association")
-        assert compile_policy([tree, association], "strategy", "FAST").ruleset.rules == (tree,)
-        assert compile_policy([association, tree], "strategy", "FAST").ruleset.rules == (association,)
+        assert policy_from_rules([tree, association], "strategy", "FAST").ruleset.rules == (tree,)
+        assert policy_from_rules([association, tree], "strategy", "FAST").ruleset.rules == (association,)
 
     @given(MINED, MINED)
     def test_matches_sorting_each_source_then_the_union(self, tree_raw, association_raw):
         tree_rules = [rule(c, a, conf, "tree") for c, a, conf in tree_raw]
         association_rules = [rule(c, a, conf, "association") for c, a, conf in association_raw]
-        compiled = compile_policy(tree_rules + association_rules, "strategy", "FAST").ruleset.rules
+        compiled = policy_from_rules(tree_rules + association_rules, "strategy", "FAST").ruleset.rules
         expected = canonical_reference(canonical_reference(tree_rules) + canonical_reference(association_rules))
         assert list(compiled) == expected
         assert [r.origin for r in compiled] == [r.origin for r in expected]
@@ -257,14 +271,14 @@ class TestCompilePolicy:
     def test_schema_validation_catches_mismatches(self):
         schema = control_schema()
         with pytest.raises(ConsistencyError):
-            compile_policy([], "speed", "FAST", schema=schema)
+            policy_from_rules([], "speed", "FAST", schema=schema)
         with pytest.raises(PolicyError) as err:
-            compile_policy([], "strategy", "WALK", schema=schema)
+            policy_from_rules([], "strategy", "WALK", schema=schema)
         assert err.value.code == "BadDefault"
         with pytest.raises(PolicyError):
-            compile_policy([rule([("terrain", "sand")], action="WALK")], "strategy", "FAST", schema=schema)
+            policy_from_rules([rule([("terrain", "sand")], action="WALK")], "strategy", "FAST", schema=schema)
         with pytest.raises(ConsistencyError):
-            compile_policy([rule([("terrain", "mud")], action="FAST")], "strategy", "FAST", schema=schema)
+            policy_from_rules([rule([("terrain", "mud")], action="FAST")], "strategy", "FAST", schema=schema)
 
     def test_tree_and_compiled_policy_agree_on_the_full_grid(self):
         rows = [
@@ -278,21 +292,59 @@ class TestCompilePolicy:
 
         ds = Dataset(defs, "strategy", count_rows(rows))
         tree = induce_tree(ds, MiningConfig())
-        policy = compile_policy(tree_to_rules(tree), "strategy", "FAST", schema=control_schema())
+        policy = policy_from_rules(tree_to_rules(tree), "strategy", "FAST", schema=control_schema())
         for t, w in product(("sand", "rock", "ice"), (False, True)):
             inst = {"terrain": t, "wet": w}
             assert policy.decide(inst) == classify(tree, inst)
 
 
+def decision_models():
+    """A tree model and a rules model mined from the same strategy-labeled rows."""
+    rows = ([{"terrain": "sand", "strategy": "CAREFUL"}] * 6 + [{"terrain": "rock", "strategy": "FAST"}] * 5
+            + [{"terrain": "rock", "strategy": "CAREFUL"}])
+    ds = make_dataset({"terrain": ("sand", "rock")}, ("FAST", "CAREFUL"), rows, class_name="strategy")
+    config = MiningConfig(cv_folds=2)
+    return fit_tree_model(ds, config), fit_rules_model(ds, config)
+
+
+class TestCompileModels:
+    def test_each_models_rules_in_model_order_then_ranked(self):
+        tree, rules = decision_models()
+        tree_rules, association_rules = tree_to_rules(tree.tree), rules_to_ruleset(rules.rules, "strategy")
+        assert tree_rules and association_rules
+        for models, expected in (([tree, rules], tree_rules + association_rules),
+                                 ([rules, tree], association_rules + tree_rules)):
+            policy = compile_policy(models, "strategy", "FAST", schema=control_schema(), provenance={"cycle": 1})
+            assert policy == policy_from_rules(expected, "strategy", "FAST", provenance={"cycle": 1})
+        assert compile_policy([], "strategy", "FAST") == policy_from_rules([], "strategy", "FAST")
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["tree", "rules"])
+    def test_a_model_over_bins_is_refused(self, kind):
+        model = dataclasses.replace(decision_models()[kind], bin_edges={"terrain": (0.5,)})
+        with pytest.raises(ConsistencyError) as err:
+            compile_policy([model], "strategy", "FAST")
+        assert err.value.code == "BinnedModel"
+
+    @pytest.mark.parametrize("kind", [0, 1], ids=["tree", "rules"])
+    def test_a_model_that_does_not_predict_the_control_attribute_is_refused(self, kind):
+        model = decision_models()[kind]
+        with pytest.raises(PolicyError) as err:
+            compile_policy([dataclasses.replace(model, label_attribute="outcome")], "strategy", "FAST")
+        assert err.value.code == "NotControlAttribute"
+        with pytest.raises(PolicyError) as err:
+            compile_policy([model], "outcome", "success")
+        assert err.value.code == "NotControlAttribute"
+
+
 class TestIntegratePolicies:
     def incumbent(self):
-        return compile_policy([
+        return policy_from_rules([
             rule([("terrain", "sand")], action="FAST", confidence=0.8),
             rule([("terrain", "rock")], action="FAST", confidence=0.7),
         ], "strategy", "FAST", provenance={"cycle": 1, "sources": ["tree"]})
 
     def candidate(self):
-        return compile_policy([
+        return policy_from_rules([
             rule([("terrain", "sand")], action="CAREFUL", confidence=0.9),
         ], "strategy", "CAREFUL", provenance={"cycle": 2, "sources": ["rules"]})
 
@@ -318,7 +370,7 @@ class TestIntegratePolicies:
 
     def test_duplicate_pairs_keep_the_leading_block_copy(self):
         incumbent = self.incumbent()
-        dup = compile_policy([rule([("terrain", "sand")], action="FAST", confidence=0.3)], "strategy", "FAST",
+        dup = policy_from_rules([rule([("terrain", "sand")], action="FAST", confidence=0.3)], "strategy", "FAST",
                              provenance={"cycle": 2, "sources": []})
         merged = integrate_policies(incumbent, dup, "override")
         sand_rules = [r for r in merged.ruleset.rules if r.conditions == (("terrain", "sand"),)]
@@ -346,7 +398,7 @@ class TestInitialPolicy:
 
 class TestPolicySerialization:
     def sample(self):
-        return compile_policy([
+        return policy_from_rules([
             rule([("terrain", "sand")], action="CAREFUL", confidence=0.9, origin="tree"),
             rule([("wet", True)], action="CAREFUL", confidence=0.7, origin="association"),
         ], "strategy", "FAST", schema=control_schema(), provenance={"cycle": 3, "sources": ["tree"]})
@@ -369,7 +421,7 @@ class TestPolicySerialization:
 
     def test_policy_id_tracks_content(self):
         a = self.sample()
-        b = compile_policy(a.ruleset.rules, "strategy", "CAREFUL", schema=control_schema(), provenance=a.provenance)
+        b = policy_from_rules(a.ruleset.rules, "strategy", "CAREFUL", schema=control_schema(), provenance=a.provenance)
         assert policy_id(a) != policy_id(b)
         assert canonical_dumps(policy_to_json(a)) != canonical_dumps(policy_to_json(b))
 
@@ -379,7 +431,7 @@ class TestPolicySerialization:
         built = self.sample()
         save_policy(built, tmp_path / "p.policy.json")
         loaded = load_policy(tmp_path / "p.policy.json")
-        other = compile_policy([rule([("terrain", "ice")], action="FAST", confidence=0.8, origin="tree")],
+        other = policy_from_rules([rule([("terrain", "ice")], action="FAST", confidence=0.8, origin="tree")],
                                "strategy", "CAREFUL", provenance={"cycle": 4, "sources": ["tree"]})
         integrated = [integrate_policies(built, other, mode) for mode in ("override", "append", "replace")]
         for policy in [built, loaded, other, initial_policy(control_schema()), policy_from_json(policy_to_json(other)),

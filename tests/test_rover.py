@@ -31,7 +31,7 @@ from metamine.cycle import evaluate_candidate, run_experiment
 from metamine.errors import ConsistencyError, InputFormatError, SchemaError
 from metamine.jsonio import canonical_dumps
 from metamine.knowledge import AttributeDef, define_schema, float_sum, format_value
-from metamine.policy import Rule, compile_policy, initial_policy, save_policy
+from metamine.policy import Rule, initial_policy, policy_from_rules, save_policy
 from metamine.rover import (
     MAX_STEPS,
     OUTCOME_FAILURE,
@@ -381,7 +381,7 @@ class TestRouteTable:
     @settings(max_examples=250, deadline=None)
     @given(RULES, ACTIONS, st.sampled_from(sorted(WORLDS)))
     def test_random_rule_lists_match_decide(self, rules, default, world):
-        check_table(WORLDS[world](), compile_policy(rules, "strategy", default))
+        check_table(WORLDS[world](), policy_from_rules(rules, "strategy", default))
 
 
 def outcome_of(call):
