@@ -18,6 +18,8 @@ import sys
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -32,7 +34,7 @@ from .knowledge import (
     format_value,
     is_int,
 )
-from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, DecisionRecord, EpisodeTrace
+from .rover import OUTCOME_ATTR, OUTCOME_SUCCESS, EpisodeTrace
 
 LABEL_RULES = ("outcome-as-class", "strategy-as-class")
 # The most equal-width bins a numeric attribute may be cut into; each bin
@@ -133,10 +135,11 @@ def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, b
     any other attribute what the rover observed. Numeric attributes are
     cut into `bins` (1 to MAX_BINS) equal-width intervals over the
     observed [min, max]; a constant column maps everything to bin_0.
-    The rows are counted once, in first-occurrence order; equal rows share
-    one tuple, since a dataset repeats a few patterns many times, and a
-    record object the traces share is projected once. Binning merges the
-    counts of distinct rows that fall into the same bins.
+    Records hash by identity, so the traces' records are counted in one
+    pass and each distinct record is projected once, adding its count to
+    its row's; a row's place is its first record's, the order the
+    learners' tie-breaks read. Binning merges the counts of distinct rows
+    that fall into the same bins.
     """
     if label_rule not in LABEL_RULES:
         raise SchemaError("BadLabelRule", f"label_rule must be one of {LABEL_RULES}, got {label_rule!r}")
@@ -159,26 +162,18 @@ def featurise(traces: Iterable[EpisodeTrace], schema: Schema, label_rule: str, b
     if not schema.attribute(label).is_finite:
         raise MiningError("NumericLabel", f"label attribute {label!r} must be categorical or boolean")
     column_names = [n for n in schema.names if n in selected and n != label] + [label]
-    shared: dict[tuple, tuple] = {}
-    # id(rec) -> (rec, its row); holding rec keeps its id unique
-    projected: dict[int, tuple[DecisionRecord, tuple]] = {}
-    rows = []
-    for trace in traces:
-        for rec in trace.records:
-            if keep_failures or rec.outcome == OUTCOME_SUCCESS:
-                known = projected.get(id(rec))
-                if known is None:
-                    try:
-                        key = tuple(rec.outcome if n == OUTCOME_ATTR else rec.strategy if n == class_attr
-                                    else rec.observed[n] for n in column_names)
-                    except KeyError as exc:
-                        raise ConsistencyError("MissingObservation",
-                                               f"trace records carry no value for {exc.args[0]!r}") from None
-                    known = projected[id(rec)] = (rec, shared.setdefault(key, key))
-                rows.append(known[1])
-    if not rows:
+    counts: Counter = Counter()
+    for rec, count in Counter(chain.from_iterable(map(attrgetter("records"), traces))).items():
+        if keep_failures or rec.outcome == OUTCOME_SUCCESS:
+            try:
+                key = tuple(rec.outcome if name == OUTCOME_ATTR else rec.strategy if name == class_attr
+                            else rec.observed[name] for name in column_names)
+            except KeyError as exc:
+                raise ConsistencyError("MissingObservation",
+                                       f"trace records carry no value for {exc.args[0]!r}") from None
+            counts[key] += count
+    if not counts:
         raise MiningError("EmptyDataset", "the traces hold no decisions to learn from")
-    counts = Counter(rows)
 
     defs: list[AttributeDef] = []
     edges_by_attr: dict[str, tuple[float, ...]] = {}

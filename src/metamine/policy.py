@@ -22,6 +22,7 @@ from .errors import ConsistencyError, PolicyError
 from .jsonio import ATOM, content_id, expect_field, expect_object, expect_pairs, read_json, write_json
 from .knowledge import Schema, format_value, is_number
 from .mining import AssociationRule, DecisionTree, MetaModel
+from .rover import OUTCOME_ATTR
 
 ORIGINS = ("tree", "association", "default", "manual")
 INTEGRATION_MODES = ("override", "append", "replace")
@@ -148,8 +149,8 @@ def compile_policy(models: Iterable[MetaModel], control_attribute: str, default_
                    schema: Schema | None = None, provenance: dict | None = None) -> Policy:
     """policy_from_rules of each model's rules, in model order. Refuses a
     model over bins (no rule over bin_k labels matches a raw observation)
-    and one whose label, or tree's class, is not the control attribute
-    (its rules may test what the rover only learns after deciding)."""
+    and one whose label, or tree's class, is not the control attribute or
+    is outcome (its rules may test what the rover learns after deciding)."""
     rules: list[Rule] = []
     for model in models:
         if model.bin_edges:
@@ -157,9 +158,10 @@ def compile_policy(models: Iterable[MetaModel], control_attribute: str, default_
                                                   "a policy cannot act on bins")
         is_tree = model.kind == "tree"
         for predicted in (model.label_attribute, model.tree.class_attribute) if is_tree else (model.label_attribute,):
-            if predicted != control_attribute:
-                raise PolicyError("NotControlAttribute", f"the model predicts {predicted!r}, "
-                                                         f"not the control attribute {control_attribute!r}")
+            if predicted != control_attribute or predicted == OUTCOME_ATTR:
+                why = ("the outcome of a step, which no policy chooses" if predicted == OUTCOME_ATTR
+                       else f"not the control attribute {control_attribute!r}")
+                raise PolicyError("NotControlAttribute", f"the model predicts {predicted!r}, {why}")
         rules.extend(tree_to_rules(model.tree) if is_tree else rules_to_ruleset(model.rules, control_attribute))
     return policy_from_rules(rules, control_attribute, default_action, schema, provenance)
 

@@ -27,7 +27,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from itertools import chain
+from operator import add, attrgetter
 from pathlib import Path
 from random import Random
 from typing import Any, Iterable, Mapping, Protocol, Sequence
@@ -147,7 +148,7 @@ class GridWorld:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionRecord:
     """One step as the rover experienced it; its index in the episode is
     its epoch.
@@ -156,8 +157,9 @@ class DecisionRecord:
     choosing (the terrain of the cell it was about to enter), outcome says
     whether the move succeeded, and reward is the step's score.
 
-    Records are values: run_seeded and load_traces hand out one object for
-    all equal steps, so traces share it and observed is read-only.
+    Records compare and hash by identity: run_seeded and load_traces hand
+    out one object for all equal steps, so traces share it and observed is
+    read-only.
     """
 
     cell: Coord
@@ -430,17 +432,14 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
     """
     world_attrs = [a.name for a in schema.scoped("world")]
     traces = list(traces)
-    # id(rec) -> its CSV text from x to reward; traces holds every record, so each id stays unique
-    texts: dict[int, str] = {}
-    for trace in traces:
-        for rec in trace.records:
-            if id(rec) not in texts:
-                missing = [name for name in world_attrs if name not in rec.observed]
-                if missing:
-                    raise ConsistencyError("MissingObservation", f"trace records carry no value for {missing[0]!r}")
-                texts[id(rec)] = csv_record([rec.cell[0], rec.cell[1], *(format_value(rec.observed[name])
-                                                                         for name in world_attrs),
-                                             rec.strategy, rec.outcome, repr(rec.reward)])[:-2]
+    # each distinct record -> its CSV text from x to reward
+    texts = dict.fromkeys(chain.from_iterable(map(attrgetter("records"), traces)))
+    for rec in texts:
+        missing = [name for name in world_attrs if name not in rec.observed]
+        if missing:
+            raise ConsistencyError("MissingObservation", f"trace records carry no value for {missing[0]!r}")
+        texts[rec] = csv_record([rec.cell[0], rec.cell[1], *(format_value(rec.observed[name]) for name in world_attrs),
+                                 rec.strategy, rec.outcome, repr(rec.reward)])[:-2]
     # map stops at its shortest input, so the epoch cells reach the longest episode
     epochs = [f"{epoch}," for epoch in range(max((len(trace.records) for trace in traces), default=0))]
     text_of = texts.__getitem__
@@ -449,7 +448,7 @@ def save_traces(traces: Iterable[EpisodeTrace], schema: Schema, path: str | Path
         for i, trace in enumerate(traces):
             if trace.records:
                 lead, end = f"{i},", f",{format_value(trace.reached_goal)}\r\n"
-                fh.write(lead + (end + lead).join(map(add, epochs, map(text_of, map(id, trace.records)))) + end)
+                fh.write(lead + (end + lead).join(map(add, epochs, map(text_of, trace.records))) + end)
 
 
 def load_traces(path: str | Path, schema: Schema) -> list[EpisodeTrace]:

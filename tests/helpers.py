@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
+from operator import attrgetter
 
 from metamine.cycle import AcceptanceGates, CycleConfig
 from metamine.introspection import Dataset
@@ -11,7 +12,7 @@ from metamine.jsonio import write_json
 from metamine.knowledge import AttributeDef
 from metamine.mining import MiningConfig
 from metamine.policy import Policy, Rule, RuleSet, policy_from_rules
-from metamine.rover import GridWorld, Rewards
+from metamine.rover import DecisionRecord, GridWorld, Rewards
 
 
 def cat(name, domain, scope="world"):
@@ -22,6 +23,22 @@ def count_rows(rows):
     """Instance rows as a Dataset's counts: each distinct row with how
     often it occurs, in first-occurrence order."""
     return tuple(Counter(rows).items())
+
+
+# every field of a record, in declaration order
+record_fields = attrgetter(*(f.name for f in dataclasses.fields(DecisionRecord)))
+
+
+def fresh_copy(rec):
+    """Another record object of equal value, with its own observed dict."""
+    return DecisionRecord(rec.cell, dict(rec.observed), rec.strategy, rec.outcome, rec.reward)
+
+
+def trace_values(traces):
+    """Traces as plain values, to compare them by what they hold: records
+    compare by identity, so each trace becomes its records' fields (cell,
+    observed, strategy, outcome, reward) in order, then reached_goal."""
+    return [(tuple(map(record_fields, trace.records)), trace.reached_goal) for trace in traces]
 
 
 def make_dataset(features, class_domain, rows, class_name="label"):

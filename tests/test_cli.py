@@ -300,10 +300,8 @@ class TestPipeline:
         assert not (workdir / "m.json").exists()
         capsys.readouterr()
 
-    @pytest.mark.parametrize("algo", ["tree", "apriori"])
-    def test_compiling_a_non_control_model_is_a_schema_error(self, workdir, capsys, algo):
-        """An outcome model's rules that decide the control attribute test
-        outcome, which the rover learns only after it decides."""
+    def outcome_model(self, workdir, algo):
+        """A model mined on outcome-as-class data, written to a file."""
         traces = self.simulate(workdir)
         data = workdir / "outcome.csv"
         assert main(["collect", "--traces", str(traces), "--world", str(workdir / "world.json"),
@@ -311,11 +309,30 @@ class TestPipeline:
         model = workdir / "outcome.model.json"
         assert main(["mine", "--data", str(data), "--algo", algo, "--seed", "0",
                      "--out", str(model)]) == EXIT_OK
+        return model
+
+    @pytest.mark.parametrize("algo", ["tree", "apriori"])
+    def test_compiling_a_non_control_model_is_a_schema_error(self, workdir, capsys, algo):
+        """An outcome model's rules that decide the control attribute test
+        outcome, which the rover learns only after it decides."""
+        model = self.outcome_model(workdir, algo)
         capsys.readouterr()
         code = main(["compile", "--model", str(model), "--default", "FAST",
                      "--schema", str(workdir / "schema.json"), "--out", str(workdir / "p.json")])
         assert code == EXIT_SCHEMA
         assert "NotControlAttribute" in capsys.readouterr().err
+        assert not (workdir / "p.json").exists()
+
+    @pytest.mark.parametrize("algo", ["tree", "apriori"])
+    def test_compiling_an_outcome_model_without_a_schema_is_a_schema_error(self, workdir, capsys, algo):
+        """Without a schema the model's own label would be the control:
+        outcome, which no policy chooses."""
+        model = self.outcome_model(workdir, algo)
+        capsys.readouterr()
+        assert main(["compile", "--model", str(model), "--default", "success",
+                     "--out", str(workdir / "p.json")]) == EXIT_SCHEMA
+        assert ("NotControlAttribute: the model predicts 'outcome', the outcome of a step, which no policy chooses"
+                in capsys.readouterr().err)
         assert not (workdir / "p.json").exists()
 
     @pytest.mark.parametrize("schema", [False, True], ids=["without-schema", "with-schema"])

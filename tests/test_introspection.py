@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from helpers import cat, count_rows, fixed_policy, striped_world, uniform_hazard_world
+from helpers import cat, count_rows, fixed_policy, fresh_copy, striped_world, uniform_hazard_world
 from metamine.errors import ConsistencyError, MiningError, SchemaError
 from metamine.introspection import (
     MAX_BINS,
@@ -299,8 +299,16 @@ records = st.builds(
     st.sampled_from(OUTCOMES),
     st.just(-1.0),
 )
-random_traces = st.lists(st.builds(EpisodeTrace, st.lists(records, max_size=8).map(tuple), st.booleans()),
-                         max_size=5)
+
+
+@st.composite
+def random_traces(draw):
+    """Up to five traces that draw their records from a small pool of
+    shared objects, each step either the pooled object or a fresh copy of
+    equal value, so that one row comes from several record objects."""
+    pool = draw(st.lists(records, min_size=1, max_size=10))
+    step = st.sampled_from(pool).flatmap(lambda rec: st.sampled_from((rec, fresh_copy(rec))))
+    return draw(st.lists(st.builds(EpisodeTrace, st.lists(step, max_size=8).map(tuple), st.booleans()), max_size=5))
 
 
 def project_by_dict(traces, selected, rule, schema, bins):
@@ -327,7 +335,7 @@ def project_by_dict(traces, selected, rule, schema, bins):
 
 
 class TestProjectionReference:
-    @given(random_traces, st.sampled_from(("outcome-as-class", "strategy-as-class")),
+    @given(random_traces(), st.sampled_from(("outcome-as-class", "strategy-as-class")),
            st.lists(st.sampled_from(WORLD_ATTRS), min_size=1, unique=True), st.booleans(),
            st.integers(min_value=1, max_value=4))
     def test_featurise_matches_a_row_by_row_dict_projection(self, traces, rule, world_attrs, with_outcome, bins):
@@ -423,7 +431,6 @@ class TestSharedRecordProjection:
         world = striped_world()
         schema = world_schema(world)
         traces = run_episodes(world, fixed_policy("FAST"), 100, master_seed=2, explore=0.5)
-        fresh = [EpisodeTrace(tuple(DecisionRecord(r.cell, dict(r.observed), r.strategy, r.outcome, r.reward)
-                                    for r in t.records), t.reached_goal) for t in traces]
+        fresh = [EpisodeTrace(tuple(map(fresh_copy, t.records)), t.reached_goal) for t in traces]
         for rule in ("outcome-as-class", "strategy-as-class"):
             assert featurise(traces, schema, rule, 4) == featurise(fresh, schema, rule, 4)

@@ -335,6 +335,18 @@ class TestCompileModels:
             compile_policy([model], "outcome", "success")
         assert err.value.code == "NotControlAttribute"
 
+    @pytest.mark.parametrize("kind", [0, 1], ids=["tree", "rules"])
+    def test_a_model_of_the_outcome_is_refused_also_as_the_control(self, kind):
+        """A step's outcome is what the rover learns after it decides, so no
+        policy controls it, whatever control attribute the caller names."""
+        model = dataclasses.replace(decision_models()[kind], label_attribute="outcome")
+        if model.tree is not None:
+            model = dataclasses.replace(model, tree=dataclasses.replace(model.tree, class_attribute="outcome"))
+        with pytest.raises(PolicyError) as err:
+            compile_policy([model], "outcome", "success")
+        assert (err.value.code, err.value.message) == (
+            "NotControlAttribute", "the model predicts 'outcome', the outcome of a step, which no policy chooses")
+
 
 class TestIntegratePolicies:
     def incumbent(self):

@@ -32,6 +32,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import table_reference
+from helpers import trace_values
 from metamine import jsonio
 from metamine.errors import InputFormatError, SchemaError
 from metamine.introspection import Dataset, load_dataset, save_dataset
@@ -175,12 +176,13 @@ dataset_rows = st.lists(st.tuples(st.sampled_from(TERRAINS), st.sampled_from(["t
 
 
 def outcome(load, *args):
-    """What load returns, or the class, code and message of what it raises."""
+    """What load returns, traces by their values, with its repr; or the
+    class, code and message of what it raises."""
     try:
         value = load(*args)
     except Exception as exc:  # noqa: BLE001 - any divergence counts, whatever it raises
         return type(exc), getattr(exc, "code", None), getattr(exc, "message", str(exc))
-    return value, repr(value)
+    return trace_values(value) if isinstance(value, list) else value, repr(value)
 
 
 def assert_traces_read_alike(data: bytes):
@@ -404,7 +406,7 @@ def test_a_trace_piped_in_reads_as_the_same_file_on_disk(tmp_path, bad_byte):
         assert " in position 10: " in on_disk[2]
     else:
         assert piped == on_disk
-        assert len(piped[0][0].records) == 3
+        assert len(piped[0][0][0]) == 3  # the first episode's records
 
 
 PATTERNS = [(t, w, s) for t in TERRAINS for w in (True, False) for s in STRATEGIES]

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 import rollout_reference
 from helpers import (
     fixed_policy,
+    fresh_copy,
     loop_config,
     save_world,
     striped_world,
     terrain_policy,
     tiny_world,
+    trace_values,
     uniform_hazard_world,
     up_left_world,
     wide_world,
@@ -237,12 +239,12 @@ class TestRunEpisode:
     def test_same_seed_same_trace(self):
         world = striped_world()
         policy = fixed_policy("FAST")
-        assert run_seeded(world, policy, [7])[0] == run_seeded(world, policy, [7])[0]
+        assert trace_values(run_seeded(world, policy, [7])) == trace_values(run_seeded(world, policy, [7]))
 
     def test_different_seeds_differ_somewhere(self):
         world = striped_world()
         policy = fixed_policy("FAST")
-        traces = [run_seeded(world, policy, [s])[0] for s in range(6)]
+        traces = trace_values(run_seeded(world, policy, [s])[0] for s in range(6))
         assert any(t != traces[0] for t in traces[1:])
 
     def test_observation_is_the_terrain_ahead(self):
@@ -308,14 +310,15 @@ class TestRunners:
         world = striped_world()
         policy = terrain_policy({"sand": "CAREFUL", "ice": "CAREFUL"}, "FAST")
         seeds = list(range(20))
-        assert run_seeded(world, policy, seeds) == [run_seeded(world, policy, [s])[0] for s in seeds]
+        assert trace_values(run_seeded(world, policy, seeds)) == trace_values(run_seeded(world, policy, [s])[0]
+                                                                              for s in seeds)
 
     def test_run_episodes_derives_distinct_seeds(self):
         world = striped_world()
-        traces = run_episodes(world, fixed_policy("FAST"), 10, master_seed=42)
+        traces = trace_values(run_episodes(world, fixed_policy("FAST"), 10, master_seed=42))
         assert len(traces) == 10
-        assert traces == run_episodes(world, fixed_policy("FAST"), 10, master_seed=42)
-        assert traces != run_episodes(world, fixed_policy("FAST"), 10, master_seed=43)
+        assert traces == trace_values(run_episodes(world, fixed_policy("FAST"), 10, master_seed=42))
+        assert traces != trace_values(run_episodes(world, fixed_policy("FAST"), 10, master_seed=43))
 
     def test_careful_beats_fast_on_the_striped_world(self):
         world = striped_world()
@@ -384,13 +387,14 @@ class TestRouteTable:
         check_table(WORLDS[world](), policy_from_rules(rules, "strategy", default))
 
 
-def outcome_of(call):
-    """A call's value with its repr, or its error's class, code and message."""
+def outcome_of(call, view=lambda value: value):
+    """A call's value through view, with its repr, or its error's class,
+    code and message."""
     try:
         value = call()
     except Exception as exc:  # noqa: BLE001 - any divergence counts, whatever it raises
         return "error", type(exc), getattr(exc, "code", None), str(exc)
-    return "value", value, repr(value)
+    return "value", view(value), repr(value)
 
 
 @st.composite
@@ -498,7 +502,8 @@ class TestRollout:
         off_route, fast = terrain_policy({"dune": "WALK"}, "FAST"), fixed_policy("FAST")
         seeds = list(range(5))
         assert route_table(world, off_route) == route_table(world, fast)
-        assert run_seeded(world, off_route, seeds, 0.5) == run_seeded(world, fast, seeds, 0.5)
+        off_route_traces, fast_traces = (run_seeded(world, p, seeds, 0.5) for p in (off_route, fast))
+        assert trace_values(off_route_traces) == trace_values(fast_traces)
         assert evaluate_candidate(world, fast, off_route, 5, seed=1).delta == 0.0
         save_world(world, tmp_path / "world.json")
         save_policy(off_route, tmp_path / "off.policy.json")
@@ -594,7 +599,7 @@ class TestTraceFiles:
         traces = run_episodes(world, fixed_policy("FAST"), 8, master_seed=5, explore=0.5)
         path = tmp_path / "traces.csv"
         save_traces(traces, schema, path)
-        assert load_traces(path, schema) == traces
+        assert trace_values(load_traces(path, schema)) == trace_values(traces)
 
     def test_saved_files_are_byte_stable(self, tmp_path):
         world = striped_world()
@@ -695,7 +700,7 @@ class TestTraceFiles:
         path = tmp_path / "t.csv"
         traces = run_episodes(world, fixed_policy("FAST"), 2, 0)
         save_traces(traces, schema, path)
-        assert load_traces(path, schema) == traces
+        assert trace_values(load_traces(path, schema)) == trace_values(traces)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         cells = rows[2]  # the second row of episode 0
@@ -768,7 +773,7 @@ class TestSharedRecords:
         seeds = list(range(60))
         for policy in self.POLICIES:
             traces = run_seeded(world, policy, seeds, explore)
-            assert traces == [reference_episode(world, policy, s, explore) for s in seeds]
+            assert trace_values(traces) == trace_values(reference_episode(world, policy, s, explore) for s in seeds)
             assert_equal_records_are_one_object(traces)
 
     @settings(deadline=None)
@@ -778,12 +783,13 @@ class TestSharedRecords:
         error class, code and message, and hands out exactly one record
         object per route step, strategy and outcome."""
         world, policy, seeds, explore = run
-        expected = outcome_of(lambda: rollout_reference.reference_run_seeded(world, policy, seeds, explore))
-        got = outcome_of(lambda: run_seeded(world, policy, seeds, explore))
+        expected = outcome_of(lambda: rollout_reference.reference_run_seeded(world, policy, seeds, explore),
+                              trace_values)
+        got = outcome_of(lambda: run_seeded(world, policy, seeds, explore), trace_values)
         assert got == expected
         if got[0] == "value":
             one = {}
-            for trace in got[1]:
+            for trace in run_seeded(world, policy, seeds, explore):
                 for rec in trace.records:
                     assert one.setdefault((rec.cell, rec.strategy, rec.outcome), rec) is rec
 
@@ -797,7 +803,7 @@ class TestSharedRecords:
             traces = run_seeded(world, policy, range(60), explore)
             save_traces(traces, schema, path)
             loaded = load_traces(path, schema)
-            assert loaded == reference_read(path, schema) == traces
+            assert trace_values(loaded) == trace_values(reference_read(path, schema)) == trace_values(traces)
             assert_equal_records_are_one_object(loaded)
 
     def test_each_spelling_of_a_value_parses_on_its_own(self, tmp_path):
@@ -811,8 +817,9 @@ class TestSharedRecords:
                         "0,2,1,0,rock,FAST,success,-1.0,false\n"
                         "0,3,1,0,rock,FAST,success,0.0,false\n"
                         "0,4,1,0,rock,FAST,success,-0.0,false\n")
-        records = load_traces(path, schema)[0].records
-        assert records == reference_read(path, schema)[0].records
+        traces = load_traces(path, schema)
+        assert trace_values(traces) == trace_values(reference_read(path, schema))
+        records = traces[0].records
         assert [(r.cell, r.reward) for r in records] == [((1, 0), -1.0)] * 3 + [((1, 0), 0.0)] * 2
         assert all(type(r.cell[0]) is int and type(r.reward) is float for r in records)
         assert records[0] is records[2] and records[1] is not records[0]
@@ -823,21 +830,33 @@ class TestSharedRecords:
                                                       in enumerate(["-1.0", "-1.0", "-1.0", "0.0", "-0.0"])]
 
     def test_save_traces_writes_shared_and_fresh_records_alike(self, tmp_path):
-        """Shared records, fresh equal ones, and fresh ones a generator
-        builds and drops trace by trace write the same bytes."""
+        """Shared records, fresh equal ones, fresh ones a generator builds
+        and drops trace by trace, and shared ones with every other step a
+        fresh copy write the same bytes."""
         world = striped_world()
         schema = world_schema(world)
         traces = run_seeded(world, fixed_policy("FAST"), range(200), 0.5)
 
-        def fresh(trace):
-            return EpisodeTrace(tuple(DecisionRecord(r.cell, dict(r.observed), r.strategy, r.outcome, r.reward)
-                                      for r in trace.records), trace.reached_goal)
+        def fresh(trace, every=1):
+            return EpisodeTrace(tuple(fresh_copy(r) if k % every == 0 else r for k, r in enumerate(trace.records)),
+                                trace.reached_goal)
 
-        paths = [tmp_path / f"{name}.csv" for name in ("shared", "fresh", "generated")]
+        paths = [tmp_path / f"{name}.csv" for name in ("shared", "fresh", "generated", "mixed")]
         save_traces(traces, schema, paths[0])
         save_traces([fresh(t) for t in traces], schema, paths[1])
         save_traces((fresh(t) for t in traces), schema, paths[2])
-        assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+        save_traces([fresh(t, every=2) for t in traces], schema, paths[3])
+        assert len({p.read_bytes() for p in paths}) == 1
+
+    def test_records_compare_and_hash_by_identity(self):
+        """A record is its own key, its dict of observations included; an
+        equal record built apart is another key."""
+        rec = DecisionRecord((0, 0), {"terrain": "rock"}, "FAST", OUTCOME_SUCCESS, -1.0)
+        twin = DecisionRecord((0, 0), {"terrain": "rock"}, "FAST", OUTCOME_SUCCESS, -1.0)
+        assert rec == rec and rec != twin
+        keys = list(dict.fromkeys([rec, twin, rec, twin]))
+        assert len(keys) == 2 and keys[0] is rec and keys[1] is twin
+        assert trace_values([EpisodeTrace((rec,), True)]) == trace_values([EpisodeTrace((twin,), True)])
 
 
 TRACE_TEXT = ("episode,epoch,x,y,terrain,strategy,outcome,reward,reached_goal\n"
